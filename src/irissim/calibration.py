@@ -8,8 +8,6 @@ anchor turns into a loud test failure instead of a quiet drift.
 
 from __future__ import annotations
 
-import math
-
 from . import optics, quality
 from .optics import OpticalTrain, bisect_root
 from .renderer import render_eye

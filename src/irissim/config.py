@@ -4,6 +4,9 @@ The schema is strict on purpose: unknown keys are rejected everywhere, and
 device parameters outside the hardware envelope fail validation before any
 simulation starts.  ``default_config`` returns the canonical scenario for
 each experiment; a user config only needs the keys it wants to override.
+Validation fills ``seed`` and every omitted ``experiment`` key from the
+canonical scenario.  The other sections fall back to the device defaults,
+not to the canonical scenario's overrides (for example its mirror height).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import optics
 from .devices import LensParams, MirrorParams, SensorParams
 from .quality import QualityThresholds
 from .scene import RigGeometry
+from .scheduler import CaptureRig, build_rig
 
 SCHEMA_VERSION = 1
 
@@ -25,7 +29,6 @@ class ConfigError(ValueError):
     """Anything wrong with a run configuration."""
 
 
-_NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _SEED = {"type": "integer", "minimum": 0}
@@ -153,12 +156,20 @@ SCHEMA = _obj({
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema plus the cross-field checks a JSON schema cannot express."""
+    """Schema plus the cross-field checks a JSON schema cannot express.
+
+    Fills ``seed`` and the omitted ``experiment`` keys in place from the
+    canonical scenario of the experiment's kind, and returns ``cfg``.
+    """
     try:
         jsonschema.validate(cfg, SCHEMA)
     except jsonschema.ValidationError as err:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
+    canonical = _DEFAULTS[cfg["experiment"]["kind"]]
+    cfg.setdefault("seed", canonical["seed"])
+    for key, value in canonical["experiment"].items():
+        cfg["experiment"].setdefault(key, copy.deepcopy(value))
 
     lens = cfg.get("lens", {})
     lo = lens.get("power_min_dpt", -10.0)
@@ -257,6 +268,17 @@ def quality_thresholds(cfg: dict) -> QualityThresholds:
     if "brightness_hi" in c:
         kwargs["brightness_hi"] = c["brightness_hi"]
     return QualityThresholds(**kwargs)
+
+
+def rig_from_config(cfg: dict) -> CaptureRig:
+    """A new capture rig: optics, devices, geometry and gates from the config."""
+    return build_rig(train_from_config(cfg), seed=cfg["seed"],
+                     geometry=rig_geometry(cfg),
+                     sensor=sensor_params(cfg),
+                     thresholds=quality_thresholds(cfg),
+                     lens_params=lens_params(cfg),
+                     mirror_params=mirror_params(cfg),
+                     lens_mode=lens_mode(cfg))
 
 
 _DEFAULTS: dict[str, dict] = {

@@ -9,7 +9,7 @@ Times are milliseconds on the simulation clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class LensParams:
     settle_filtered_ms: float = 12.5
     repeatability_dpt: float = 0.1
     osc_freq_hz: float = 200.0  # ring frequency during settling; free parameter
-    full_sweep_ms: float = 80.0  # quoted full-range traversal time, raw drive
 
     def __post_init__(self):
         if self.power_range[0] >= self.power_range[1]:
@@ -208,8 +207,6 @@ class SteeringMirror:
 class SensorParams:
     frame_rate_hz: float = 30.5
     exposure_ms: float = 3.0
-    width_px: int = optics.SENSOR_PX_H
-    height_px: int = optics.SENSOR_PX_V
 
     def __post_init__(self):
         if not 0.0 < self.exposure_ms < self.frame_period_ms:
@@ -223,15 +220,8 @@ class SensorParams:
         return 1000.0 / self.frame_rate_hz
 
 
-def frame_schedule(sensor: SensorParams, t_start_ms: float, n_frames: int) -> np.ndarray:
-    """Start times of n consecutive frames; frame k begins k periods after t_start."""
-    if n_frames < 0:
-        raise ValueError("frame count must be non-negative")
-    return t_start_ms + np.arange(n_frames) * sensor.frame_period_ms
-
-
-def next_frame_start(sensor: SensorParams, t_ms: float, epoch_ms: float = 0.0) -> float:
-    """First frame boundary at or after t_ms on the grid anchored at epoch_ms."""
+def next_frame_start(sensor: SensorParams, t_ms: float) -> float:
+    """First frame boundary at or after t_ms on the grid anchored at t = 0."""
     period = sensor.frame_period_ms
-    k = math.ceil((t_ms - epoch_ms) / period - 1e-12)
-    return epoch_ms + max(k, 0) * period
+    k = math.ceil(t_ms / period - 1e-12)
+    return max(k, 0) * period

@@ -19,16 +19,26 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, config, iriscode, optics, quality
+from .devices import LensParams
 from .renderer import DEFAULT_K_AST, render_eye, write_pgm
 from .scene import Subject, TrajectorySegment, aim_angles, eye_position, \
     line_of_sight_mm, subject_at
-from .scheduler import CSV_COLUMNS, CaptureTarget, EventLog, build_rig, \
-    capture_sequence, throughput_metrics, track_and_capture
+from .scheduler import CSV_COLUMNS, CaptureTarget, capture_sequence, \
+    throughput_metrics, track_and_capture
 
 # bare-lens depth of field the 5 m extension ratio is quoted against
 BASELINE_DOF_MM = 104.0
 
-_fmt = EventLog._cell
+
+def format_cell(value) -> str:
+    """One CSV cell: empty for None, 1/0 for bools, six significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 @dataclass
@@ -48,7 +58,7 @@ def write_result(result: ExperimentResult, out_dir, dump_frames: bool = False) -
         writer = csv.writer(fh)
         writer.writerow(result.header)
         for row in result.rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_cell(v) for v in row])
     with open(out / "summary.txt", "w") as fh:
         fh.write("\n".join(result.summary) + "\n")
     if dump_frames and result.frames:
@@ -66,17 +76,7 @@ def _map_units(fn, units, parallel: bool):
 
 
 def _noise_seed(cfg: dict, repeat: int) -> int:
-    return cfg.get("seed", 0) * 1_000_003 + repeat
-
-
-def _drive_power(train: optics.OpticalTrain, d: float,
-                 power_range: tuple[float, float]) -> float:
-    """Focus drive for a subject at d; pins at the membrane limit out of reach."""
-    try:
-        return optics.tunable_power_for_focus(train, d)
-    except optics.FocusRangeError:
-        near_reach = optics.focus_distance_for_power(train, power_range[1])
-        return power_range[1] if d <= near_reach else power_range[0]
+    return cfg["seed"] * 1_000_003 + repeat
 
 
 def _base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
@@ -89,8 +89,8 @@ def _base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
 
 def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
-    distances = exp.get("distances_mm", [1000.0 + 500.0 * k for k in range(9)])
-    f = exp.get("f_zoom_mm", 350.0)
+    distances = exp["distances_mm"]
+    f = exp["f_zoom_mm"]
     train = config.train_from_config(cfg, f_zoom_mm=f)
 
     rows = []
@@ -120,7 +120,7 @@ def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
 # ------------------------------------------------------------ dof_extension
 
 def _extension_cell(train, d, power_range, identity_seed, noise_seed, thresholds):
-    power = _drive_power(train, d, power_range)
+    power = optics.drive_power_for_focus(train, d, power_range)
     frame = calibration.probe_frame(train, d, power, k_ast=DEFAULT_K_AST,
                                     identity_seed=identity_seed,
                                     noise_seed=noise_seed)
@@ -134,8 +134,8 @@ def _extension_unit(args):
     """Scan one (base, repeat): step outward from focus until the gate fails."""
     cfg, base, repeat = args
     exp = cfg["experiment"]
-    grid = exp.get("grid_mm", 10.0)
-    identity = exp.get("identity_seed", 9000)
+    grid = exp["grid_mm"]
+    identity = exp["identity_seed"]
     train = _base_train(cfg, base)
     thresholds = config.quality_thresholds(cfg)
     power_range = config.lens_params(cfg).power_range
@@ -168,8 +168,8 @@ def _extension_unit(args):
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
-    bases = exp.get("base_distances_mm", [1000.0, 3000.0, 5000.0])
-    repeats = exp.get("repeats", 5)
+    bases = exp["base_distances_mm"]
+    repeats = exp["repeats"]
     units = [(cfg, b, r) for b in bases for r in range(repeats)]
     results = _map_units(_extension_unit, units, parallel)
 
@@ -206,11 +206,7 @@ def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     )
 
 
-def analytic_extension_limits(train: optics.OpticalTrain,
-                              thresholds: quality.QualityThresholds | None = None,
-                              k_ast: float = DEFAULT_K_AST,
-                              power_range: tuple[float, float] = (-10.0, 10.0),
-                              ) -> tuple[float, float]:
+def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]:
     """Model-predicted pass interval around the base focus, no rendering.
 
     Near limit: drive-power astigmatism alone exhausts the sharpness budget.
@@ -220,24 +216,25 @@ def analytic_extension_limits(train: optics.OpticalTrain,
     magnification zoom pairing this always binds before the membrane runs
     out of negative reach.  Both are roots of monotone optics expressions,
     which is what makes this an independent oracle for the rendered sweep.
+    Gates, astigmatism and lens range are the package defaults.
     """
-    thresholds = thresholds or quality.QualityThresholds()
+    min_px = quality.QualityThresholds().min_px_across_iris
     ref = optics.reference_train()
     p_anchor = optics.tunable_power_for_focus(ref, calibration.ASTIG_ANCHOR_DISTANCE)
-    sigma_anchor = k_ast * p_anchor ** 2
+    sigma_anchor = DEFAULT_K_AST * p_anchor ** 2
     px_anchor = optics.pixels_across_iris(ref, calibration.ASTIG_ANCHOR_DISTANCE)
 
     def astig_margin(d: float) -> float:
         p = optics.tunable_power_for_focus(train, d)
         budget = sigma_anchor * optics.pixels_across_iris(train, d) / px_anchor
-        return k_ast * max(0.0, p) ** 2 - budget
+        return DEFAULT_K_AST * max(0.0, p) ** 2 - budget
 
-    near_reach = optics.focus_distance_for_power(train, power_range[1])
+    near_reach = optics.focus_distance_for_power(train, LensParams().power_range[1])
     near = optics.bisect_root(astig_margin, near_reach * (1.0 + 1e-9),
                               train.d_ref_mm)
 
     def px_margin(d: float) -> float:
-        return optics.pixels_across_iris(train, d) - thresholds.min_px_across_iris
+        return optics.pixels_across_iris(train, d) - min_px
 
     far = optics.bisect_root(px_margin, train.d_ref_mm, 10.0 * train.d_ref_mm)
     return near, far
@@ -247,11 +244,11 @@ def analytic_extension_limits(train: optics.OpticalTrain,
 
 def _hd_template(cfg: dict) -> iriscode.IrisCode:
     exp = cfg["experiment"]
-    base = exp.get("base_mm", 5000.0)
+    base = exp["base_mm"]
     train = _base_train(cfg, base)
     power = optics.tunable_power_for_focus(train, base)
     frame = calibration.probe_frame(train, base, power, k_ast=DEFAULT_K_AST,
-                                    identity_seed=exp.get("identity_seed", 7000),
+                                    identity_seed=exp["identity_seed"],
                                     noise_seed=_noise_seed(cfg, 999_983))
     return iriscode.encode_frame(frame, circles="truth")
 
@@ -259,11 +256,12 @@ def _hd_template(cfg: dict) -> iriscode.IrisCode:
 def _hd_unit(args):
     cfg, position, repeat, template_bytes = args
     exp = cfg["experiment"]
-    base = exp.get("base_mm", 5000.0)
+    base = exp["base_mm"]
     train = _base_train(cfg, base)
-    power = _drive_power(train, position, config.lens_params(cfg).power_range)
+    power = optics.drive_power_for_focus(train, position,
+                                         config.lens_params(cfg).power_range)
     frame = calibration.probe_frame(train, position, power, k_ast=DEFAULT_K_AST,
-                                    identity_seed=exp.get("identity_seed", 7000),
+                                    identity_seed=exp["identity_seed"],
                                     noise_seed=_noise_seed(cfg, repeat))
     code = iriscode.encode_frame(frame, circles="truth")
     return position, repeat, iriscode.hamming_distance(
@@ -274,7 +272,7 @@ def _impostor_unit(args):
     """HD between two in-focus eyes with unrelated identity seeds."""
     cfg, k = args
     exp = cfg["experiment"]
-    base = exp.get("base_mm", 5000.0)
+    base = exp["base_mm"]
     train = _base_train(cfg, base)
     power = optics.tunable_power_for_focus(train, base)
     codes = []
@@ -288,12 +286,12 @@ def _impostor_unit(args):
 
 def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
-    base = exp.get("base_mm", 5000.0)
-    grid = exp.get("grid_mm", 100.0)
-    n_near = int(round(exp.get("span_near_mm", 2800.0) / grid))
-    n_far = int(round(exp.get("span_far_mm", 4400.0) / grid))
-    repeats = exp.get("repeats", 5)
-    n_pairs = exp.get("impostor_pairs", 50)
+    base = exp["base_mm"]
+    grid = exp["grid_mm"]
+    n_near = int(round(exp["span_near_mm"] / grid))
+    n_far = int(round(exp["span_far_mm"] / grid))
+    repeats = exp["repeats"]
+    n_pairs = exp["impostor_pairs"]
 
     positions = [base + k * grid for k in range(-n_near, n_far + 1)]
     template = iriscode.to_bytes(_hd_template(cfg))
@@ -360,9 +358,9 @@ def _enroll_code(train, geometry, subject: Subject, noise_seed: int) -> iriscode
 
 def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
-    geometry = config.rig_geometry(cfg)
-    train = config.train_from_config(cfg)
-    seed = cfg.get("seed", 0)
+    rig = config.rig_from_config(cfg)
+    train, geometry = rig.train, rig.geometry
+    seed = cfg["seed"]
 
     targets = []
     for entry in exp["subjects"]:
@@ -371,17 +369,11 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
                              geometry, motion_seed=seed + len(targets))
         targets.append(CaptureTarget(entry["subject_id"], subject))
 
-    rig = build_rig(train, seed=seed, geometry=geometry,
-                    sensor=config.sensor_params(cfg),
-                    thresholds=config.quality_thresholds(cfg),
-                    lens_params=config.lens_params(cfg),
-                    mirror_params=config.mirror_params(cfg),
-                    lens_mode=config.lens_mode(cfg))
     gallery = {t.target_id: _enroll_code(train, geometry, t.subject, 7_000_001 + i)
                for i, t in enumerate(targets)}
     log = capture_sequence(
-        rig, targets, order=exp.get("order", "nearest_transition"),
-        dwell_budget=exp.get("dwell_budget", 5), gallery=gallery,
+        rig, targets, order=exp["order"],
+        dwell_budget=exp["dwell_budget"], gallery=gallery,
         circles="detect", noise_seed=seed, keep_frames=True)
 
     first_ok: dict[str, float] = {}
@@ -403,6 +395,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
     frames = [(f"{tid}_t{t:.0f}ms", fr.image) for tid, t, fr in log.kept]
 
     stats = {
+        "subjects": [t.target_id for t in targets],
         "first_qualified_ms": first_ok,
         "matched": matched,
         "cross_hd": cross,
@@ -418,7 +411,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
         got = first_ok.get(tid)
         summary.append(
             f"multiperson: {tid} first qualified at "
-            f"{_fmt(got) if got is not None else 'never'} ms, "
+            f"{format_cell(got) if got is not None else 'never'} ms, "
             f"self-match {'yes' if matched.get(tid) else 'NO'}")
     for key, hd in sorted(cross.items()):
         summary.append(f"multiperson: cross {key} hd {hd:.6g}")
@@ -434,27 +427,27 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     geometry = config.rig_geometry(cfg)
     train = config.train_from_config(cfg)
-    seed = cfg.get("seed", 0)
-    speed = exp.get("speed_mmps", 1000.0)
-    z = exp.get("height_mm", 1700.0) - 120.0 - geometry.mirror_height_mm
-    n_frames = exp.get("n_frames", 15)
-    start_frame = exp.get("start_frame", 16)
+    seed = cfg["seed"]
+    speed = exp["speed_mmps"]
+    z = exp["height_mm"] - 120.0 - geometry.mirror_height_mm
+    n_frames = exp["n_frames"]
+    start_frame = exp["start_frame"]
 
     def walker(sigma: float) -> Subject:
-        return Subject("walker", exp.get("identity_seed", 3377),
-                       (0.0, exp.get("start_y_mm", 3800.0), z),
+        return Subject("walker", exp["identity_seed"],
+                       (0.0, exp["start_y_mm"], z),
                        trajectory=(TrajectorySegment(0.0, math.inf,
                                                      (0.0, -speed, 0.0)),),
                        jitter_sigma_mm=sigma,
-                       motion_seed=exp.get("motion_seed", 1))
+                       motion_seed=exp["motion_seed"])
 
     enroll_subject = replace(walker(0.0),
                              position_mm=(0.0, train.d_ref_mm - geometry.lens_height_mm, z),
                              trajectory=())
     gallery = {"walker": _enroll_code(train, geometry, enroll_subject, 7_000_777)}
 
-    variants = (("jitter", exp.get("jitter_sigma_mm", 3.0)),
-                ("nojitter", exp.get("ablation_jitter_sigma_mm", 0.0)))
+    variants = (("jitter", exp["jitter_sigma_mm"]),
+                ("nojitter", exp["ablation_jitter_sigma_mm"]))
     rows = []
     frames = []
     stats: dict = {"variants": {}}
@@ -462,12 +455,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     period = None
     for variant, sigma in variants:
         subject = walker(sigma)
-        rig = build_rig(train, seed=seed, geometry=geometry,
-                        sensor=config.sensor_params(cfg),
-                        thresholds=config.quality_thresholds(cfg),
-                        lens_params=config.lens_params(cfg),
-                        mirror_params=config.mirror_params(cfg),
-                        lens_mode=config.lens_mode(cfg))
+        rig = config.rig_from_config(cfg)
         period = rig.sensor.frame_period_ms
         log = track_and_capture(rig, subject, n_frames=n_frames,
                                 start_frame=start_frame, gallery=gallery,

@@ -170,10 +170,6 @@ def hamming_distance(a: IrisCode, b: IrisCode,
     return best
 
 
-def matches(a: IrisCode, b: IrisCode, threshold: float = MATCH_THRESHOLD) -> bool:
-    return hamming_distance(a, b) < threshold
-
-
 def to_bytes(code: IrisCode) -> bytes:
     head = _HEADER.pack(_MAGIC, _VERSION, 0, CODE_ROWS, 2 * CODE_COLS, 2, SHIFT_BUDGET)
     body = np.packbits(code.bits, bitorder="little").tobytes()

@@ -12,13 +12,13 @@ finite distance"; it is a value, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Sensor geometry is fixed by the 70 mm / 18 deg field-of-view anchor:
-# half-width = 70 * tan(9 deg).  4080 x 3072 active pixels.
+# half-width = 70 * tan(9 deg).  4080 x 3072 active pixels; only the width
+# enters the model.
 SENSOR_WIDTH_MM = 2.0 * 70.0 * math.tan(math.radians(9.0))
 SENSOR_PX_H = 4080
-SENSOR_PX_V = 3072
 
 IRIS_DIAMETER_MM = 10.0
 
@@ -158,14 +158,6 @@ def diopter_to_focal_mm(power: float) -> float:
     return 1000.0 / power
 
 
-def focal_mm_to_diopter(f: float) -> float:
-    if f == 0.0:
-        raise ValueError("zero focal length has no finite power")
-    if math.isinf(f):
-        return 0.0
-    return 1000.0 / f
-
-
 @dataclass(frozen=True)
 class OpticalTrain:
     """Zoom lens + tunable lens + sensor, with the calibration constants.
@@ -285,6 +277,18 @@ def tunable_power_for_focus(train: OpticalTrain, d_target: float,
     return power
 
 
+def drive_power_for_focus(train: OpticalTrain, d_target: float,
+                          power_range: tuple[float, float]) -> float:
+    """Tunable-lens power for d_target, clamped to the lens' power_range.
+
+    A subject out of reach gets the limit on its side of the range; the
+    frame then fails its quality gates, which is the honest outcome.
+    """
+    lo, hi = power_range
+    power = tunable_power_for_focus(train, d_target, (-math.inf, math.inf))
+    return min(max(power, lo), hi)
+
+
 def focus_distance_for_power(train: OpticalTrain, power_dpt: float) -> float:
     """Subject distance in focus at the given tunable power (inf if past infinity)."""
     inv_w = 1.0 / train.sensor_back_mm - power_dpt / 1000.0
@@ -308,13 +312,12 @@ def magnification(train: OpticalTrain, d_subject: float) -> float:
     return (v1 / d_subject) * (train.sensor_back_mm / w)
 
 
-def pixels_across_iris(train: OpticalTrain, d_subject: float, power_dpt: float = 0.0) -> float:
+def pixels_across_iris(train: OpticalTrain, d_subject: float) -> float:
     """Ground-truth pixel count across a 10 mm iris at d_subject.
 
-    ``power_dpt`` is accepted for interface symmetry with the render path;
-    the chief-ray magnification model makes it a no-op.
+    The chief-ray magnification model makes it independent of the tunable
+    power.
     """
-    del power_dpt
     m = magnification(train, d_subject)
     return train.iris_mm * m * train.pixel_scale_cal / train.pixel_pitch_mm
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,10 +163,3 @@ def reflected_view_dir(pan_deg: float, tilt_deg: float) -> np.ndarray:
     n = mirror_normal(pan_deg, tilt_deg)
     return reflect(np.array([0.0, 0.0, -1.0]), n)
 
-
-def aim_error_rad(pan_deg: float, tilt_deg: float, eye_pos) -> float:
-    """Angle between the folded view axis and the eye direction."""
-    e = np.asarray(eye_pos, dtype=float)
-    e_hat = e / np.linalg.norm(e)
-    v = reflected_view_dir(pan_deg, tilt_deg)
-    return float(math.acos(np.clip(np.dot(v, e_hat), -1.0, 1.0)))

@@ -14,9 +14,8 @@ from positions observed up to frame k-1.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .devices import (
     next_frame_start,
 )
 from .iriscode import IrisCode, MATCH_THRESHOLD, encode_frame, hamming_distance
-from .optics import FocusRangeError, OpticalTrain
+from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
 from .renderer import DEFAULT_K_AST, TargetMissed, render_eye
 from .scene import RigGeometry, Subject, aim_angles, eye_position, eye_velocity, line_of_sight_mm
@@ -79,23 +78,6 @@ class EventLog:
     def qualified(self) -> list[Event]:
         return [e for e in self.frames() if e.quality_pass]
 
-    @staticmethod
-    def _cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, float):
-            return f"{value:.6g}"
-        return str(value)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for e in self.events:
-                writer.writerow([self._cell(getattr(e, c)) for c in CSV_COLUMNS])
-
 
 @dataclass
 class CaptureRig:
@@ -133,19 +115,12 @@ def setpoints_for(rig: CaptureRig, subject: Subject, t_ms: float,
                   eye_override=None) -> tuple[float, float, float, float]:
     """Mirror angles, lens power and path length for a subject at time t.
 
-    Out-of-reach distances clamp to the nearest achievable focus; the frame
-    then simply fails its quality gates, which is the honest outcome for a
-    subject outside the focus range.
+    Out-of-reach distances clamp to the lens' power range.
     """
     eye = eye_override if eye_override is not None else eye_position(subject, t_ms)
     pan, tilt = aim_angles(eye)
     d = line_of_sight_mm(eye, rig.geometry)
-    try:
-        power = optics.tunable_power_for_focus(rig.train, d)
-    except FocusRangeError:
-        lo, hi = rig.lens.params.power_range
-        p_lo_d = optics.focus_distance_for_power(rig.train, hi)
-        power = hi if d <= p_lo_d else lo
+    power = optics.drive_power_for_focus(rig.train, d, rig.lens.params.power_range)
     return pan, tilt, power, d
 
 
@@ -226,7 +201,7 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
 
 
 def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
-                     t_start_ms: float = 0.0, order: str = "given_order",
+                     order: str = "given_order",
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
                      gallery: dict[str, IrisCode] | None = None,
                      circles: str = "detect", noise_seed: int = 0,
@@ -234,8 +209,8 @@ def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
     """Visit each target once: aim, refocus, expose until qualified or budget out."""
     log = EventLog(keep_frames)
     frame_index = 0
-    t_now = t_start_ms
-    for tgt in plan_order(rig, targets, t_start_ms, order):
+    t_now = 0.0
+    for tgt in plan_order(rig, targets, order=order):
         t_cmd = next_frame_start(rig.sensor, t_now)
         pan, tilt, power, _ = setpoints_for(rig, tgt.subject, t_cmd)
         rig.mirror.command(pan, tilt, t_cmd)

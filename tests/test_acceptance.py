@@ -3,6 +3,9 @@
 Each test prints one [PASS]/[FAIL] line so a log scrape can tally the
 criteria without parsing pytest output.  The expensive experiments run
 once in module-scoped fixtures; everything downstream reads their stats.
+Where a criterion is an experiment's published bound, it is read from the
+``--check`` table (``cli._check_failures``); the tests here add only time
+budgets and checks that span experiments or runs.
 The whole module is budgeted to finish in well under ten minutes.
 """
 
@@ -12,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from irissim import config, devices, experiments, iriscode, optics, scheduler
+from irissim import cli, config, devices, experiments, optics, scheduler
 
 _T0 = time.monotonic()
 
@@ -53,10 +56,8 @@ def iom():
 
 
 def test_c01_bare_lens_dof_anchor():
-    res = optics.depth_of_field(350.0, 4.8, 5000.0, 0.0499)
-    failures = []
-    if not math.isclose(res.total_mm, 91.0, abs_tol=1.0):
-        failures.append(f"total {res.total_mm:.4f} mm not within 91 +- 1 mm")
+    res = experiments.run_dof_table(config.default_config("dof_table"))
+    failures = cli._check_failures("dof_table", res)
     _verdict(1, "bare 350 mm f/4.8 lens focused at 5 m has a 91 mm depth of field",
              failures)
 
@@ -102,18 +103,7 @@ def test_c03_blur_equals_tolerance_at_dof_limits():
 
 def test_c04_focal_sweep_extends_dof(extension):
     res, elapsed = extension
-    s = res.stats[5000.0]
-    failures = []
-    for name, got, want, tol in (("total", s["total_mm"], 3900.0, 200.0),
-                                 ("front", s["front_mm"], 1200.0, 150.0),
-                                 ("rear", s["rear_mm"], 2700.0, 150.0)):
-        if not math.isclose(got, want, abs_tol=tol):
-            failures.append(f"{name} {got:.0f} mm not within {want:.0f} +- {tol:.0f} mm")
-    ratio = s["total_mm"] / experiments.BASELINE_DOF_MM
-    if not 33.0 <= ratio <= 42.0:
-        failures.append(f"extension ratio {ratio:.2f} outside [33, 42]")
-    if not res.stats["ordered"]:
-        failures.append("totals not ordered 1 m < 3 m < 5 m")
+    failures = cli._check_failures("dof_extension", res)
     if elapsed >= 120.0:
         failures.append(f"took {elapsed:.1f} s, budget 120 s")
     _verdict(4, "sweep DoF at 5 m: 3.9 m total (1.2 front, 2.7 rear), about 37x the "
@@ -123,27 +113,13 @@ def test_c04_focal_sweep_extends_dof(extension):
 def test_c05_hamming_distance_vs_defocus(hd_curve, extension):
     res, elapsed = hd_curve
     s = res.stats
-    failures = []
-    if not s["self_match"] < 0.05:
-        failures.append(f"self-match hd {s['self_match']:.4f} >= 0.05")
-    # walking outward from the focal plane the mean curve may wobble with
-    # the repeat noise, but it must never fall back by more than 0.02
-    positions = s["positions"]
-    mean_hd = s["mean_hd"]
-    idx0 = positions.index(s["base_mm"])
-    for side in (positions[idx0::-1], positions[idx0:]):
-        worst = max((mean_hd[a] - mean_hd[b] for a, b in zip(side, side[1:])),
-                    default=0.0)
-        if worst > 0.02:
-            failures.append(f"hd backslides by {worst:.4f} moving away from focus")
+    failures = cli._check_failures("hd_curve", res)
     ext_total = extension[0].stats[5000.0]["total_mm"]
     if not s["span_mm"] >= ext_total:
         failures.append(f"hd interval {s['span_mm']:.0f} mm smaller than the "
                         f"quality-gate dof {ext_total:.0f} mm")
     if s["impostor_n"] < 50:
         failures.append(f"only {s['impostor_n']} impostor pairs, want >= 50")
-    elif not 0.42 <= s["impostor_mean"] <= 0.50:
-        failures.append(f"impostor mean hd {s['impostor_mean']:.4f} outside [0.42, 0.50]")
     if elapsed >= 180.0:
         failures.append(f"took {elapsed:.1f} s, budget 180 s")
     _verdict(5, "match distance vs defocus: tight self-match, monotone rise, wider "
@@ -164,51 +140,28 @@ def test_c06_device_timing():
     slew = devices.SteeringMirror().slew_time_ms(60.0, 0.0, from_pose=(0.0, 0.0))
     if not math.isclose(slew, 60.0 / 21000.0 * 1000.0, abs_tol=1e-6):
         failures.append(f"60 degree slew {slew:.9f} ms, want 2.857142857 ms")
-    if abs(period - 32.79) > 0.005:
-        failures.append(f"frame period {period:.4f} ms, want 32.79 ms")
     _verdict(6, "timing: full sweep inside the 80 ms window, 2.857 ms slew for 60 "
-                "degrees, 32.79 ms frame spacing", failures)
+                "degrees", failures)
 
 
 def test_c07_two_subject_refocusing(multiperson_pair):
     first, second, elapsed = multiperson_pair
-    failures = []
-    subjects = [s["subject_id"]
-                for s in config.default_config("multiperson")["experiment"]["subjects"]]
-    for sid in subjects:
-        if sid not in first.stats["first_qualified_ms"]:
-            failures.append(f"{sid} never produced a qualified frame")
-        elif not first.stats["matched"].get(sid):
-            failures.append(f"{sid}'s qualified frame does not match its own template")
-    for key, hd in first.stats["cross_hd"].items():
-        if hd <= iriscode.MATCH_THRESHOLD:
-            failures.append(f"cross comparison {key} hd {hd:.4f} inside the match range")
+    failures = cli._check_failures("multiperson", first)
     if first.rows != second.rows or first.summary != second.summary:
         failures.append("re-running with the same seed changed the event log")
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f} s, budget 30 s")
     _verdict(7, "two seated-and-standing subjects: both matched, no cross-matches, "
-                "reproducible", failures)
+                "one cycle under 1 s, reproducible", failures)
 
 
 def test_c08_capture_on_the_move(iom):
     res, elapsed = iom
-    failures = []
-    variants = res.stats["variants"]
-    jitter = variants["jitter"]
-    if jitter["qualified"] < 3:
-        failures.append(f"only {jitter['qualified']} qualified frames with gait jitter")
-    out_of_band = [r for r in jitter["ranges_mm"] if not 2400.0 <= r <= 3400.0]
-    if out_of_band:
-        failures.append(f"qualified ranges outside 2.4 .. 3.4 m: "
-                        f"{[round(r) for r in out_of_band]}")
-    if variants["nojitter"]["qualified"] < 10:
-        failures.append(f"only {variants['nojitter']['qualified']} qualified frames "
-                        f"in the zero-jitter ablation")
+    failures = cli._check_failures("iom", res)
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f} s, budget 30 s")
     _verdict(8, "walker at 1 m/s: at least 3 qualified frames inside 2.4 .. 3.4 m, "
-                "at least 10 without jitter", failures)
+                "at least 10 without jitter, 32.79 ms frame spacing", failures)
 
 
 def _small_extension_cfg():

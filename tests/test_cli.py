@@ -1,6 +1,6 @@
 import json
 
-from irissim import cli, config
+from irissim import cli, config, experiments
 
 
 def test_dof_table_writes_outputs(tmp_path):
@@ -55,3 +55,34 @@ def test_calibrate_reports_all_constants(tmp_path, capsys):
     for name in ("coc_mm", "pixel_scale_cal", "sharpness_min", "k_ast"):
         assert name in text
     assert capsys.readouterr().out.count("solved") == 4
+
+
+def test_check_hd_curve_with_a_single_position():
+    # a span shorter than half the grid leaves the focal plane alone
+    cfg = config.default_config("hd_curve")
+    cfg["experiment"].update(span_near_mm=10.0, span_far_mm=10.0, repeats=1,
+                             impostor_pairs=0)
+    result = experiments.run_hd_curve(cfg)
+    assert result.stats["positions"] == [5000.0]
+    failures = cli._check_failures("hd_curve", result)
+    assert isinstance(failures, list)
+    assert any("below the gate dof" in msg for msg in failures)
+
+
+def test_check_names_every_subject_that_never_qualified(tmp_path, capsys):
+    cfg = tmp_path / "blind.json"
+    cfg.write_text(json.dumps({"version": 1,
+                               "experiment": {"kind": "multiperson"},
+                               "quality": {"sharpness_min": 1e9}}))
+    assert cli.main(["multiperson", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--check"]) == 3
+    err = capsys.readouterr().err
+    assert "seated never qualified" in err
+    assert "standing never qualified" in err
+
+
+def test_kind_only_multiperson_config_runs(tmp_path):
+    cfg = tmp_path / "mp.json"
+    cfg.write_text(json.dumps({"version": 1, "experiment": {"kind": "multiperson"}}))
+    assert cli.main(["multiperson", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0

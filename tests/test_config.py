@@ -12,6 +12,13 @@ def test_default_configs_validate(kind):
     assert cfg["experiment"]["kind"] == kind
 
 
+@pytest.mark.parametrize("kind", list(config._DEFAULTS))
+def test_kind_only_config_takes_the_canonical_experiment(kind):
+    cfg = config.validate_config({"version": 1, "experiment": {"kind": kind}})
+    assert cfg["experiment"] == config.default_config(kind)["experiment"]
+    assert cfg["seed"] == 0
+
+
 def test_unknown_top_level_key_rejected():
     cfg = {"version": 1, "experiment": {"kind": "dof_table"}, "extra": 1}
     with pytest.raises(ConfigError, match="extra"):

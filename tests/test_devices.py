@@ -13,7 +13,6 @@ from irissim.devices import (
     SteeringMirror,
     TunableLens,
     current_gain_for_train,
-    frame_schedule,
     next_frame_start,
 )
 
@@ -173,17 +172,10 @@ def test_mirror_retarget_mid_slew():
 def test_frame_period_anchor():
     s = SensorParams()
     assert s.frame_period_ms == pytest.approx(32.79, abs=0.01)
-    sched = frame_schedule(s, 0.0, 15)
-    assert sched.size == 15
-    assert sched[-1] == pytest.approx(14 * 1000.0 / 30.5)
-    assert sched[-1] == pytest.approx(459.0, abs=0.1)
-
-
-def test_frame_schedule_uniform_spacing():
-    s = SensorParams()
-    sched = frame_schedule(s, 100.0, 40)
-    gaps = np.diff(sched)
-    assert np.allclose(gaps, s.frame_period_ms)
+    # 15 consecutive frames span 14 periods
+    span = 14 * s.frame_period_ms
+    assert span == pytest.approx(14 * 1000.0 / 30.5)
+    assert span == pytest.approx(459.0, abs=0.1)
 
 
 def test_exposure_must_fit_in_frame():

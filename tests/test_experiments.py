@@ -31,10 +31,19 @@ def test_drive_power_clamps_at_membrane_limits():
     lo, hi = -10.0, 10.0
     near_reach = optics.focus_distance_for_power(train, hi)
     far_reach = optics.focus_distance_for_power(train, lo)
-    assert experiments._drive_power(train, near_reach - 100.0, (lo, hi)) == hi
-    assert experiments._drive_power(train, far_reach + 100.0, (lo, hi)) == lo
-    exact = experiments._drive_power(train, 6000.0, (lo, hi))
+    assert optics.drive_power_for_focus(train, near_reach - 100.0, (lo, hi)) == hi
+    assert optics.drive_power_for_focus(train, far_reach + 100.0, (lo, hi)) == lo
+    exact = optics.drive_power_for_focus(train, 6000.0, (lo, hi))
     assert exact == pytest.approx(optics.tunable_power_for_focus(train, 6000.0))
+
+
+def test_extension_drive_stays_inside_the_lens_range():
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(base_distances_mm=[5000.0], grid_mm=400.0, repeats=1)
+    cfg["lens"] = {"power_min_dpt": -5.0, "power_max_dpt": 5.0}
+    res = experiments.run_dof_extension(config.validate_config(cfg))
+    powers = [row[3] for row in res.rows]
+    assert all(-5.0 <= p <= 5.0 for p in powers)
 
 
 def test_analytic_limits_sit_on_their_anchors():

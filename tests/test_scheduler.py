@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irissim.devices import LensParams
+from irissim.experiments import ExperimentResult, write_result
 from irissim.iriscode import encode_frame
 from irissim.optics import (
     reference_train,
@@ -14,6 +15,7 @@ from irissim.quality import QualityThresholds
 from irissim.renderer import render_eye
 from irissim.scene import RigGeometry, Subject, TrajectorySegment, aim_angles
 from irissim.scheduler import (
+    CSV_COLUMNS,
     CaptureTarget,
     ConstantVelocityTracker,
     EventLog,
@@ -73,13 +75,18 @@ def test_unknown_order_rejected():
 
 
 def test_setpoints_clamp_outside_reach():
-    rig = build_rig(TRAIN)
     far = still_subject("far", 1, 12000.0)
     near = still_subject("near", 2, 2000.0)
-    *_, p_far, _ = setpoints_for(rig, far, 0.0)
-    *_, p_near, _ = setpoints_for(rig, near, 0.0)
-    assert p_far == rig.lens.params.power_range[0]
-    assert p_near == rig.lens.params.power_range[1]
+    # 3.2 m of folded path needs +7.5 dpt: inside +-10, outside +-5
+    mid = still_subject("mid", 3, 3000.0)
+    for power_range in ((-10.0, 10.0), (-5.0, 5.0)):
+        rig = build_rig(TRAIN, lens_params=LensParams(power_range=power_range))
+        *_, p_far, _ = setpoints_for(rig, far, 0.0)
+        *_, p_near, _ = setpoints_for(rig, near, 0.0)
+        assert p_far == power_range[0]
+        assert p_near == power_range[1]
+        *_, p_mid, _ = setpoints_for(rig, mid, 0.0)
+        assert power_range[0] <= p_mid <= power_range[1]
 
 
 # --- one-shot sequences ------------------------------------------------------
@@ -164,11 +171,12 @@ def test_csv_export_is_deterministic(tmp_path):
     rig = build_rig(TRAIN, seed=0)
     targets = [CaptureTarget("s", still_subject("s", 5001, 4800.0))]
     log = capture_sequence(rig, targets, gallery={"s": enroll_code(TRAIN, 5001)})
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    log.to_csv(p1)
-    log.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
+    result = ExperimentResult("log", CSV_COLUMNS, rows, summary=[])
+    write_result(result, tmp_path / "a")
+    write_result(result, tmp_path / "b")
+    p1 = tmp_path / "a" / "log.csv"
+    assert p1.read_bytes() == (tmp_path / "b" / "log.csv").read_bytes()
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == ("t_ms,event_type,target_id,pan_deg,tilt_deg,power_dpt,"
                         "blur_px,px_across_iris,quality_pass,hd,matched")
