@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import optics, quality
 from .optics import OpticalTrain, bisect_root
-from .renderer import render_eye
+from .renderer import DEFAULT_K_AST, render_eye
 from .scene import RigGeometry, aim_angles
 
 CAL_IDENTITY_SEED = 9000
@@ -24,21 +24,22 @@ PX_ANCHOR_COUNT = 200.0
 ASTIG_ANCHOR_DISTANCE = 3800.0  # refocus here should sit exactly on the floor
 
 
-def solve_coc(f: float = 350.0, n_stop: float = optics.DEFAULT_F_NUMBER,
-              d: float = 5000.0, dof_total_mm: float = DOF_ANCHOR_MM) -> float:
-    """Blur tolerance whose depth of field hits the anchor."""
-    return bisect_root(
-        lambda c: optics.depth_of_field(f, n_stop, d, c).total_mm - dof_total_mm,
-        1e-4, 1.0, rel_tol=1e-12,
-    )
+def solve_coc() -> float:
+    """Blur tolerance giving the reference train the anchor depth of field."""
+    t = optics.reference_train()
+
+    def gap(c: float) -> float:
+        dof = optics.depth_of_field(t.f_zoom_mm, t.n_stop, t.d_ref_mm, c)
+        return dof.total_mm - DOF_ANCHOR_MM
+
+    return bisect_root(gap, 1e-4, 1.0, rel_tol=1e-12)
 
 
-def solve_pixel_scale(d_anchor: float = PX_ANCHOR_DISTANCE,
-                      px_target: float = PX_ANCHOR_COUNT) -> float:
-    """Calibration factor putting ``px_target`` pixels across the iris at the anchor."""
+def solve_pixel_scale() -> float:
+    """Calibration factor putting the anchor pixel count across the iris."""
     train = OpticalTrain(pixel_scale_cal=1.0)
-    raw = optics.pixels_across_iris(train, d_anchor)
-    return px_target / raw
+    raw = optics.pixels_across_iris(train, PX_ANCHOR_DISTANCE)
+    return PX_ANCHOR_COUNT / raw
 
 
 def one_coc_power_offset(train: OpticalTrain) -> float:
@@ -50,7 +51,7 @@ def one_coc_power_offset(train: OpticalTrain) -> float:
 
 
 def probe_frame(train: OpticalTrain, d: float, power: float, *,
-                k_ast: float = 0.0,
+                k_ast: float = DEFAULT_K_AST,
                 identity_seed: int = CAL_IDENTITY_SEED,
                 noise_seed: int = CAL_NOISE_SEED):
     """Render a boresight eye at distance ``d`` with the given drive power.
@@ -73,16 +74,19 @@ def _sharpness_of(frame) -> float:
                                    frame.r_pupil_px, frame.r_iris_px)
 
 
-def solve_sharpness_min(train: OpticalTrain | None = None) -> float:
-    """Sharpness of the calibration eye defocused by exactly one blur circle."""
-    train = train or optics.reference_train()
+def solve_sharpness_min() -> float:
+    """Sharpness of the calibration eye defocused by exactly one blur circle.
+
+    Rendered without astigmatism: the floor measures defocus alone.
+    """
+    train = optics.reference_train()
     power = optics.tunable_power_for_focus(train, train.d_ref_mm)
-    frame = probe_frame(train, train.d_ref_mm, power + one_coc_power_offset(train))
+    frame = probe_frame(train, train.d_ref_mm, power + one_coc_power_offset(train),
+                        k_ast=0.0)
     return _sharpness_of(frame)
 
 
-def solve_k_ast(train: OpticalTrain | None = None,
-                sharpness_min: float | None = None) -> float:
+def solve_k_ast() -> float:
     """Astigmatism growth that puts the near-refocus anchor on the floor.
 
     At the anchor distance the drive power is strongly positive; the solved
@@ -92,8 +96,7 @@ def solve_k_ast(train: OpticalTrain | None = None,
     over the default 5-repeat noise seeds, so the measured front limit sits
     on the anchor rather than half a noise-wobble off it.
     """
-    train = train or optics.reference_train()
-    floor = sharpness_min if sharpness_min is not None else quality.DEFAULT_SHARPNESS_MIN
+    train = optics.reference_train()
     power = optics.tunable_power_for_focus(train, ASTIG_ANCHOR_DISTANCE)
 
     def gap(k: float) -> float:
@@ -102,6 +105,6 @@ def solve_k_ast(train: OpticalTrain | None = None,
                                       k_ast=k, noise_seed=ns))
             for ns in CAL_SWEEP_NOISE_SEEDS
         ]
-        return sum(scores) / len(scores) - floor
+        return sum(scores) / len(scores) - quality.DEFAULT_SHARPNESS_MIN
 
     return bisect_root(gap, 0.02, 1.0, rel_tol=1e-4)

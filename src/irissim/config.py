@@ -4,9 +4,23 @@ The schema is strict on purpose: unknown keys are rejected everywhere, and
 device parameters outside the hardware envelope fail validation before any
 simulation starts.  ``default_config`` returns the canonical scenario for
 each experiment; a user config only needs the keys it wants to override.
+
+Each device section builds one dataclass and its keys are that class's
+field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
+-> MirrorParams, ``sensor`` -> SensorParams, ``rig`` -> RigGeometry and
+``quality`` -> QualityThresholds.  The exceptions: each ``*_min_*`` /
+``*_max_*`` key pair forms one range tuple (``power_range``, ``pan_range``,
+``tilt_range``), and the lens ``mode`` is a CaptureRig setting.  An omitted
+key or range end takes the dataclass default, so every device default is
+written once, in its dataclass.
+
 Validation fills ``seed`` and every omitted ``experiment`` key from the
-canonical scenario.  The other sections fall back to the device defaults,
-not to the canonical scenario's overrides (for example its mirror height).
+canonical scenario.  The device sections fall back to the dataclass
+defaults, not to the canonical scenario's overrides (for example its mirror
+height).  Validation then builds the rig once, so the dataclasses' own
+checks (ordered ranges, an exposure inside one frame, a lens separation
+inside the focal length) reject a bad config, and checks that a
+multiperson cast has unique ids and stands within the lens' focus reach.
 """
 
 from __future__ import annotations
@@ -18,8 +32,9 @@ import jsonschema
 
 from . import optics
 from .devices import LensParams, MirrorParams, SensorParams
+from .optics import OpticalTrain
 from .quality import QualityThresholds
-from .scene import RigGeometry
+from .scene import RigGeometry, line_of_sight_mm, subject_at
 from .scheduler import CaptureRig, build_rig
 
 SCHEMA_VERSION = 1
@@ -170,24 +185,35 @@ def validate_config(cfg: dict) -> dict:
     cfg.setdefault("seed", canonical["seed"])
     for key, value in canonical["experiment"].items():
         cfg["experiment"].setdefault(key, copy.deepcopy(value))
-
-    lens = cfg.get("lens", {})
-    lo = lens.get("power_min_dpt", -10.0)
-    hi = lens.get("power_max_dpt", 10.0)
-    if lo >= hi:
-        raise ConfigError(f"lens power range [{lo}, {hi}] dpt is not ordered")
-    mirror = cfg.get("mirror", {})
-    if mirror.get("pan_min_deg", -180.0) >= mirror.get("pan_max_deg", 180.0):
-        raise ConfigError("mirror pan range is not ordered")
-    if mirror.get("tilt_min_deg", -60.0) >= mirror.get("tilt_max_deg", 60.0):
-        raise ConfigError("mirror tilt range is not ordered")
     try:
-        sensor_params(cfg)
-        lens_params(cfg)
-        train_from_config(cfg)
+        rig = rig_from_config(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    if cfg["experiment"]["kind"] == "multiperson":
+        _check_subjects(cfg["experiment"]["subjects"], rig)
     return cfg
+
+
+def _check_subjects(subjects: list[dict], rig: CaptureRig) -> None:
+    """Subject ids are unique and every subject stands inside focus reach."""
+    lo, hi = rig.lens.params.power_range
+    seen = set()
+    for entry in subjects:
+        sid = entry["subject_id"]
+        if sid in seen:
+            raise ConfigError(f"subject id {sid!r} appears more than once")
+        seen.add(sid)
+        subject = subject_at(sid, entry["identity_seed"], entry["distance_mm"],
+                             0.0, entry["height_mm"], rig.geometry)
+        d = line_of_sight_mm(subject.position_mm, rig.geometry)
+        try:
+            power = optics.tunable_power_for_focus(rig.train, d)
+        except ValueError as err:
+            raise ConfigError(f"subject {sid!r}: {err}") from err
+        if not lo <= power <= hi:
+            raise ConfigError(
+                f"subject {sid!r} at {d:.6g} mm line of sight needs {power:.4g} dpt, "
+                f"outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
 
 
 def load_config(path) -> dict:
@@ -207,78 +233,47 @@ def train_from_config(cfg: dict, f_zoom_mm: float | None = None,
     lens separation keeps its fractional position unless explicitly pinned.
     """
     over = dict(cfg.get("train", {}))
-    f = f_zoom_mm if f_zoom_mm is not None else over.pop("f_zoom_mm", 350.0)
-    d = d_ref_mm if d_ref_mm is not None else over.pop("d_ref_mm", 5000.0)
-    if f_zoom_mm is not None or d_ref_mm is not None:
-        over.pop("f_zoom_mm", None)
-        over.pop("d_ref_mm", None)
-    return optics.train_for_base_focus(f, d, **over)
+    f = over.pop("f_zoom_mm", OpticalTrain.f_zoom_mm)
+    d = over.pop("d_ref_mm", OpticalTrain.d_ref_mm)
+    return optics.train_for_base_focus(f if f_zoom_mm is None else f_zoom_mm,
+                                       d if d_ref_mm is None else d_ref_mm, **over)
+
+
+def _with_ranges(cls, section: dict, **ranges):
+    """``cls(**section)``, with each ``*_min_*``/``*_max_*`` key pair as one range.
+
+    ``ranges`` maps a range field to its (min key, max key); a missing end
+    takes that end of the field's default.
+    """
+    kwargs = dict(section)
+    for name, (lo_key, hi_key) in ranges.items():
+        lo, hi = getattr(cls, name)
+        kwargs[name] = (kwargs.pop(lo_key, lo), kwargs.pop(hi_key, hi))
+    return cls(**kwargs)
 
 
 def lens_params(cfg: dict) -> LensParams:
-    c = cfg.get("lens", {})
-    return LensParams(
-        power_range=(c.get("power_min_dpt", -10.0), c.get("power_max_dpt", 10.0)),
-        response_ms=c.get("response_ms", 5.0),
-        settle_ms=c.get("settle_ms", 25.0),
-        settle_filtered_ms=c.get("settle_filtered_ms", 12.5),
-        repeatability_dpt=c.get("repeatability_dpt", 0.1),
-    )
-
-
-def lens_mode(cfg: dict) -> str:
-    return cfg.get("lens", {}).get("mode", "raw")
-
-
-def mirror_params(cfg: dict) -> MirrorParams:
-    c = cfg.get("mirror", {})
-    return MirrorParams(
-        pan_range=(c.get("pan_min_deg", -180.0), c.get("pan_max_deg", 180.0)),
-        tilt_range=(c.get("tilt_min_deg", -60.0), c.get("tilt_max_deg", 60.0)),
-        resolution_deg=c.get("resolution_deg", 0.01),
-        max_speed_dps=c.get("max_speed_dps", 21000.0),
-    )
-
-
-def sensor_params(cfg: dict) -> SensorParams:
-    c = cfg.get("sensor", {})
-    return SensorParams(
-        frame_rate_hz=c.get("frame_rate_hz", 30.5),
-        exposure_ms=c.get("exposure_ms", 3.0),
-    )
-
-
-def rig_geometry(cfg: dict) -> RigGeometry:
-    c = cfg.get("rig", {})
-    return RigGeometry(
-        lens_height_mm=c.get("lens_height_mm", 200.0),
-        mirror_height_mm=c.get("mirror_height_mm", 1000.0),
-    )
+    section = {k: v for k, v in cfg.get("lens", {}).items() if k != "mode"}
+    return _with_ranges(LensParams, section,
+                        power_range=("power_min_dpt", "power_max_dpt"))
 
 
 def quality_thresholds(cfg: dict) -> QualityThresholds:
-    c = cfg.get("quality", {})
-    kwargs = {}
-    if "sharpness_min" in c:
-        kwargs["sharpness_min"] = c["sharpness_min"]
-    if "min_px_across_iris" in c:
-        kwargs["min_px_across_iris"] = c["min_px_across_iris"]
-    if "brightness_lo" in c:
-        kwargs["brightness_lo"] = c["brightness_lo"]
-    if "brightness_hi" in c:
-        kwargs["brightness_hi"] = c["brightness_hi"]
-    return QualityThresholds(**kwargs)
+    return QualityThresholds(**cfg.get("quality", {}))
 
 
 def rig_from_config(cfg: dict) -> CaptureRig:
     """A new capture rig: optics, devices, geometry and gates from the config."""
+    mirror = _with_ranges(MirrorParams, cfg.get("mirror", {}),
+                          pan_range=("pan_min_deg", "pan_max_deg"),
+                          tilt_range=("tilt_min_deg", "tilt_max_deg"))
     return build_rig(train_from_config(cfg), seed=cfg["seed"],
-                     geometry=rig_geometry(cfg),
-                     sensor=sensor_params(cfg),
+                     geometry=RigGeometry(**cfg.get("rig", {})),
+                     sensor=SensorParams(**cfg.get("sensor", {})),
                      thresholds=quality_thresholds(cfg),
                      lens_params=lens_params(cfg),
-                     mirror_params=mirror_params(cfg),
-                     lens_mode=lens_mode(cfg))
+                     mirror_params=mirror,
+                     lens_mode=cfg.get("lens", {}).get("mode", CaptureRig.lens_mode))
 
 
 _DEFAULTS: dict[str, dict] = {

@@ -16,14 +16,14 @@ import numpy as np
 from . import optics
 
 
-def current_gain_for_train(train: optics.OpticalTrain, step_mm: float = 10.0) -> float:
-    """Diopters per mA so that 1 mA moves the focal plane one step_mm at d_ref.
+def current_gain_for_train(train: optics.OpticalTrain) -> float:
+    """Diopters per mA so that 1 mA moves the focal plane 10 mm at d_ref.
 
     Anchored on "1 mA roughly equals 1 cm in the depth direction" at the
     5 m operating point; evaluated as a symmetric difference around d_ref.
     """
-    p_near = optics.tunable_power_for_focus(train, train.d_ref_mm - step_mm / 2.0)
-    p_far = optics.tunable_power_for_focus(train, train.d_ref_mm + step_mm / 2.0)
+    p_near = optics.tunable_power_for_focus(train, train.d_ref_mm - 5.0)
+    p_far = optics.tunable_power_for_focus(train, train.d_ref_mm + 5.0)
     return abs(p_near - p_far)
 
 
@@ -139,6 +139,12 @@ class MirrorParams:
     tilt_range: tuple[float, float] = (-60.0, 60.0)
     resolution_deg: float = 0.01
     max_speed_dps: float = 21000.0  # 3500 rpm galvo drive
+
+    def __post_init__(self):
+        if self.pan_range[0] >= self.pan_range[1]:
+            raise ValueError("pan range must be ordered")
+        if self.tilt_range[0] >= self.tilt_range[1]:
+            raise ValueError("tilt range must be ordered")
 
 
 class SteeringMirror:

@@ -21,10 +21,9 @@ import numpy as np
 from . import calibration, config, iriscode, optics, quality
 from .devices import LensParams
 from .renderer import DEFAULT_K_AST, render_eye, write_pgm
-from .scene import Subject, TrajectorySegment, aim_angles, eye_position, \
-    line_of_sight_mm, subject_at
-from .scheduler import CSV_COLUMNS, CaptureTarget, capture_sequence, \
-    throughput_metrics, track_and_capture
+from .scene import Subject, TrajectorySegment, eye_position, subject_at
+from .scheduler import CSV_COLUMNS, CaptureRig, CaptureTarget, capture_sequence, \
+    noise_seed_for, setpoints_for, throughput_metrics, track_and_capture
 
 # bare-lens depth of field the 5 m extension ratio is quoted against
 BASELINE_DOF_MM = 104.0
@@ -75,10 +74,6 @@ def _map_units(fn, units, parallel: bool):
     return [fn(u) for u in units]
 
 
-def _noise_seed(cfg: dict, repeat: int) -> int:
-    return cfg["seed"] * 1_000_003 + repeat
-
-
 def _base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
     """Re-zoomed train for a sweep based at ``base_mm``, magnification held."""
     f = min(350.0, max(70.0, optics.zoom_focal_for_distance(base_mm)))
@@ -121,8 +116,7 @@ def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 def _extension_cell(train, d, power_range, identity_seed, noise_seed, thresholds):
     power = optics.drive_power_for_focus(train, d, power_range)
-    frame = calibration.probe_frame(train, d, power, k_ast=DEFAULT_K_AST,
-                                    identity_seed=identity_seed,
+    frame = calibration.probe_frame(train, d, power, identity_seed=identity_seed,
                                     noise_seed=noise_seed)
     report = quality.evaluate(frame, thresholds)
     row = (d, power, frame.blur_px, frame.astig_sigma_px,
@@ -139,7 +133,7 @@ def _extension_unit(args):
     train = _base_train(cfg, base)
     thresholds = config.quality_thresholds(cfg)
     power_range = config.lens_params(cfg).power_range
-    noise = _noise_seed(cfg, repeat)
+    noise = noise_seed_for(cfg["seed"], repeat)
 
     rows = []
     ok0, row0 = _extension_cell(train, base, power_range, identity, noise, thresholds)
@@ -246,10 +240,11 @@ def _hd_template(cfg: dict) -> iriscode.IrisCode:
     exp = cfg["experiment"]
     base = exp["base_mm"]
     train = _base_train(cfg, base)
-    power = optics.tunable_power_for_focus(train, base)
-    frame = calibration.probe_frame(train, base, power, k_ast=DEFAULT_K_AST,
+    power = optics.drive_power_for_focus(train, base,
+                                         config.lens_params(cfg).power_range)
+    frame = calibration.probe_frame(train, base, power,
                                     identity_seed=exp["identity_seed"],
-                                    noise_seed=_noise_seed(cfg, 999_983))
+                                    noise_seed=noise_seed_for(cfg["seed"], 999_983))
     return iriscode.encode_frame(frame, circles="truth")
 
 
@@ -260,9 +255,9 @@ def _hd_unit(args):
     train = _base_train(cfg, base)
     power = optics.drive_power_for_focus(train, position,
                                          config.lens_params(cfg).power_range)
-    frame = calibration.probe_frame(train, position, power, k_ast=DEFAULT_K_AST,
+    frame = calibration.probe_frame(train, position, power,
                                     identity_seed=exp["identity_seed"],
-                                    noise_seed=_noise_seed(cfg, repeat))
+                                    noise_seed=noise_seed_for(cfg["seed"], repeat))
     code = iriscode.encode_frame(frame, circles="truth")
     return position, repeat, iriscode.hamming_distance(
         code, iriscode.from_bytes(template_bytes))
@@ -274,12 +269,13 @@ def _impostor_unit(args):
     exp = cfg["experiment"]
     base = exp["base_mm"]
     train = _base_train(cfg, base)
-    power = optics.tunable_power_for_focus(train, base)
+    power = optics.drive_power_for_focus(train, base,
+                                         config.lens_params(cfg).power_range)
     codes = []
     for side, identity in enumerate((1000 + k, 2000 + k)):
-        frame = calibration.probe_frame(train, base, power, k_ast=DEFAULT_K_AST,
-                                        identity_seed=identity,
-                                        noise_seed=_noise_seed(cfg, 2 * k + side))
+        frame = calibration.probe_frame(train, base, power, identity_seed=identity,
+                                        noise_seed=noise_seed_for(cfg["seed"],
+                                                                  2 * k + side))
         codes.append(iriscode.encode_frame(frame, circles="truth"))
     return iriscode.hamming_distance(codes[0], codes[1])
 
@@ -344,37 +340,37 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 # -------------------------------------------------------------- multiperson
 
-def _enroll_code(train, geometry, subject: Subject, noise_seed: int) -> iriscode.IrisCode:
-    """Gallery template: a clean capture of the subject standing still."""
+def _enroll_code(rig: CaptureRig, subject: Subject, noise_seed: int) -> iriscode.IrisCode:
+    """Gallery template: a clean capture of the subject standing still.
+
+    Aim and focus come from the same setpoints a capture commands.
+    """
     still = replace(subject, trajectory=(), jitter_sigma_mm=0.0)
-    eye = eye_position(still, 0.0)
-    pan, tilt = aim_angles(eye)
-    power = optics.tunable_power_for_focus(train, line_of_sight_mm(eye, geometry))
-    frame = render_eye(train, power_dpt=power, pan_deg=pan, tilt_deg=tilt,
-                       eye_pos_mm=eye, identity_seed=subject.identity_seed,
-                       noise_seed=noise_seed, rig=geometry, k_ast=DEFAULT_K_AST)
+    pan, tilt, power, _ = setpoints_for(rig, still, 0.0)
+    frame = render_eye(rig.train, power_dpt=power, pan_deg=pan, tilt_deg=tilt,
+                       eye_pos_mm=eye_position(still, 0.0),
+                       identity_seed=subject.identity_seed,
+                       noise_seed=noise_seed, rig=rig.geometry)
     return iriscode.encode_frame(frame, circles="detect")
 
 
 def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg)
-    train, geometry = rig.train, rig.geometry
     seed = cfg["seed"]
 
     targets = []
     for entry in exp["subjects"]:
         subject = subject_at(entry["subject_id"], entry["identity_seed"],
                              entry["distance_mm"], 0.0, entry["height_mm"],
-                             geometry, motion_seed=seed + len(targets))
+                             rig.geometry, motion_seed=seed + len(targets))
         targets.append(CaptureTarget(entry["subject_id"], subject))
 
-    gallery = {t.target_id: _enroll_code(train, geometry, t.subject, 7_000_001 + i)
+    gallery = {t.target_id: _enroll_code(rig, t.subject, 7_000_001 + i)
                for i, t in enumerate(targets)}
     log = capture_sequence(
         rig, targets, order=exp["order"],
-        dwell_budget=exp["dwell_budget"], gallery=gallery,
-        circles="detect", noise_seed=seed, keep_frames=True)
+        dwell_budget=exp["dwell_budget"], gallery=gallery, noise_seed=seed)
 
     first_ok: dict[str, float] = {}
     for e in log.qualified():
@@ -409,10 +405,10 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
     for t in targets:
         tid = t.target_id
         got = first_ok.get(tid)
-        summary.append(
-            f"multiperson: {tid} first qualified at "
-            f"{format_cell(got) if got is not None else 'never'} ms, "
-            f"self-match {'yes' if matched.get(tid) else 'NO'}")
+        when = ("never qualified" if got is None
+                else f"first qualified at {format_cell(got)} ms")
+        summary.append(f"multiperson: {tid} {when}, "
+                       f"self-match {'yes' if matched.get(tid) else 'NO'}")
     for key, hd in sorted(cross.items()):
         summary.append(f"multiperson: cross {key} hd {hd:.6g}")
     return ExperimentResult(
@@ -425,8 +421,8 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
-    geometry = config.rig_geometry(cfg)
-    train = config.train_from_config(cfg)
+    enroll_rig = config.rig_from_config(cfg)
+    train, geometry = enroll_rig.train, enroll_rig.geometry
     seed = cfg["seed"]
     speed = exp["speed_mmps"]
     z = exp["height_mm"] - 120.0 - geometry.mirror_height_mm
@@ -444,7 +440,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     enroll_subject = replace(walker(0.0),
                              position_mm=(0.0, train.d_ref_mm - geometry.lens_height_mm, z),
                              trajectory=())
-    gallery = {"walker": _enroll_code(train, geometry, enroll_subject, 7_000_777)}
+    gallery = {"walker": _enroll_code(enroll_rig, enroll_subject, 7_000_777)}
 
     variants = (("jitter", exp["jitter_sigma_mm"]),
                 ("nojitter", exp["ablation_jitter_sigma_mm"]))
@@ -459,8 +455,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
         period = rig.sensor.frame_period_ms
         log = track_and_capture(rig, subject, n_frames=n_frames,
                                 start_frame=start_frame, gallery=gallery,
-                                circles="detect", noise_seed=seed,
-                                keep_frames=True)
+                                noise_seed=seed)
         ranges = []
         for i, e in enumerate(log.frames()):
             t_mid = e.t_ms + rig.sensor.exposure_ms / 2.0

@@ -86,9 +86,9 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
     return cx, cy, r_p, r_i
 
 
-def unroll(image: np.ndarray, cx: float, cy: float, r_p: float, r_i: float,
-           nr: int = SHEET_ROWS, na: int = SHEET_COLS):
-    """Rubber-sheet the annulus to (nr x na), with the lid band masked."""
+def unroll(image: np.ndarray, cx: float, cy: float, r_p: float, r_i: float):
+    """Rubber-sheet the annulus to SHEET_ROWS x SHEET_COLS, lid band masked."""
+    nr, na = SHEET_ROWS, SHEET_COLS
     rads = (np.arange(nr) + 0.5) / nr
     angs = 2 * np.pi * np.arange(na) / na
     r = r_p + rads[:, None] * (r_i - r_p)
@@ -149,16 +149,15 @@ def encode_frame(frame: Frame, circles: str = "truth") -> IrisCode:
     return encode_sheet(sheet, mask)
 
 
-def hamming_distance(a: IrisCode, b: IrisCode,
-                     max_shift: int = SHIFT_BUDGET) -> float:
-    """Masked fractional HD, minimized over angular shifts.
+def hamming_distance(a: IrisCode, b: IrisCode) -> float:
+    """Masked fractional HD, minimized over +-SHIFT_BUDGET angular shifts.
 
     1.0 when the masks never overlap: nothing comparable is maximally
     distant for gating purposes.
     """
     best = 1.0
     am = a.mask.astype(bool)
-    for s in range(-max_shift, max_shift + 1):
+    for s in range(-SHIFT_BUDGET, SHIFT_BUDGET + 1):
         bb = np.roll(b.bits, 2 * s, axis=1)
         bm = np.roll(b.mask, 2 * s, axis=1)
         overlap = am & bm.astype(bool)
@@ -178,12 +177,17 @@ def to_bytes(code: IrisCode) -> bytes:
 
 
 def from_bytes(blob: bytes) -> IrisCode:
+    """Inverse of to_bytes; anything but a header plus two bit planes raises."""
+    if len(blob) < _HEADER.size:
+        raise ValueError("not an iris code blob: shorter than its header")
     magic, version, _flags, rows, cols, bpc, _shifts = _HEADER.unpack_from(blob)
     if magic != _MAGIC or version != _VERSION or bpc != 2:
         raise ValueError("not an iris code blob")
     n = rows * cols
-    nbytes = n // 8
+    nbytes = (n + 7) // 8
     off = _HEADER.size
+    if len(blob) != off + 2 * nbytes:
+        raise ValueError(f"not an iris code blob: {len(blob)} bytes, want {off + 2 * nbytes}")
     bits = np.unpackbits(np.frombuffer(blob, np.uint8, nbytes, off),
                          bitorder="little")[:n].reshape(rows, cols)
     mask = np.unpackbits(np.frombuffer(blob, np.uint8, nbytes, off + nbytes),

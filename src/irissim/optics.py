@@ -41,20 +41,6 @@ class AfocalSystemError(ValueError):
     """Combined lens system has zero net power."""
 
 
-class FocusRangeError(ValueError):
-    """Requested focus distance is outside the tunable lens' reach.
-
-    ``nearest_mm`` carries the closest achievable focus distance.
-    """
-
-    def __init__(self, d_target: float, nearest_mm: float):
-        super().__init__(
-            f"cannot focus at {d_target:.1f} mm; nearest achievable is {nearest_mm:.1f} mm"
-        )
-        self.d_target = d_target
-        self.nearest_mm = nearest_mm
-
-
 def thin_lens_image_distance(f: float, d: float) -> float:
     """Image distance for an object at d in front of a thin lens of focal length f.
 
@@ -254,39 +240,33 @@ def blur_on_sensor_mm(train: OpticalTrain, power_dpt: float, d_subject: float) -
     return abs(a1 * (1.0 - train.sensor_back_mm * curvature))
 
 
-def tunable_power_for_focus(train: OpticalTrain, d_target: float,
-                            power_range: tuple[float, float] = (-10.0, 10.0)) -> float:
-    """Tunable-lens power that focuses the train at d_target.
+def tunable_power_for_focus(train: OpticalTrain, d_target: float) -> float:
+    """Tunable-lens power that focuses the train at d_target, unbounded.
 
     Solves blur_on_sensor_mm == 0 for the power; by construction the result
     is 0 exactly at the train's reference distance, positive nearer, and
-    strictly decreasing in d_target.  Distances whose solution falls
-    outside power_range raise FocusRangeError carrying the reachable limit.
+    strictly decreasing in d_target.  No lens range applies here: the
+    result may be a power no membrane reaches.  Code that drives a lens
+    goes through drive_power_for_focus.
     """
     if d_target <= train.f_zoom_mm:
         raise ValueError(
             f"target {d_target} mm is inside the zoom focal length {train.f_zoom_mm} mm"
         )
     w = _intermediate_w(train, d_target)
-    power = 1000.0 * (1.0 / train.sensor_back_mm - 1.0 / w)
-    lo, hi = power_range
-    if power < lo:
-        raise FocusRangeError(d_target, focus_distance_for_power(train, lo))
-    if power > hi:
-        raise FocusRangeError(d_target, focus_distance_for_power(train, hi))
-    return power
+    return 1000.0 * (1.0 / train.sensor_back_mm - 1.0 / w)
 
 
 def drive_power_for_focus(train: OpticalTrain, d_target: float,
                           power_range: tuple[float, float]) -> float:
     """Tunable-lens power for d_target, clamped to the lens' power_range.
 
-    A subject out of reach gets the limit on its side of the range; the
+    This is the one place a lens range is applied to a focus solve.  A
+    subject out of reach gets the limit on its side of the range; the
     frame then fails its quality gates, which is the honest outcome.
     """
     lo, hi = power_range
-    power = tunable_power_for_focus(train, d_target, (-math.inf, math.inf))
-    return min(max(power, lo), hi)
+    return min(max(tunable_power_for_focus(train, d_target), lo), hi)
 
 
 def focus_distance_for_power(train: OpticalTrain, power_dpt: float) -> float:
@@ -344,7 +324,7 @@ def capture_volume_m3(train: OpticalTrain, d: float) -> float:
     return dof.total_mm * width * width * 1e-9
 
 
-def bisect_root(fn, lo: float, hi: float, rel_tol: float = 1e-9, max_iter: int = 200) -> float:
+def bisect_root(fn, lo: float, hi: float, rel_tol: float = 1e-9) -> float:
     """Deterministic bracketed bisection; fn(lo) and fn(hi) must differ in sign."""
     f_lo = fn(lo)
     f_hi = fn(hi)
@@ -354,7 +334,7 @@ def bisect_root(fn, lo: float, hi: float, rel_tol: float = 1e-9, max_iter: int =
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if f_mid == 0.0 or abs(hi - lo) <= rel_tol * max(1.0, abs(mid)):

@@ -31,7 +31,7 @@ from .devices import (
 from .iriscode import IrisCode, MATCH_THRESHOLD, encode_frame, hamming_distance
 from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
-from .renderer import DEFAULT_K_AST, TargetMissed, render_eye
+from .renderer import TargetMissed, render_eye
 from .scene import RigGeometry, Subject, aim_angles, eye_position, eye_velocity, line_of_sight_mm
 
 CSV_COLUMNS = ("t_ms", "event_type", "target_id", "pan_deg", "tilt_deg",
@@ -63,9 +63,8 @@ class Event:
 
 
 class EventLog:
-    def __init__(self, keep_frames: bool = False):
+    def __init__(self):
         self.events: list[Event] = []
-        self.keep_frames = keep_frames
         # (target_id, t_frame_ms, Frame) for every qualified exposure
         self.kept: list[tuple[str, float, object]] = []
 
@@ -88,7 +87,6 @@ class CaptureRig:
     mirror: SteeringMirror
     sensor: SensorParams
     thresholds: QualityThresholds
-    k_ast: float = DEFAULT_K_AST
     lens_mode: str = "raw"
 
 
@@ -98,7 +96,7 @@ def build_rig(train: OpticalTrain | None = None, *, seed: int = 0,
               thresholds: QualityThresholds | None = None,
               lens_params: LensParams | None = None,
               mirror_params: MirrorParams | None = None,
-              k_ast: float = DEFAULT_K_AST, lens_mode: str = "raw") -> CaptureRig:
+              lens_mode: str = CaptureRig.lens_mode) -> CaptureRig:
     return CaptureRig(
         train=train or optics.reference_train(),
         geometry=geometry or RigGeometry(),
@@ -106,7 +104,6 @@ def build_rig(train: OpticalTrain | None = None, *, seed: int = 0,
         mirror=SteeringMirror(mirror_params or MirrorParams()),
         sensor=sensor or SensorParams(),
         thresholds=thresholds or QualityThresholds(),
-        k_ast=k_ast,
         lens_mode=lens_mode,
     )
 
@@ -124,9 +121,9 @@ def setpoints_for(rig: CaptureRig, subject: Subject, t_ms: float,
     return pan, tilt, power, d
 
 
-def plan_order(rig: CaptureRig, targets: list[CaptureTarget], t_ms: float = 0.0,
+def plan_order(rig: CaptureRig, targets: list[CaptureTarget],
                order: str = "given_order") -> list[CaptureTarget]:
-    """Visit order for a set of targets.
+    """Visit order for a set of targets, planned from the rig's state at t = 0.
 
     ``nearest_transition`` greedily picks whichever remaining target the
     devices can reach soonest from the pose they would then be in; ties
@@ -137,14 +134,14 @@ def plan_order(rig: CaptureRig, targets: list[CaptureTarget], t_ms: float = 0.0,
     if order != "nearest_transition":
         raise ValueError(f"unknown ordering {order!r}")
 
-    pose = rig.mirror.pose_at(t_ms)
-    power = rig.lens.power_at(t_ms)
+    pose = rig.mirror.pose_at(0.0)
+    power = rig.lens.power_at(0.0)
     remaining = list(targets)
     out: list[CaptureTarget] = []
     while remaining:
         costed = []
         for tgt in remaining:
-            pan, tilt, p, _ = setpoints_for(rig, tgt.subject, t_ms)
+            pan, tilt, p, _ = setpoints_for(rig, tgt.subject, 0.0)
             slew = rig.mirror.slew_time_ms(pan, tilt, from_pose=pose)
             refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
                        else rig.lens.params.settle_time(rig.lens_mode))
@@ -157,14 +154,17 @@ def plan_order(rig: CaptureRig, targets: list[CaptureTarget], t_ms: float = 0.0,
     return out
 
 
-def _frame_noise_seed(base: int, frame_index: int) -> int:
-    return int(base) * 1_000_003 + frame_index
+def noise_seed_for(seed: int, index: int) -> int:
+    """Noise seed of the index-th render of a run with the given seed.
+
+    ``calibration.solve_k_ast`` averages over the seeds this gives for seed 0.
+    """
+    return int(seed) * 1_000_003 + index
 
 
 def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
                    t_frame: float, noise_seed: int, log: EventLog,
-                   gallery: dict[str, IrisCode] | None,
-                   circles: str) -> bool:
+                   gallery: dict[str, IrisCode] | None) -> bool:
     """Render and gate one frame; returns True when it qualified."""
     t_mid = t_frame + rig.sensor.exposure_ms / 2.0
     settled = rig.lens.is_settled(t_frame) and rig.mirror.is_settled(t_frame)
@@ -178,7 +178,6 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
             eye_pos_mm=eye, identity_seed=subject.identity_seed,
             noise_seed=noise_seed, eye_velocity_mmps=vel,
             exposure_ms=rig.sensor.exposure_ms, rig=rig.geometry,
-            k_ast=rig.k_ast,
         )
     except TargetMissed:
         log.add(Event(t_frame, "frame", target_id, pan_deg=pan, tilt_deg=tilt,
@@ -188,10 +187,10 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
     ok = settled and report.passed
     hd = matched = None
     if ok and gallery is not None and target_id in gallery:
-        code = encode_frame(frame, circles=circles)
+        code = encode_frame(frame, circles="detect")
         hd = hamming_distance(code, gallery[target_id])
         matched = hd < MATCH_THRESHOLD
-    if ok and log.keep_frames:
+    if ok:
         log.kept.append((target_id, t_frame, frame))
     log.add(Event(t_frame, "frame", target_id, pan_deg=pan, tilt_deg=tilt,
                   power_dpt=power, blur_px=frame.blur_px,
@@ -204,10 +203,9 @@ def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
                      order: str = "given_order",
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
                      gallery: dict[str, IrisCode] | None = None,
-                     circles: str = "detect", noise_seed: int = 0,
-                     keep_frames: bool = False) -> EventLog:
+                     noise_seed: int = 0) -> EventLog:
     """Visit each target once: aim, refocus, expose until qualified or budget out."""
-    log = EventLog(keep_frames)
+    log = EventLog()
     frame_index = 0
     t_now = 0.0
     for tgt in plan_order(rig, targets, order=order):
@@ -221,8 +219,8 @@ def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
         t_frame = next_frame_start(rig.sensor, ready)
         for _ in range(dwell_budget):
             ok = _attempt_frame(rig, tgt.subject, tgt.target_id, t_frame,
-                                _frame_noise_seed(noise_seed, frame_index),
-                                log, gallery, circles)
+                                noise_seed_for(noise_seed, frame_index),
+                                log, gallery)
             frame_index += 1
             t_frame += rig.sensor.frame_period_ms
             if ok:
@@ -265,8 +263,7 @@ class ConstantVelocityTracker:
 def track_and_capture(rig: CaptureRig, subject: Subject, *,
                       n_frames: int, start_frame: int = 16,
                       sweep_offsets=None, gallery: dict[str, IrisCode] | None = None,
-                      circles: str = "detect", noise_seed: int = 0,
-                      keep_frames: bool = False) -> EventLog:
+                      noise_seed: int = 0) -> EventLog:
     """Follow a moving subject and expose every frame for a fixed window.
 
     Detections lag one frame; commands go out at the frame start before
@@ -274,7 +271,7 @@ def track_and_capture(rig: CaptureRig, subject: Subject, *,
     ``sweep_offsets`` adds a per-frame power offset on top of the predicted
     focus, cycling through the list.
     """
-    log = EventLog(keep_frames)
+    log = EventLog()
     period = rig.sensor.frame_period_ms
     tracker = ConstantVelocityTracker()
     offsets = list(sweep_offsets) if sweep_offsets else [0.0]
@@ -294,7 +291,7 @@ def track_and_capture(rig: CaptureRig, subject: Subject, *,
         log.add(Event(t_cmd, "command", subject.subject_id, pan_deg=pan,
                       tilt_deg=tilt, power_dpt=power))
         _attempt_frame(rig, subject, subject.subject_id, t_frame,
-                       _frame_noise_seed(noise_seed, i), log, gallery, circles)
+                       noise_seed_for(noise_seed, i), log, gallery)
         # the detection from this frame becomes available one frame later
         tracker.observe(t_frame, eye_position(subject, t_frame))
     return log

@@ -41,9 +41,9 @@ def _value_noise_polar(rng: np.random.Generator, nr: int, na: int,
             + g10 * sr * (1 - sa) + g11 * sr * sa)
 
 
-def iris_texture(identity_seed: int, nr: int = SHEET_RADIAL,
-                 na: int = SHEET_ANGULAR) -> np.ndarray:
+def iris_texture(identity_seed: int) -> np.ndarray:
     """Reflectance sheet for one identity, rows pupil-to-limbus."""
+    nr, na = SHEET_RADIAL, SHEET_ANGULAR
     rng = np.random.default_rng((int(identity_seed), 77))
     out = np.zeros((nr, na))
     amp, total = 1.0, 0.0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from irissim import cli, config, experiments
 
 
@@ -79,6 +81,32 @@ def test_check_names_every_subject_that_never_qualified(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seated never qualified" in err
     assert "standing never qualified" in err
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "multiperson: seated never qualified, self-match NO" in summary
+    assert "never ms" not in summary
+
+
+def test_duplicate_subject_ids_exit_2(tmp_path, capsys):
+    cfg = config.default_config("multiperson")
+    cfg["experiment"]["subjects"][1]["subject_id"] = "seated"
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["multiperson", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "'seated' appears more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("distance_mm", [1500.0, 12000.0])
+def test_subject_beyond_focus_reach_exits_2(tmp_path, capsys, distance_mm):
+    cfg = config.default_config("multiperson")
+    cfg["experiment"]["subjects"][1]["distance_mm"] = distance_mm
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["multiperson", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "subject 'standing'" in err
+    assert "outside the lens range" in err
 
 
 def test_kind_only_multiperson_config_runs(tmp_path):

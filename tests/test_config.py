@@ -4,6 +4,22 @@ import pytest
 
 from irissim import config
 from irissim.config import ConfigError
+from irissim.devices import LensParams, MirrorParams
+
+# every key the schema allows in the device sections, each off its default
+FULL_DEVICES = {
+    "train": {"f_zoom_mm": 300.0, "n_stop": 5.6, "d_ref_mm": 4500.0,
+              "d_ot_mm": 250.0, "coc_mm": 0.05, "pixel_scale_cal": 1.5},
+    "lens": {"power_min_dpt": -8.0, "power_max_dpt": 9.0, "response_ms": 4.0,
+             "settle_ms": 20.0, "settle_filtered_ms": 10.0,
+             "repeatability_dpt": 0.05, "mode": "filtered"},
+    "mirror": {"pan_min_deg": -90.0, "pan_max_deg": 90.0, "tilt_min_deg": -30.0,
+               "tilt_max_deg": 50.0, "resolution_deg": 0.02, "max_speed_dps": 10000.0},
+    "sensor": {"frame_rate_hz": 25.0, "exposure_ms": 2.5},
+    "rig": {"lens_height_mm": 150.0, "mirror_height_mm": 1100.0},
+    "quality": {"sharpness_min": 0.02, "min_px_across_iris": 180.0,
+                "brightness_lo": 20.0, "brightness_hi": 140.0},
+}
 
 
 @pytest.mark.parametrize("kind", list(config._DEFAULTS))
@@ -57,6 +73,46 @@ def test_unordered_lens_range_rejected():
            "lens": {"power_min_dpt": 5.0, "power_max_dpt": -5.0}}
     with pytest.raises(ConfigError, match="ordered"):
         config.validate_config(cfg)
+
+
+@pytest.mark.parametrize("mirror", [{"pan_min_deg": 10.0, "pan_max_deg": -10.0},
+                                    {"tilt_min_deg": 20.0, "tilt_max_deg": 20.0}])
+def test_unordered_mirror_range_rejected(mirror):
+    cfg = {"version": 1, "experiment": {"kind": "dof_table"}, "mirror": mirror}
+    with pytest.raises(ConfigError, match="ordered"):
+        config.validate_config(cfg)
+
+
+def test_every_schema_key_reaches_the_rig():
+    for section, keys in FULL_DEVICES.items():
+        assert set(keys) == set(config.SCHEMA["properties"][section]["properties"])
+    cfg = config.validate_config({"version": 1, "experiment": {"kind": "dof_table"},
+                                  **FULL_DEVICES})
+    rig = config.rig_from_config(cfg)
+    built = {"train": rig.train, "sensor": rig.sensor, "rig": rig.geometry,
+             "quality": rig.thresholds}
+    for section, obj in built.items():
+        for key, value in FULL_DEVICES[section].items():
+            assert getattr(obj, key) == value, (section, key)
+    lens, mirror = FULL_DEVICES["lens"], FULL_DEVICES["mirror"]
+    assert rig.lens.params.power_range == (lens["power_min_dpt"], lens["power_max_dpt"])
+    for key in ("response_ms", "settle_ms", "settle_filtered_ms", "repeatability_dpt"):
+        assert getattr(rig.lens.params, key) == lens[key]
+    assert rig.lens_mode == lens["mode"]
+    assert rig.mirror.params.pan_range == (mirror["pan_min_deg"], mirror["pan_max_deg"])
+    assert rig.mirror.params.tilt_range == (mirror["tilt_min_deg"], mirror["tilt_max_deg"])
+    assert rig.mirror.params.resolution_deg == mirror["resolution_deg"]
+    assert rig.mirror.params.max_speed_dps == mirror["max_speed_dps"]
+
+
+def test_a_missing_range_end_takes_the_dataclass_default():
+    cfg = config.validate_config({"version": 1, "experiment": {"kind": "dof_table"},
+                                  "lens": {"power_max_dpt": 5.0},
+                                  "mirror": {"tilt_min_deg": -10.0}})
+    rig = config.rig_from_config(cfg)
+    assert rig.lens.params.power_range == (LensParams.power_range[0], 5.0)
+    assert rig.mirror.params.pan_range == MirrorParams.pan_range
+    assert rig.mirror.params.tilt_range == (-10.0, MirrorParams.tilt_range[1])
 
 
 def test_exposure_must_fit_in_frame():

@@ -125,8 +125,8 @@ def test_serialization_roundtrip():
 
 
 def test_bad_blob_rejected():
-    code = encode_frame(frame_at(5000.0, 7000, 0))
-    blob = bytearray(to_bytes(code))
-    blob[0:2] = b"XY"
-    with pytest.raises(ValueError):
-        from_bytes(bytes(blob))
+    good = to_bytes(encode_frame(frame_at(5000.0, 7000, 0)))
+    # wrong magic, shorter than the header, truncated body, trailing bytes
+    for blob in (b"XY" + good[2:], good[:10], good[:-1], good + b"\0"):
+        with pytest.raises(ValueError, match="not an iris code blob"):
+            from_bytes(blob)

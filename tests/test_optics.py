@@ -188,18 +188,6 @@ def test_power_monotone_decreasing_in_distance():
     assert all(a > b for a, b in zip(p, p[1:]))
 
 
-def test_focus_range_error_carries_nearest():
-    t = optics.reference_train()
-    with pytest.raises(optics.FocusRangeError) as exc:
-        optics.tunable_power_for_focus(t, 1500.0)
-    near_limit = optics.focus_distance_for_power(t, 10.0)
-    assert exc.value.nearest_mm == pytest.approx(near_limit)
-    assert 1500.0 < near_limit < t.d_ref_mm
-    with pytest.raises(optics.FocusRangeError) as exc:
-        optics.tunable_power_for_focus(t, 20000.0)
-    assert exc.value.nearest_mm == pytest.approx(optics.focus_distance_for_power(t, -10.0))
-
-
 def test_focus_distance_power_roundtrip():
     t = optics.reference_train()
     for p in (-8.0, -2.0, 0.0, 3.0, 9.5):
