@@ -19,8 +19,10 @@ canonical scenario.  The device sections fall back to the dataclass
 defaults, not to the canonical scenario's overrides (for example its mirror
 height).  Validation then builds the rig once, so the dataclasses' own
 checks (ordered ranges, an exposure inside one frame, a lens separation
-inside the focal length) reject a bad config, and checks that a
-multiperson cast has unique ids and stands within the lens' focus reach.
+inside the focal length) reject a bad config.  It also builds the train
+of every sweep base, keeps every dof_table distance and hd_curve position
+outside the zoom focal length, and checks that a multiperson cast has
+unique ids and stands within focus reach and the mirror's pan/tilt range.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import optics
 from .devices import LensParams, MirrorParams, SensorParams
 from .optics import OpticalTrain
 from .quality import QualityThresholds
-from .scene import RigGeometry, line_of_sight_mm, subject_at
+from .scene import RigGeometry, aim_angles, line_of_sight_mm, subject_at
 from .scheduler import CaptureRig, build_rig
 
 SCHEMA_VERSION = 1
@@ -187,15 +189,42 @@ def validate_config(cfg: dict) -> dict:
         cfg["experiment"].setdefault(key, copy.deepcopy(value))
     try:
         rig = rig_from_config(cfg)
+        _check_experiment(cfg, rig)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if cfg["experiment"]["kind"] == "multiperson":
-        _check_subjects(cfg["experiment"]["subjects"], rig)
     return cfg
 
 
+def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
+    """Every train the experiment builds exists and every focus it asks for is real."""
+    exp = cfg["experiment"]
+    kind = exp["kind"]
+    if kind == "dof_table":
+        f = exp["f_zoom_mm"]
+        train_from_config(cfg, f_zoom_mm=f)
+        for d in exp["distances_mm"]:
+            if d <= f:
+                raise ConfigError(f"dof_table distance {d:.6g} mm is inside the "
+                                  f"zoom focal length {f:.6g} mm")
+    elif kind == "dof_extension":
+        for base in exp["base_distances_mm"]:
+            try:
+                base_train(cfg, base)
+            except ValueError as err:
+                raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
+    elif kind == "hd_curve":
+        f = base_train(cfg, exp["base_mm"]).f_zoom_mm
+        nearest = hd_positions(exp)[0]
+        if nearest <= f:
+            raise ConfigError(
+                f"hd_curve nearest position {nearest:.6g} mm (base_mm - span_near_mm) "
+                f"is inside the zoom focal length {f:.6g} mm")
+    elif kind == "multiperson":
+        _check_subjects(exp["subjects"], rig)
+
+
 def _check_subjects(subjects: list[dict], rig: CaptureRig) -> None:
-    """Subject ids are unique and every subject stands inside focus reach."""
+    """Ids are unique; every subject stands inside focus reach and mirror range."""
     lo, hi = rig.lens.params.power_range
     seen = set()
     for entry in subjects:
@@ -214,6 +243,10 @@ def _check_subjects(subjects: list[dict], rig: CaptureRig) -> None:
             raise ConfigError(
                 f"subject {sid!r} at {d:.6g} mm line of sight needs {power:.4g} dpt, "
                 f"outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
+        try:
+            rig.mirror.check_range(*aim_angles(subject.position_mm))
+        except ValueError as err:
+            raise ConfigError(f"subject {sid!r}: {err}") from err
 
 
 def load_config(path) -> dict:
@@ -237,6 +270,20 @@ def train_from_config(cfg: dict, f_zoom_mm: float | None = None,
     d = over.pop("d_ref_mm", OpticalTrain.d_ref_mm)
     return optics.train_for_base_focus(f if f_zoom_mm is None else f_zoom_mm,
                                        d if d_ref_mm is None else d_ref_mm, **over)
+
+
+def base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
+    """Re-zoomed train for a sweep based at ``base_mm``, magnification held."""
+    f = min(350.0, max(70.0, optics.zoom_focal_for_distance(base_mm)))
+    return train_from_config(cfg, f_zoom_mm=f, d_ref_mm=base_mm)
+
+
+def hd_positions(exp: dict) -> list[float]:
+    """The hd_curve focus grid, nearest first, with the base on a grid point."""
+    base, grid = exp["base_mm"], exp["grid_mm"]
+    n_near = int(round(exp["span_near_mm"] / grid))
+    n_far = int(round(exp["span_far_mm"] / grid))
+    return [base + k * grid for k in range(-n_near, n_far + 1)]
 
 
 def _with_ranges(cls, section: dict, **ranges):

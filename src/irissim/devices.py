@@ -166,16 +166,21 @@ class SteeringMirror:
         r = self.params.resolution_deg
         return round(angle / r) * r
 
-    def command(self, pan_deg: float, tilt_deg: float, t_ms: float) -> tuple[float, float]:
+    def check_range(self, pan_deg: float, tilt_deg: float) -> tuple[float, float]:
+        """The snapped setpoint; MirrorRangeError if it is outside the range."""
         pan = self._snap(pan_deg)
         tilt = self._snap(tilt_deg)
         if not self.params.pan_range[0] <= pan <= self.params.pan_range[1]:
             raise MirrorRangeError(f"pan {pan_deg} deg outside {self.params.pan_range}")
         if not self.params.tilt_range[0] <= tilt <= self.params.tilt_range[1]:
             raise MirrorRangeError(f"tilt {tilt_deg} deg outside {self.params.tilt_range}")
+        return pan, tilt
+
+    def command(self, pan_deg: float, tilt_deg: float, t_ms: float) -> tuple[float, float]:
+        target = self.check_range(pan_deg, tilt_deg)
         self._from = self.pose_at(t_ms)
         self._cmd_t = t_ms
-        self._to = (pan, tilt)
+        self._to = target
         return self._to
 
     def slew_time_ms(self, pan_deg: float, tilt_deg: float,

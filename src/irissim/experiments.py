@@ -74,12 +74,6 @@ def _map_units(fn, units, parallel: bool):
     return [fn(u) for u in units]
 
 
-def _base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
-    """Re-zoomed train for a sweep based at ``base_mm``, magnification held."""
-    f = min(350.0, max(70.0, optics.zoom_focal_for_distance(base_mm)))
-    return config.train_from_config(cfg, f_zoom_mm=f, d_ref_mm=base_mm)
-
-
 # ---------------------------------------------------------------- dof_table
 
 def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -130,7 +124,7 @@ def _extension_unit(args):
     exp = cfg["experiment"]
     grid = exp["grid_mm"]
     identity = exp["identity_seed"]
-    train = _base_train(cfg, base)
+    train = config.base_train(cfg, base)
     thresholds = config.quality_thresholds(cfg)
     power_range = config.lens_params(cfg).power_range
     noise = noise_seed_for(cfg["seed"], repeat)
@@ -239,7 +233,7 @@ def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]
 def _hd_template(cfg: dict) -> iriscode.IrisCode:
     exp = cfg["experiment"]
     base = exp["base_mm"]
-    train = _base_train(cfg, base)
+    train = config.base_train(cfg, base)
     power = optics.drive_power_for_focus(train, base,
                                          config.lens_params(cfg).power_range)
     frame = calibration.probe_frame(train, base, power,
@@ -252,7 +246,7 @@ def _hd_unit(args):
     cfg, position, repeat, template_bytes = args
     exp = cfg["experiment"]
     base = exp["base_mm"]
-    train = _base_train(cfg, base)
+    train = config.base_train(cfg, base)
     power = optics.drive_power_for_focus(train, position,
                                          config.lens_params(cfg).power_range)
     frame = calibration.probe_frame(train, position, power,
@@ -268,7 +262,7 @@ def _impostor_unit(args):
     cfg, k = args
     exp = cfg["experiment"]
     base = exp["base_mm"]
-    train = _base_train(cfg, base)
+    train = config.base_train(cfg, base)
     power = optics.drive_power_for_focus(train, base,
                                          config.lens_params(cfg).power_range)
     codes = []
@@ -283,13 +277,10 @@ def _impostor_unit(args):
 def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     base = exp["base_mm"]
-    grid = exp["grid_mm"]
-    n_near = int(round(exp["span_near_mm"] / grid))
-    n_far = int(round(exp["span_far_mm"] / grid))
     repeats = exp["repeats"]
     n_pairs = exp["impostor_pairs"]
 
-    positions = [base + k * grid for k in range(-n_near, n_far + 1)]
+    positions = config.hd_positions(exp)
     template = iriscode.to_bytes(_hd_template(cfg))
     units = [(cfg, p, r, template) for p in positions for r in range(repeats)]
     cells = _map_units(_hd_unit, units, parallel)

@@ -270,10 +270,15 @@ def drive_power_for_focus(train: OpticalTrain, d_target: float,
 
 
 def focus_distance_for_power(train: OpticalTrain, power_dpt: float) -> float:
-    """Subject distance in focus at the given tunable power (inf if past infinity)."""
+    """Subject distance in focus at the given tunable power.
+
+    Past the reach on either side the result is the limit on that side: the
+    zoom focal length for a positive power that collimates or diverges the
+    intermediate image, inf for a negative power that focuses past infinity.
+    """
     inv_w = 1.0 / train.sensor_back_mm - power_dpt / 1000.0
     if inv_w <= 0.0:
-        return math.inf
+        return train.f_zoom_mm
     v1 = 1.0 / inv_w + train.d_ot_mm
     if v1 <= train.f_zoom_mm:
         return math.inf

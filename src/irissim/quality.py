@@ -6,10 +6,16 @@ band-passed copy of the iris annulus to the raw annulus; the band-pass
 sigmas scale with the imaged iris diameter so the score compares texture
 contrast, not magnification.  Evaluation never raises: a hopeless frame
 comes back as a report with reasons.
+
+Both scores read the same annulus, so its mask is built once per frame
+geometry; the band-pass runs only on the annulus box grown by the coarse
+filter's reach, which leaves every masked value exactly as on the whole
+frame.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +26,7 @@ from .renderer import Frame, TRANSMISSION
 REF_IRIS_PX = 239.0  # iris diameter at which the band sigmas are quoted
 _BAND_SIGMA_FINE = 1.0
 _BAND_SIGMA_COARSE = 3.5
+_TRUNCATE = 4.0  # gaussian_filter's reach in sigmas
 
 # calibrated: the score of the calibration eye defocused by exactly one
 # blur-circle limit; frames below this are outside usable depth of field
@@ -50,31 +57,60 @@ class QualityReport:
     fail_reasons: tuple[str, ...]
 
 
-def _annulus_mask(shape, cx, cy, r_p, r_i):
-    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+@functools.lru_cache(maxsize=1)
+def _annulus(shape, cx, cy, r_p, r_i):
+    """The gate's annulus as (bounding box slices, read-only mask in the box).
+
+    None when no pixel qualifies.  Only the square around the iris disk is
+    examined; pixel coordinates are the whole frame's, so the mask is the
+    same one a whole-frame build would give.
+    """
+    if not np.isfinite((cx, cy, r_p, r_i)).all():
+        return None  # no rendered frame has such a geometry
+    reach = r_i * 0.95 + 1.0
+    y0, x0 = max(int(cy - reach), 0), max(int(cx - reach), 0)
+    y1 = min(int(cy + reach) + 1, shape[0])
+    x1 = min(int(cx + reach) + 1, shape[1])
+    yy, xx = np.ogrid[y0:y1, x0:x1]
     rr = np.hypot(yy - cy, xx - cx)
     # keep clear of the pupil edge and the lid band
-    return (rr > r_p * 1.15) & (rr < r_i * 0.95) & (yy > cy - 0.55 * r_i)
+    mask = (rr > r_p * 1.15) & (rr < r_i * 0.95) & (yy > cy - 0.55 * r_i)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return None
+    mask = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    mask.flags.writeable = False
+    return (slice(y0 + rows[0], y0 + rows[-1] + 1),
+            slice(x0 + cols[0], x0 + cols[-1] + 1)), mask
 
 
 def sharpness_score(image: np.ndarray, cx: float, cy: float,
                     r_p: float, r_i: float) -> float:
-    scale = (2.0 * r_i) / REF_IRIS_PX
-    im = image.astype(float)
-    band = (gaussian_filter(im, _BAND_SIGMA_FINE * scale, mode="nearest")
-            - gaussian_filter(im, _BAND_SIGMA_COARSE * scale, mode="nearest"))
-    ann = _annulus_mask(image.shape, cx, cy, r_p, r_i)
-    if not ann.any():
+    ann = _annulus(image.shape, cx, cy, r_p, r_i)
+    if ann is None:
         return 0.0
-    return float(np.var(band[ann]) / (np.var(im[ann]) + 1e-12))
+    (rows, cols), mask = ann
+    scale = (2.0 * r_i) / REF_IRIS_PX
+    fine, coarse = _BAND_SIGMA_FINE * scale, _BAND_SIGMA_COARSE * scale
+    # a filtered pixel reads inputs within int(truncate * sigma + 0.5) only
+    grow = int(_TRUNCATE * coarse + 0.5) + 1
+    top, left = max(rows.start - grow, 0), max(cols.start - grow, 0)
+    im = image[top:rows.stop + grow, left:cols.stop + grow].astype(float)
+    band = (gaussian_filter(im, fine, mode="nearest", truncate=_TRUNCATE)
+            - gaussian_filter(im, coarse, mode="nearest", truncate=_TRUNCATE))
+    box = (slice(rows.start - top, rows.stop - top),
+           slice(cols.start - left, cols.stop - left))
+    return float(np.var(band[box][mask]) / (np.var(im[box][mask]) + 1e-12))
 
 
 def brightness_score(image: np.ndarray, cx: float, cy: float,
                      r_p: float, r_i: float) -> float:
-    ann = _annulus_mask(image.shape, cx, cy, r_p, r_i)
-    if not ann.any():
+    ann = _annulus(image.shape, cx, cy, r_p, r_i)
+    if ann is None:
         return 0.0
-    return float(image[ann].mean())
+    box, mask = ann
+    return float(image[box][mask].mean())
 
 
 def evaluate(frame: Frame,

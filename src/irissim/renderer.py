@@ -200,12 +200,13 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
 def _draw_eye(identity_seed: int, width: int, height: int,
               cx: float, cy: float, r_p: float, r_i: float) -> np.ndarray:
     tex = iris_texture(identity_seed)
-    yy, xx = np.mgrid[0:height, 0:width]
-    rr = np.hypot(yy - cy, xx - cx)
+    yy, xx = np.ogrid[0:height, 0:width]
+    dy, dx = np.broadcast_arrays(yy - cy, xx - cx)
+    rr = np.hypot(dy, dx)
     img = np.full((height, width), REFLECTANCE_SCLERA)
 
     ann = (rr >= r_p) & (rr < r_i)
-    theta = np.arctan2(yy - cy, xx - cx)[ann] % (2 * np.pi)
+    theta = np.arctan2(dy[ann], dx[ann]) % (2 * np.pi)
     radial = (rr[ann] - r_p) / (r_i - r_p)
     nr, na = tex.shape
     ri_idx = np.clip((radial * nr).astype(int), 0, nr - 1)

@@ -4,9 +4,14 @@ Each identity is a seed.  The pattern lives on a polar sheet (radial x
 angular) so it wraps seamlessly around the pupil: multi-octave value noise
 for the stromal mottle plus a few angular furrow harmonics that drift with
 radius.  Values are reflectances in [0.25, 0.65].
+
+A sheet is a pure function of its seed, so the last few are kept and
+handed out read-only: a sweep renders one identity hundreds of times.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,9 +47,16 @@ def _value_noise_polar(rng: np.random.Generator, nr: int, na: int,
 
 
 def iris_texture(identity_seed: int) -> np.ndarray:
-    """Reflectance sheet for one identity, rows pupil-to-limbus."""
+    """Reflectance sheet for one identity, rows pupil-to-limbus (read-only)."""
+    return _sheet(int(identity_seed))
+
+
+# 4 sheets of 256 KiB: every reuse in the experiments (two alternating
+# multiperson subjects at most) while an identity walk stays flat in memory
+@functools.lru_cache(maxsize=4)
+def _sheet(identity_seed: int) -> np.ndarray:
     nr, na = SHEET_RADIAL, SHEET_ANGULAR
-    rng = np.random.default_rng((int(identity_seed), 77))
+    rng = np.random.default_rng((identity_seed, 77))
     out = np.zeros((nr, na))
     amp, total = 1.0, 0.0
     for octave in range(_OCTAVES):
@@ -65,4 +77,6 @@ def iris_texture(identity_seed: int) -> np.ndarray:
 
     lo, hi = np.percentile(out, [1, 99])
     out = np.clip((out - lo) / (hi - lo), 0.0, 1.0)
-    return 0.25 + 0.40 * out
+    sheet = 0.25 + 0.40 * out
+    sheet.flags.writeable = False
+    return sheet

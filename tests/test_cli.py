@@ -114,3 +114,45 @@ def test_kind_only_multiperson_config_runs(tmp_path):
     cfg.write_text(json.dumps({"version": 1, "experiment": {"kind": "multiperson"}}))
     assert cli.main(["multiperson", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def _exits_2_naming(tmp_path, capsys, command, cfg, words):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_hd_curve_reaching_past_the_zoom_focal_length_exits_2(tmp_path, capsys):
+    # 52 grid steps short of a 5 m base is -200 mm
+    cfg = {"version": 1, "experiment": {"kind": "hd_curve", "base_mm": 5000.0,
+                                        "span_near_mm": 5200.0}}
+    _exits_2_naming(tmp_path, capsys, "hd-curve", cfg,
+                    ("-200 mm", "zoom focal length"))
+
+
+def test_dof_extension_base_without_a_train_exits_2(tmp_path, capsys):
+    # at 200 mm the re-zoomed train would need a 96 mm separation behind a 70 mm lens
+    cfg = {"version": 1, "experiment": {"kind": "dof_extension",
+                                        "base_distances_mm": [5000.0, 200.0]}}
+    _exits_2_naming(tmp_path, capsys, "dof-extension", cfg,
+                    ("base 200 mm", "lens separation"))
+
+
+def test_dof_table_distance_inside_the_focal_length_exits_2(tmp_path, capsys):
+    cfg = {"version": 1, "experiment": {"kind": "dof_table",
+                                        "distances_mm": [5000.0, 100.0]}}
+    _exits_2_naming(tmp_path, capsys, "dof-table", cfg,
+                    ("100 mm", "zoom focal length 350 mm"))
+
+
+def test_subject_outside_the_mirror_tilt_range_exits_2(tmp_path, capsys):
+    # 1 mm out and 5 m tall: the eye is almost straight above the mirror
+    cfg = config.default_config("multiperson")
+    cfg["experiment"]["subjects"][0].update(distance_mm=1.0, height_mm=5000.0)
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("'seated'", "tilt", "outside (-60.0, 60.0)"))

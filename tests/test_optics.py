@@ -195,6 +195,16 @@ def test_focus_distance_power_roundtrip():
         assert optics.tunable_power_for_focus(t, d) == pytest.approx(p, abs=1e-9)
 
 
+def test_focus_distance_past_collimation_is_the_near_limit():
+    # a tunable lens close behind the zoom collimates its image at +2.73 dpt
+    t = optics.train_for_base_focus(350.0, 5000.0, d_ot_mm=10.0)
+    assert optics.focus_distance_for_power(t, 10.0) == t.f_zoom_mm
+    p = optics.tunable_power_for_focus(t, 400.0)
+    assert p == pytest.approx(2.3713, abs=1e-4)
+    assert optics.focus_distance_for_power(t, p) == pytest.approx(400.0, rel=1e-12)
+    assert optics.focus_distance_for_power(t, -10.0) == math.inf
+
+
 def test_focus_reach_covers_extension_band():
     t = optics.reference_train()
     near = optics.focus_distance_for_power(t, 10.0)

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irissim import texture
 from irissim.optics import reference_train, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
+    LID_FRACTION,
+    REFLECTANCE_LID,
+    REFLECTANCE_PUPIL,
+    REFLECTANCE_SCLERA,
     TargetMissed,
+    _draw_eye,
     disk_kernel,
     line_kernel,
     render_eye,
@@ -139,3 +147,48 @@ def test_write_pgm_roundtrip(tmp_path):
     assert maxval == b"255"
     back = np.frombuffer(pixels, np.uint8).reshape(h, w)
     assert np.array_equal(back, f.image)
+
+
+def test_iris_texture_is_a_read_only_copy_of_a_fresh_build():
+    sheet = texture.iris_texture(4000)
+    assert not sheet.flags.writeable
+    with pytest.raises(ValueError):
+        sheet[0, 0] = 0.0
+    fresh = texture._sheet.__wrapped__(4000)
+    assert fresh is not sheet
+    assert np.array_equal(sheet, fresh)
+    assert texture.iris_texture(np.int64(4000)) is sheet
+
+
+def test_iris_texture_cache_is_bounded():
+    assert texture._sheet.cache_info().maxsize == 4
+    for seed in range(20):
+        texture.iris_texture(seed)
+    assert texture._sheet.cache_info().currsize == 4
+
+
+def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
+    tex = texture._sheet.__wrapped__(identity_seed)
+    yy, xx = np.mgrid[0:height, 0:width]
+    rr = np.hypot(yy - cy, xx - cx)
+    img = np.full((height, width), REFLECTANCE_SCLERA)
+    ann = (rr >= r_p) & (rr < r_i)
+    theta = np.arctan2(yy - cy, xx - cx)[ann] % (2 * np.pi)
+    radial = (rr[ann] - r_p) / (r_i - r_p)
+    nr, na = tex.shape
+    ri_idx = np.clip((radial * nr).astype(int), 0, nr - 1)
+    ai_idx = (theta / (2 * np.pi) * na).astype(int) % na
+    img[ann] = tex[ri_idx, ai_idx]
+    img[rr < r_p] = REFLECTANCE_PUPIL
+    lid = yy < (cy - r_i * (1 - 2 * LID_FRACTION))
+    img[lid & (rr < r_i)] = REFLECTANCE_LID
+    return img
+
+
+@settings(max_examples=40, deadline=None)
+@given(height=st.integers(4, 240), width=st.integers(4, 320),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       r_i=st.floats(1.0, 160.0), seed=st.integers(0, 50))
+def test_draw_eye_equals_the_full_grid_reference(height, width, fx, fy, r_i, seed):
+    args = (seed, width, height, width * fx, height * fy, 0.4 * r_i, r_i)
+    assert np.array_equal(_draw_eye(*args), _mgrid_eye(*args))
