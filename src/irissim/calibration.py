@@ -22,6 +22,7 @@ DOF_ANCHOR_MM = 91.0       # bare-lens depth of field at the 350 mm / 5 m point
 PX_ANCHOR_DISTANCE = 7700.0
 PX_ANCHOR_COUNT = 200.0
 ASTIG_ANCHOR_DISTANCE = 3800.0  # refocus here should sit exactly on the floor
+PROBE_RIG = RigGeometry()  # probe_frame's eye sits d - lens_height_mm out
 
 
 def solve_coc() -> float:
@@ -60,12 +61,11 @@ def probe_frame(train: OpticalTrain, d: float, power: float, *,
     the sweep measurements and the constants they are gated against come off
     the exact same render path (tight crop, perfect aim, static eye).
     """
-    rig = RigGeometry()
-    eye = (0.0, d - rig.lens_height_mm, 0.0)
+    eye = (0.0, d - PROBE_RIG.lens_height_mm, 0.0)
     pan, tilt = aim_angles(eye)
     return render_eye(train, power_dpt=power, pan_deg=pan, tilt_deg=tilt,
                       eye_pos_mm=eye, identity_seed=identity_seed,
-                      noise_seed=noise_seed, rig=rig, k_ast=k_ast,
+                      noise_seed=noise_seed, rig=PROBE_RIG, k_ast=k_ast,
                       base_canvas=(0, 0))
 
 

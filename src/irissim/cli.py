@@ -15,13 +15,7 @@ from pathlib import Path
 from . import calibration, config, experiments, iriscode, optics, quality
 from .renderer import DEFAULT_K_AST
 
-_KINDS = {
-    "dof-table": "dof_table",
-    "dof-extension": "dof_extension",
-    "hd-curve": "hd_curve",
-    "multiperson": "multiperson",
-    "iom": "iom",
-}
+_KINDS = {kind.replace("_", "-"): kind for kind in experiments.RUNNERS}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,23 +21,27 @@ height).  Validation then builds the rig once, so the dataclasses' own
 checks (ordered ranges, an exposure inside one frame, a lens separation
 inside the focal length) reject a bad config.  It also builds the train
 of every sweep base, keeps every dof_table distance and hd_curve position
-outside the zoom focal length, and checks that a multiperson cast has
-unique ids and stands within focus reach and the mirror's pan/tilt range.
+outside the zoom focal length and every sweep probe beyond the mirror, and
+checks the shared multiperson cast (``multiperson_cast``): unique ids, each
+subject within focus reach, and the mirror aim over its jitter envelope,
+the box of +/-4 sigma around the standing eye, inside the pan/tilt range.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 import jsonschema
 
-from . import optics
+from . import calibration, optics
 from .devices import LensParams, MirrorParams, SensorParams
 from .optics import OpticalTrain
 from .quality import QualityThresholds
-from .scene import RigGeometry, aim_angles, line_of_sight_mm, subject_at
-from .scheduler import CaptureRig, build_rig
+from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
+    line_of_sight_mm, subject_at
+from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, build_rig
 
 SCHEMA_VERSION = 1
 
@@ -199,6 +203,8 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
     """Every train the experiment builds exists and every focus it asks for is real."""
     exp = cfg["experiment"]
     kind = exp["kind"]
+    leg = calibration.PROBE_RIG.lens_height_mm
+    past_leg = f"is not beyond the probe's {leg:.6g} mm mirror-to-lens leg"
     if kind == "dof_table":
         f = exp["f_zoom_mm"]
         train_from_config(cfg, f_zoom_mm=f)
@@ -212,6 +218,8 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
                 base_train(cfg, base)
             except ValueError as err:
                 raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
+            if base <= leg:
+                raise ConfigError(f"dof_extension base {base:.6g} mm {past_leg}")
     elif kind == "hd_curve":
         f = base_train(cfg, exp["base_mm"]).f_zoom_mm
         nearest = hd_positions(exp)[0]
@@ -219,21 +227,21 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             raise ConfigError(
                 f"hd_curve nearest position {nearest:.6g} mm (base_mm - span_near_mm) "
                 f"is inside the zoom focal length {f:.6g} mm")
+        if nearest <= leg:
+            raise ConfigError(f"hd_curve nearest position {nearest:.6g} mm {past_leg}")
     elif kind == "multiperson":
-        _check_subjects(exp["subjects"], rig)
+        _check_subjects(multiperson_cast(cfg, rig), rig)
 
 
-def _check_subjects(subjects: list[dict], rig: CaptureRig) -> None:
-    """Ids are unique; every subject stands inside focus reach and mirror range."""
+def _check_subjects(subjects: list[Subject], rig: CaptureRig) -> None:
+    """Ids are unique; every subject is in focus reach and mirror range."""
     lo, hi = rig.lens.params.power_range
     seen = set()
-    for entry in subjects:
-        sid = entry["subject_id"]
+    for subject in subjects:
+        sid = subject.subject_id
         if sid in seen:
             raise ConfigError(f"subject id {sid!r} appears more than once")
         seen.add(sid)
-        subject = subject_at(sid, entry["identity_seed"], entry["distance_mm"],
-                             0.0, entry["height_mm"], rig.geometry)
         d = line_of_sight_mm(subject.position_mm, rig.geometry)
         try:
             power = optics.tunable_power_for_focus(rig.train, d)
@@ -243,10 +251,28 @@ def _check_subjects(subjects: list[dict], rig: CaptureRig) -> None:
             raise ConfigError(
                 f"subject {sid!r} at {d:.6g} mm line of sight needs {power:.4g} dpt, "
                 f"outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
+        # A capture aims at the jittered eye, inside a box of half-width reach.
+        # Pan (the azimuth) peaks at a horizontal corner; tilt (45 deg plus half
+        # the elevation) at the top or bottom and the nearest or farthest range.
+        reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
+        xs, ys, zs = ((c - reach, c + reach) for c in subject.position_mm)
+        near = math.hypot(max(xs[0], 0.0, -xs[1]), max(ys[0], 0.0, -ys[1]))
+        far = max(math.hypot(a, b) for a in xs for b in ys)
         try:
-            rig.mirror.check_range(*aim_angles(subject.position_mm))
+            pans = [aim_angles((a, b, subject.position_mm[2]))[0] for a in xs for b in ys]
+            tilts = [aim_angles((0.0, h, c))[1] for h in (near, far) for c in zs]
+            rig.mirror.check_range(min(pans), min(tilts))
+            rig.mirror.check_range(max(pans), max(tilts))
         except ValueError as err:
-            raise ConfigError(f"subject {sid!r}: {err}") from err
+            raise ConfigError(f"subject {sid!r} over its jitter envelope: {err}") from err
+
+
+def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:
+    """The multiperson cast, motion seeds ``seed + i``: validated, then captured."""
+    return [subject_at(entry["subject_id"], entry["identity_seed"],
+                       entry["distance_mm"], 0.0, entry["height_mm"],
+                       rig.geometry, motion_seed=cfg["seed"] + i)
+            for i, entry in enumerate(cfg["experiment"]["subjects"])]
 
 
 def load_config(path) -> dict:
@@ -372,7 +398,7 @@ _DEFAULTS: dict[str, dict] = {
                  "distance_mm": 6340.0, "height_mm": 1800.0},
             ],
             "order": "nearest_transition",
-            "dwell_budget": 5,
+            "dwell_budget": DEFAULT_DWELL_BUDGET,
         },
         "rig": {"mirror_height_mm": 1200.0},
     },

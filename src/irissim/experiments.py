@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from . import calibration, config, iriscode, optics, quality
 from .devices import LensParams
 from .renderer import DEFAULT_K_AST, render_eye, write_pgm
 from .scene import Subject, TrajectorySegment, eye_position, subject_at
-from .scheduler import CSV_COLUMNS, CaptureRig, CaptureTarget, capture_sequence, \
-    noise_seed_for, setpoints_for, throughput_metrics, track_and_capture
+from .scheduler import CSV_COLUMNS, CaptureRig, capture_sequence, noise_seed_for, \
+    setpoints_for, track_and_capture
 
 # bare-lens depth of field the 5 m extension ratio is quoted against
 BASELINE_DOF_MM = 104.0
@@ -74,6 +74,14 @@ def _map_units(fn, units, parallel: bool):
     return [fn(u) for u in units]
 
 
+def _probe(cfg: dict, base: float, d: float, identity_seed: int, noise_index: int):
+    """One sweep render: the train re-zoomed for ``base``, driven to focus at ``d``."""
+    train = config.base_train(cfg, base)
+    power = optics.drive_power_for_focus(train, d, config.lens_params(cfg).power_range)
+    return calibration.probe_frame(train, d, power, identity_seed=identity_seed,
+                                   noise_seed=noise_seed_for(cfg["seed"], noise_index))
+
+
 # ---------------------------------------------------------------- dof_table
 
 def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -108,12 +116,10 @@ def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 # ------------------------------------------------------------ dof_extension
 
-def _extension_cell(train, d, power_range, identity_seed, noise_seed, thresholds):
-    power = optics.drive_power_for_focus(train, d, power_range)
-    frame = calibration.probe_frame(train, d, power, identity_seed=identity_seed,
-                                    noise_seed=noise_seed)
-    report = quality.evaluate(frame, thresholds)
-    row = (d, power, frame.blur_px, frame.astig_sigma_px,
+def _extension_cell(cfg, base, d, repeat):
+    frame = _probe(cfg, base, d, cfg["experiment"]["identity_seed"], repeat)
+    report = quality.evaluate(frame, config.quality_thresholds(cfg))
+    row = (base, repeat, d, frame.power_dpt, frame.blur_px, frame.astig_sigma_px,
            frame.px_across_iris, report.sharpness, report.passed)
     return report.passed, row
 
@@ -121,37 +127,27 @@ def _extension_cell(train, d, power_range, identity_seed, noise_seed, thresholds
 def _extension_unit(args):
     """Scan one (base, repeat): step outward from focus until the gate fails."""
     cfg, base, repeat = args
-    exp = cfg["experiment"]
-    grid = exp["grid_mm"]
-    identity = exp["identity_seed"]
-    train = config.base_train(cfg, base)
-    thresholds = config.quality_thresholds(cfg)
-    power_range = config.lens_params(cfg).power_range
-    noise = noise_seed_for(cfg["seed"], repeat)
+    grid = cfg["experiment"]["grid_mm"]
+    leg = calibration.PROBE_RIG.lens_height_mm
 
-    rows = []
-    ok0, row0 = _extension_cell(train, base, power_range, identity, noise, thresholds)
-    rows.append((base, repeat) + row0)
-    front = rear = 0.0
+    ok0, row0 = _extension_cell(cfg, base, base, repeat)
+    rows = [row0]
+    extent = {-1.0: 0.0, 1.0: 0.0}  # front and rear
     if ok0:
         for sign in (-1.0, 1.0):
             k = 1
             while True:
                 d = base + sign * k * grid
-                if d < 0.3 * base or d > 3.0 * base:
-                    break  # runaway scan means a broken gate; bail loudly in the csv
-                ok, row = _extension_cell(train, d, power_range, identity, noise,
-                                          thresholds)
-                rows.append((base, repeat) + row)
+                if d < 0.3 * base or d > 3.0 * base or d <= leg:
+                    break  # a runaway scan (a broken gate) or no eye past the mirror
+                ok, row = _extension_cell(cfg, base, d, repeat)
+                rows.append(row)
                 if not ok:
                     break
-                if sign < 0:
-                    front = k * grid
-                else:
-                    rear = k * grid
+                extent[sign] = k * grid
                 k += 1
     rows.sort(key=lambda r: r[2])
-    return base, repeat, front, rear, rows
+    return base, repeat, extent[-1.0], extent[1.0], rows
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -230,28 +226,10 @@ def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]
 
 # ----------------------------------------------------------------- hd_curve
 
-def _hd_template(cfg: dict) -> iriscode.IrisCode:
-    exp = cfg["experiment"]
-    base = exp["base_mm"]
-    train = config.base_train(cfg, base)
-    power = optics.drive_power_for_focus(train, base,
-                                         config.lens_params(cfg).power_range)
-    frame = calibration.probe_frame(train, base, power,
-                                    identity_seed=exp["identity_seed"],
-                                    noise_seed=noise_seed_for(cfg["seed"], 999_983))
-    return iriscode.encode_frame(frame, circles="truth")
-
-
 def _hd_unit(args):
     cfg, position, repeat, template_bytes = args
     exp = cfg["experiment"]
-    base = exp["base_mm"]
-    train = config.base_train(cfg, base)
-    power = optics.drive_power_for_focus(train, position,
-                                         config.lens_params(cfg).power_range)
-    frame = calibration.probe_frame(train, position, power,
-                                    identity_seed=exp["identity_seed"],
-                                    noise_seed=noise_seed_for(cfg["seed"], repeat))
+    frame = _probe(cfg, exp["base_mm"], position, exp["identity_seed"], repeat)
     code = iriscode.encode_frame(frame, circles="truth")
     return position, repeat, iriscode.hamming_distance(
         code, iriscode.from_bytes(template_bytes))
@@ -260,17 +238,10 @@ def _hd_unit(args):
 def _impostor_unit(args):
     """HD between two in-focus eyes with unrelated identity seeds."""
     cfg, k = args
-    exp = cfg["experiment"]
-    base = exp["base_mm"]
-    train = config.base_train(cfg, base)
-    power = optics.drive_power_for_focus(train, base,
-                                         config.lens_params(cfg).power_range)
-    codes = []
-    for side, identity in enumerate((1000 + k, 2000 + k)):
-        frame = calibration.probe_frame(train, base, power, identity_seed=identity,
-                                        noise_seed=noise_seed_for(cfg["seed"],
-                                                                  2 * k + side))
-        codes.append(iriscode.encode_frame(frame, circles="truth"))
+    base = cfg["experiment"]["base_mm"]
+    codes = [iriscode.encode_frame(_probe(cfg, base, base, identity, 2 * k + side),
+                                   circles="truth")
+             for side, identity in enumerate((1000 + k, 2000 + k))]
     return iriscode.hamming_distance(codes[0], codes[1])
 
 
@@ -278,14 +249,14 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     base = exp["base_mm"]
     repeats = exp["repeats"]
-    n_pairs = exp["impostor_pairs"]
 
     positions = config.hd_positions(exp)
-    template = iriscode.to_bytes(_hd_template(cfg))
+    template = iriscode.to_bytes(iriscode.encode_frame(
+        _probe(cfg, base, base, exp["identity_seed"], 999_983), circles="truth"))
     units = [(cfg, p, r, template) for p in positions for r in range(repeats)]
     cells = _map_units(_hd_unit, units, parallel)
-    impostors = _map_units(_impostor_unit, [(cfg, k) for k in range(n_pairs)],
-                           parallel)
+    impostors = _map_units(_impostor_unit,
+                           [(cfg, k) for k in range(exp["impostor_pairs"])], parallel)
 
     rows = list(cells)
     by_pos: dict[float, list[float]] = {}
@@ -336,11 +307,10 @@ def _enroll_code(rig: CaptureRig, subject: Subject, noise_seed: int) -> iriscode
 
     Aim and focus come from the same setpoints a capture commands.
     """
-    still = replace(subject, trajectory=(), jitter_sigma_mm=0.0)
-    pan, tilt, power, _ = setpoints_for(rig, still, 0.0)
+    eye = np.asarray(subject.position_mm, dtype=float)
+    pan, tilt, power = setpoints_for(rig, eye)
     frame = render_eye(rig.train, power_dpt=power, pan_deg=pan, tilt_deg=tilt,
-                       eye_pos_mm=eye_position(still, 0.0),
-                       identity_seed=subject.identity_seed,
+                       eye_pos_mm=eye, identity_seed=subject.identity_seed,
                        noise_seed=noise_seed, rig=rig.geometry)
     return iriscode.encode_frame(frame, circles="detect")
 
@@ -348,20 +318,12 @@ def _enroll_code(rig: CaptureRig, subject: Subject, noise_seed: int) -> iriscode
 def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg)
-    seed = cfg["seed"]
-
-    targets = []
-    for entry in exp["subjects"]:
-        subject = subject_at(entry["subject_id"], entry["identity_seed"],
-                             entry["distance_mm"], 0.0, entry["height_mm"],
-                             rig.geometry, motion_seed=seed + len(targets))
-        targets.append(CaptureTarget(entry["subject_id"], subject))
-
-    gallery = {t.target_id: _enroll_code(rig, t.subject, 7_000_001 + i)
-               for i, t in enumerate(targets)}
+    subjects = config.multiperson_cast(cfg, rig)
+    gallery = {s.subject_id: _enroll_code(rig, s, 7_000_001 + i)
+               for i, s in enumerate(subjects)}
     log = capture_sequence(
-        rig, targets, order=exp["order"],
-        dwell_budget=exp["dwell_budget"], gallery=gallery, noise_seed=seed)
+        rig, subjects, order=exp["order"],
+        dwell_budget=exp["dwell_budget"], gallery=gallery, noise_seed=cfg["seed"])
 
     first_ok: dict[str, float] = {}
     for e in log.qualified():
@@ -377,24 +339,22 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
                 cross[f"{target_id}->{other}"] = iriscode.hamming_distance(
                     code, gallery[other])
 
-    metrics = throughput_metrics(log, len(targets))
+    cycle_ms = log.events[-1].t_ms - log.events[0].t_ms  # events are time-ordered
     rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
     frames = [(f"{tid}_t{t:.0f}ms", fr.image) for tid, t, fr in log.kept]
 
     stats = {
-        "subjects": [t.target_id for t in targets],
+        "subjects": [s.subject_id for s in subjects],
         "first_qualified_ms": first_ok,
         "matched": matched,
         "cross_hd": cross,
-        "total_ms": metrics.total_ms,
-        "n_qualified": metrics.n_qualified,
+        "total_ms": cycle_ms,
     }
     summary = [
-        (f"multiperson: {len(targets)} subjects, {metrics.n_frames} frames, "
-         f"{metrics.n_qualified} qualified, cycle {metrics.total_ms:.6g} ms"),
+        (f"multiperson: {len(subjects)} subjects, {len(log.frames())} frames, "
+         f"{len(log.qualified())} qualified, cycle {cycle_ms:.6g} ms"),
     ]
-    for t in targets:
-        tid = t.target_id
+    for tid in stats["subjects"]:
         got = first_ok.get(tid)
         when = ("never qualified" if got is None
                 else f"first qualified at {format_cell(got)} ms")
@@ -414,23 +374,16 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     enroll_rig = config.rig_from_config(cfg)
     train, geometry = enroll_rig.train, enroll_rig.geometry
+    period = enroll_rig.sensor.frame_period_ms
     seed = cfg["seed"]
-    speed = exp["speed_mmps"]
-    z = exp["height_mm"] - 120.0 - geometry.mirror_height_mm
+    walk = (TrajectorySegment(0.0, math.inf, (0.0, -exp["speed_mmps"], 0.0)),)
     n_frames = exp["n_frames"]
     start_frame = exp["start_frame"]
 
-    def walker(sigma: float) -> Subject:
-        return Subject("walker", exp["identity_seed"],
-                       (0.0, exp["start_y_mm"], z),
-                       trajectory=(TrajectorySegment(0.0, math.inf,
-                                                     (0.0, -speed, 0.0)),),
-                       jitter_sigma_mm=sigma,
-                       motion_seed=exp["motion_seed"])
-
-    enroll_subject = replace(walker(0.0),
-                             position_mm=(0.0, train.d_ref_mm - geometry.lens_height_mm, z),
-                             trajectory=())
+    # enrolled standing where the train is focused
+    enroll_subject = subject_at("walker", exp["identity_seed"],
+                                train.d_ref_mm - geometry.lens_height_mm, 0.0,
+                                exp["height_mm"], geometry)
     gallery = {"walker": _enroll_code(enroll_rig, enroll_subject, 7_000_777)}
 
     variants = (("jitter", exp["jitter_sigma_mm"]),
@@ -439,11 +392,11 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     frames = []
     stats: dict = {"variants": {}}
     summary = []
-    period = None
     for variant, sigma in variants:
-        subject = walker(sigma)
+        subject = subject_at("walker", exp["identity_seed"], exp["start_y_mm"], 0.0,
+                             exp["height_mm"], geometry, trajectory=walk,
+                             jitter_sigma_mm=sigma, motion_seed=exp["motion_seed"])
         rig = config.rig_from_config(cfg)
-        period = rig.sensor.frame_period_ms
         log = track_and_capture(rig, subject, n_frames=n_frames,
                                 start_frame=start_frame, gallery=gallery,
                                 noise_seed=seed)

@@ -22,6 +22,8 @@ import numpy as np
 EYE_DROP_MM = 120.0  # eye line sits this far below the top of the head
 
 _JITTER_COMPONENTS = 8
+# N sinusoids of amplitude sigma * sqrt(2 / N) per axis reach at most 4 sigma
+JITTER_REACH_SIGMAS = math.sqrt(2.0 * _JITTER_COMPONENTS)
 
 
 @dataclass(frozen=True)

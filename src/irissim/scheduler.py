@@ -5,7 +5,7 @@ frame starts, exposures begin at frame starts, and a frame is qualified
 only when both devices finished settling before its exposure opened and
 the image clears the quality gates.  One mirror + lens command is issued
 per target; if the frame fails, later frames are tried against the same
-setpoint until the dwell budget runs out.
+setpoint until the dwell budget runs out.  A target is a ``Subject``.
 
 The tracking loop works on detections one frame old, the way an actual
 vision pipeline would: the command for frame k+1 is computed at frame k
@@ -14,7 +14,6 @@ from positions observed up to frame k-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,6 @@ DEFAULT_DWELL_BUDGET = 5
 
 
 @dataclass(frozen=True)
-class CaptureTarget:
-    target_id: str
-    subject: Subject
-
-
-@dataclass(frozen=True)
 class Event:
     t_ms: float
     event_type: str  # "command" or "frame"
@@ -67,9 +60,6 @@ class EventLog:
         self.events: list[Event] = []
         # (target_id, t_frame_ms, Frame) for every qualified exposure
         self.kept: list[tuple[str, float, object]] = []
-
-    def add(self, event: Event) -> None:
-        self.events.append(event)
 
     def frames(self) -> list[Event]:
         return [e for e in self.events if e.event_type == "frame"]
@@ -108,26 +98,24 @@ def build_rig(train: OpticalTrain | None = None, *, seed: int = 0,
     )
 
 
-def setpoints_for(rig: CaptureRig, subject: Subject, t_ms: float,
-                  eye_override=None) -> tuple[float, float, float, float]:
-    """Mirror angles, lens power and path length for a subject at time t.
+def setpoints_for(rig: CaptureRig, eye) -> tuple[float, float, float]:
+    """Mirror angles and lens power that aim and focus on an eye position.
 
     Out-of-reach distances clamp to the lens' power range.
     """
-    eye = eye_override if eye_override is not None else eye_position(subject, t_ms)
     pan, tilt = aim_angles(eye)
     d = line_of_sight_mm(eye, rig.geometry)
     power = optics.drive_power_for_focus(rig.train, d, rig.lens.params.power_range)
-    return pan, tilt, power, d
+    return pan, tilt, power
 
 
-def plan_order(rig: CaptureRig, targets: list[CaptureTarget],
-               order: str = "given_order") -> list[CaptureTarget]:
+def plan_order(rig: CaptureRig, targets: list[Subject],
+               order: str = "given_order") -> list[Subject]:
     """Visit order for a set of targets, planned from the rig's state at t = 0.
 
     ``nearest_transition`` greedily picks whichever remaining target the
     devices can reach soonest from the pose they would then be in; ties
-    break on target id so the plan is stable.
+    break on subject id so the plan is stable.
     """
     if order == "given_order":
         return list(targets)
@@ -137,15 +125,15 @@ def plan_order(rig: CaptureRig, targets: list[CaptureTarget],
     pose = rig.mirror.pose_at(0.0)
     power = rig.lens.power_at(0.0)
     remaining = list(targets)
-    out: list[CaptureTarget] = []
+    out: list[Subject] = []
     while remaining:
         costed = []
         for tgt in remaining:
-            pan, tilt, p, _ = setpoints_for(rig, tgt.subject, 0.0)
+            pan, tilt, p = setpoints_for(rig, eye_position(tgt, 0.0))
             slew = rig.mirror.slew_time_ms(pan, tilt, from_pose=pose)
             refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
                        else rig.lens.params.settle_time(rig.lens_mode))
-            costed.append((max(slew, refocus), tgt.target_id, tgt, (pan, tilt), p))
+            costed.append((max(slew, refocus), tgt.subject_id, tgt, (pan, tilt), p))
         costed.sort(key=lambda item: (item[0], item[1]))
         _, _, best, best_pose, best_power = costed[0]
         out.append(best)
@@ -162,10 +150,11 @@ def noise_seed_for(seed: int, index: int) -> int:
     return int(seed) * 1_000_003 + index
 
 
-def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
-                   t_frame: float, noise_seed: int, log: EventLog,
+def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
+                   noise_seed: int, log: EventLog,
                    gallery: dict[str, IrisCode] | None) -> bool:
     """Render and gate one frame; returns True when it qualified."""
+    sid = subject.subject_id
     t_mid = t_frame + rig.sensor.exposure_ms / 2.0
     settled = rig.lens.is_settled(t_frame) and rig.mirror.is_settled(t_frame)
     pan, tilt = rig.mirror.pose_at(t_mid)
@@ -180,26 +169,26 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, target_id: str,
             exposure_ms=rig.sensor.exposure_ms, rig=rig.geometry,
         )
     except TargetMissed:
-        log.add(Event(t_frame, "frame", target_id, pan_deg=pan, tilt_deg=tilt,
-                      power_dpt=power, quality_pass=False))
+        log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
+                                power_dpt=power, quality_pass=False))
         return False
     report = evaluate(frame, rig.thresholds)
     ok = settled and report.passed
     hd = matched = None
-    if ok and gallery is not None and target_id in gallery:
+    if ok and gallery is not None and sid in gallery:
         code = encode_frame(frame, circles="detect")
-        hd = hamming_distance(code, gallery[target_id])
+        hd = hamming_distance(code, gallery[sid])
         matched = hd < MATCH_THRESHOLD
     if ok:
-        log.kept.append((target_id, t_frame, frame))
-    log.add(Event(t_frame, "frame", target_id, pan_deg=pan, tilt_deg=tilt,
-                  power_dpt=power, blur_px=frame.blur_px,
-                  px_across_iris=frame.px_across_iris, quality_pass=ok,
-                  hd=hd, matched=matched))
+        log.kept.append((sid, t_frame, frame))
+    log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
+                            power_dpt=power, blur_px=frame.blur_px,
+                            px_across_iris=frame.px_across_iris, quality_pass=ok,
+                            hd=hd, matched=matched))
     return ok
 
 
-def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
+def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
                      order: str = "given_order",
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
                      gallery: dict[str, IrisCode] | None = None,
@@ -210,15 +199,15 @@ def capture_sequence(rig: CaptureRig, targets: list[CaptureTarget], *,
     t_now = 0.0
     for tgt in plan_order(rig, targets, order=order):
         t_cmd = next_frame_start(rig.sensor, t_now)
-        pan, tilt, power, _ = setpoints_for(rig, tgt.subject, t_cmd)
+        pan, tilt, power = setpoints_for(rig, eye_position(tgt, t_cmd))
         rig.mirror.command(pan, tilt, t_cmd)
         rig.lens.command(power, t_cmd, mode=rig.lens_mode)
-        log.add(Event(t_cmd, "command", tgt.target_id, pan_deg=pan,
-                      tilt_deg=tilt, power_dpt=power))
+        log.events.append(Event(t_cmd, "command", tgt.subject_id, pan_deg=pan,
+                                tilt_deg=tilt, power_dpt=power))
         ready = max(rig.mirror.settled_at, rig.lens.settled_at, t_cmd)
         t_frame = next_frame_start(rig.sensor, ready)
         for _ in range(dwell_budget):
-            ok = _attempt_frame(rig, tgt.subject, tgt.target_id, t_frame,
+            ok = _attempt_frame(rig, tgt, t_frame,
                                 noise_seed_for(noise_seed, frame_index),
                                 log, gallery)
             frame_index += 1
@@ -261,7 +250,7 @@ class ConstantVelocityTracker:
 
 
 def track_and_capture(rig: CaptureRig, subject: Subject, *,
-                      n_frames: int, start_frame: int = 16,
+                      n_frames: int, start_frame: int,
                       sweep_offsets=None, gallery: dict[str, IrisCode] | None = None,
                       noise_seed: int = 0) -> EventLog:
     """Follow a moving subject and expose every frame for a fixed window.
@@ -284,39 +273,15 @@ def track_and_capture(rig: CaptureRig, subject: Subject, *,
         t_frame = (start_frame + i) * period
         t_cmd = t_frame - period
         eye_pred = tracker.predict(t_frame + rig.sensor.exposure_ms / 2.0)
-        pan, tilt, power, _ = setpoints_for(rig, subject, t_cmd, eye_override=eye_pred)
+        pan, tilt, power = setpoints_for(rig, eye_pred)
         power = rig.lens.quantize(power + offsets[i % len(offsets)])
         rig.mirror.command(pan, tilt, t_cmd)
         rig.lens.command(power, t_cmd, mode=rig.lens_mode)
-        log.add(Event(t_cmd, "command", subject.subject_id, pan_deg=pan,
-                      tilt_deg=tilt, power_dpt=power))
-        _attempt_frame(rig, subject, subject.subject_id, t_frame,
-                       noise_seed_for(noise_seed, i), log, gallery)
+        log.events.append(Event(t_cmd, "command", subject.subject_id,
+                                pan_deg=pan, tilt_deg=tilt, power_dpt=power))
+        _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i),
+                       log, gallery)
         # the detection from this frame becomes available one frame later
         tracker.observe(t_frame, eye_position(subject, t_frame))
     return log
 
-
-@dataclass(frozen=True)
-class ThroughputMetrics:
-    n_targets: int
-    n_frames: int
-    n_qualified: int
-    n_matched: int
-    total_ms: float
-    ms_per_identification: float
-
-
-def throughput_metrics(log: EventLog, n_targets: int) -> ThroughputMetrics:
-    frames = log.frames()
-    qualified = log.qualified()
-    matched = [e for e in qualified if e.matched]
-    if log.events:
-        total = max(e.t_ms for e in log.events) - min(e.t_ms for e in log.events)
-    else:
-        total = 0.0
-    per_id = total / len(matched) if matched else math.inf
-    return ThroughputMetrics(
-        n_targets=n_targets, n_frames=len(frames), n_qualified=len(qualified),
-        n_matched=len(matched), total_ms=total, ms_per_identification=per_id,
-    )

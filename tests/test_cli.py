@@ -156,3 +156,27 @@ def test_subject_outside_the_mirror_tilt_range_exits_2(tmp_path, capsys):
     cfg["experiment"]["subjects"][0].update(distance_mm=1.0, height_mm=5000.0)
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     ("'seated'", "tilt", "outside (-60.0, 60.0)"))
+
+
+@pytest.mark.parametrize("command, experiment, words", [
+    ("dof-extension", {"kind": "dof_extension", "base_distances_mm": [200.0]},
+     ("base 200 mm", "mirror-to-lens leg")),
+    ("hd-curve", {"kind": "hd_curve", "base_mm": 1000.0, "span_near_mm": 800.0},
+     ("nearest position 200 mm", "mirror-to-lens leg")),
+])
+def test_probe_at_the_mirror_to_lens_leg_exits_2(tmp_path, capsys, command,
+                                                 experiment, words):
+    # a 10 mm lens separation makes the 200 mm train valid, but the probe
+    # would put the eye on the mirror centre
+    cfg = {"version": 1, "experiment": experiment, "train": {"d_ot_mm": 10.0}}
+    _exits_2_naming(tmp_path, capsys, command, cfg, words)
+
+
+def test_subject_jittering_out_of_the_mirror_tilt_range_exits_2(tmp_path, capsys):
+    # standing, the eye needs tilt 59.9996 deg; at seed 3 its jitter takes
+    # the aim to 60.07 deg, and the 4 sigma envelope reaches 60.14 deg
+    cfg = config.default_config("multiperson")
+    cfg["seed"] = 3
+    cfg["experiment"]["subjects"][0].update(distance_mm=3000.0, height_mm=3052.0)
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("'seated'", "jitter envelope", "tilt"))

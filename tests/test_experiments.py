@@ -3,7 +3,7 @@ import math
 import pytest
 
 from irissim import config, experiments, optics
-from irissim.calibration import ASTIG_ANCHOR_DISTANCE
+from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,20 @@ def test_extension_drive_stays_inside_the_lens_range():
     res = experiments.run_dof_extension(config.validate_config(cfg))
     powers = [row[3] for row in res.rows]
     assert all(-5.0 <= p <= 5.0 for p in powers)
+
+
+def test_extension_scan_stops_before_the_probe_leg():
+    # with a 10 mm lens separation the 400 mm train is valid and its gate
+    # passes down to the 200 mm mirror-to-lens leg, where the eye would sit
+    # on the mirror centre
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(base_distances_mm=[400.0], grid_mm=50.0, repeats=1)
+    cfg["train"] = {"d_ot_mm": 10.0}
+    res = experiments.run_dof_extension(config.validate_config(cfg))
+    positions = [row[2] for row in res.rows]
+    assert min(positions) == 250.0
+    assert all(p > PROBE_RIG.lens_height_mm for p in positions)
+    assert res.stats[400.0]["front_mm"] == 150.0
 
 
 def test_analytic_limits_sit_on_their_anchors():

@@ -1,4 +1,6 @@
-"""Every name a package module imports is used somewhere in that module."""
+"""Every name a package module imports is used somewhere in that module,
+and every function and class it defines is used somewhere in the package
+or its tests."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "irissim"
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -20,6 +24,30 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def used_names(source: str) -> set[str]:
+    """Names read as a bare name or an attribute; imports alone do not count."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+@pytest.fixture(scope="module")
+def names_in_use() -> set[str]:
+    paths = MODULES + sorted(TESTS.glob("*.py"))
+    return set().union(*(used_names(p.read_text()) for p in paths))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_function_and_class_is_used(path, names_in_use):
+    defined = [node.name for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [name for name in defined if name not in names_in_use] == []

@@ -16,15 +16,12 @@ from irissim.renderer import render_eye
 from irissim.scene import RigGeometry, Subject, TrajectorySegment, aim_angles
 from irissim.scheduler import (
     CSV_COLUMNS,
-    CaptureTarget,
     ConstantVelocityTracker,
-    EventLog,
     build_rig,
     capture_sequence,
     focal_sweep_schedule,
     plan_order,
     setpoints_for,
-    throughput_metrics,
     track_and_capture,
 )
 
@@ -53,19 +50,19 @@ def enroll_code(train, identity_seed):
 
 def test_given_order_is_preserved():
     rig = build_rig(TRAIN)
-    targets = [CaptureTarget(s, still_subject(s, 1, 4800.0)) for s in ("b", "a", "c")]
-    assert [t.target_id for t in plan_order(rig, targets)] == ["b", "a", "c"]
+    targets = [still_subject(s, 1, 4800.0) for s in ("b", "a", "c")]
+    assert [t.subject_id for t in plan_order(rig, targets)] == ["b", "a", "c"]
 
 
 def test_nearest_transition_minimizes_slew():
     rig = build_rig(TRAIN)  # mirror starts at pan 0
     targets = [
-        CaptureTarget("left", still_subject("left", 1, 4800.0, azimuth_deg=-45.0)),
-        CaptureTarget("mid", still_subject("mid", 2, 4800.0, azimuth_deg=5.0)),
-        CaptureTarget("right", still_subject("right", 3, 4800.0, azimuth_deg=30.0)),
+        still_subject("left", 1, 4800.0, azimuth_deg=-45.0),
+        still_subject("mid", 2, 4800.0, azimuth_deg=5.0),
+        still_subject("right", 3, 4800.0, azimuth_deg=30.0),
     ]
     ordered = plan_order(rig, targets, order="nearest_transition")
-    assert [t.target_id for t in ordered] == ["mid", "right", "left"]
+    assert [t.subject_id for t in ordered] == ["mid", "right", "left"]
 
 
 def test_unknown_order_rejected():
@@ -81,11 +78,11 @@ def test_setpoints_clamp_outside_reach():
     mid = still_subject("mid", 3, 3000.0)
     for power_range in ((-10.0, 10.0), (-5.0, 5.0)):
         rig = build_rig(TRAIN, lens_params=LensParams(power_range=power_range))
-        *_, p_far, _ = setpoints_for(rig, far, 0.0)
-        *_, p_near, _ = setpoints_for(rig, near, 0.0)
+        *_, p_far = setpoints_for(rig, far.position_mm)
+        *_, p_near = setpoints_for(rig, near.position_mm)
         assert p_far == power_range[0]
         assert p_near == power_range[1]
-        *_, p_mid, _ = setpoints_for(rig, mid, 0.0)
+        *_, p_mid = setpoints_for(rig, mid.position_mm)
         assert power_range[0] <= p_mid <= power_range[1]
 
 
@@ -96,8 +93,7 @@ def test_two_target_sequence_matches_both():
     rig = build_rig(TRAIN, seed=0)
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     gallery = {"s1": enroll_code(TRAIN, 5001), "s2": enroll_code(TRAIN, 5002)}
-    log = capture_sequence(rig, [CaptureTarget(s.subject_id, s) for s in subjects],
-                           gallery=gallery, noise_seed=42)
+    log = capture_sequence(rig, subjects, gallery=gallery, noise_seed=42)
     q = log.qualified()
     assert len(q) == 2
     assert all(e.matched for e in q)
@@ -107,7 +103,7 @@ def test_two_target_sequence_matches_both():
 def test_events_are_time_ordered_on_frame_grid():
     rig = build_rig(TRAIN, seed=0)
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, [CaptureTarget(s.subject_id, s) for s in subjects])
+    log = capture_sequence(rig, subjects)
     times = [e.t_ms for e in log.events]
     assert times == sorted(times)
     for t in times:
@@ -117,7 +113,7 @@ def test_events_are_time_ordered_on_frame_grid():
 def test_one_command_per_target():
     rig = build_rig(TRAIN, seed=0)
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, [CaptureTarget(s.subject_id, s) for s in subjects])
+    log = capture_sequence(rig, subjects)
     commands = [e for e in log.events if e.event_type == "command"]
     assert len(commands) == 2
     assert [e.target_id for e in commands] == ["s1", "s2"]
@@ -126,8 +122,7 @@ def test_one_command_per_target():
 def test_first_frame_waits_for_settling():
     rig = build_rig(TRAIN, seed=0)
     # off-boresight and off-reference-focus, so both devices must move
-    log = capture_sequence(rig, [CaptureTarget("s", still_subject("s", 1, 4380.0,
-                                                                  azimuth_deg=10.0))])
+    log = capture_sequence(rig, [still_subject("s", 1, 4380.0, azimuth_deg=10.0)])
     cmd = next(e for e in log.events if e.event_type == "command")
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms - cmd.t_ms >= rig.lens.params.settle_ms
@@ -137,7 +132,7 @@ def test_first_frame_waits_for_settling():
 def test_already_settled_target_captures_immediately():
     # boresight subject at the reference focus: nothing has to move
     rig = build_rig(TRAIN, seed=0)
-    log = capture_sequence(rig, [CaptureTarget("s", still_subject("s", 1, 4800.0))])
+    log = capture_sequence(rig, [still_subject("s", 1, 4800.0)])
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms == 0.0
     assert frame.quality_pass
@@ -146,8 +141,7 @@ def test_already_settled_target_captures_immediately():
 def test_dwell_budget_limits_attempts():
     hopeless = QualityThresholds(min_px_across_iris=10000.0)
     rig = build_rig(TRAIN, seed=0, thresholds=hopeless)
-    log = capture_sequence(rig, [CaptureTarget("s", still_subject("s", 1, 4800.0))],
-                           dwell_budget=5)
+    log = capture_sequence(rig, [still_subject("s", 1, 4800.0)], dwell_budget=5)
     frames = log.frames()
     assert len(frames) == 5
     assert not any(e.quality_pass for e in frames)
@@ -156,7 +150,7 @@ def test_dwell_budget_limits_attempts():
 def test_impostor_gallery_does_not_match():
     rig = build_rig(TRAIN, seed=0)
     gallery = {"s": enroll_code(TRAIN, 9999)}
-    log = capture_sequence(rig, [CaptureTarget("s", still_subject("s", 5001, 4800.0))],
+    log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
                            gallery=gallery, noise_seed=7)
     q = log.qualified()
     assert len(q) == 1
@@ -169,8 +163,8 @@ def test_impostor_gallery_does_not_match():
 
 def test_csv_export_is_deterministic(tmp_path):
     rig = build_rig(TRAIN, seed=0)
-    targets = [CaptureTarget("s", still_subject("s", 5001, 4800.0))]
-    log = capture_sequence(rig, targets, gallery={"s": enroll_code(TRAIN, 5001)})
+    log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
+                           gallery={"s": enroll_code(TRAIN, 5001)})
     rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
     result = ExperimentResult("log", CSV_COLUMNS, rows, summary=[])
     write_result(result, tmp_path / "a")
@@ -191,14 +185,11 @@ def test_throughput_metrics_counts():
     rig = build_rig(TRAIN, seed=0)
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     gallery = {"s1": enroll_code(TRAIN, 5001), "s2": enroll_code(TRAIN, 5002)}
-    log = capture_sequence(rig, [CaptureTarget(s.subject_id, s) for s in subjects],
-                           gallery=gallery)
-    m = throughput_metrics(log, 2)
-    assert m.n_targets == 2
-    assert m.n_qualified == 2
-    assert m.n_matched == 2
-    assert m.total_ms > 0
-    assert m.ms_per_identification == pytest.approx(m.total_ms / 2)
+    log = capture_sequence(rig, subjects, gallery=gallery)
+    qualified = log.qualified()
+    assert len(qualified) == 2
+    assert sum(1 for e in qualified if e.matched) == 2
+    assert log.events[-1].t_ms > log.events[0].t_ms
 
 
 # --- focal sweep -------------------------------------------------------------
