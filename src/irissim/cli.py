@@ -91,6 +91,9 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
             expect(33.0 <= ratio <= 42.0,
                    f"extension ratio {ratio:.3g}, want within [33, 42]")
         expect(s["ordered"], "extended dof not ordered with base distance")
+        for base, side in s["guard_cut"]:
+            bad.append(f"base {base:.6g} mm: the {side} scan reached its guard "
+                       f"before the gate failed; the {side} limit was not found")
 
     elif kind == "hd_curve":
         expect(s["self_match"] < 0.05,

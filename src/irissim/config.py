@@ -8,23 +8,25 @@ each experiment; a user config only needs the keys it wants to override.
 Each device section builds one dataclass and its keys are that class's
 field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
 -> MirrorParams, ``sensor`` -> SensorParams, ``rig`` -> RigGeometry and
-``quality`` -> QualityThresholds.  The exceptions: each ``*_min_*`` /
+``quality`` -> QualityThresholds, except that each ``*_min_*`` /
 ``*_max_*`` key pair forms one range tuple (``power_range``, ``pan_range``,
-``tilt_range``), and the lens ``mode`` is a CaptureRig setting.  An omitted
-key or range end takes the dataclass default, so every device default is
-written once, in its dataclass.
+``tilt_range``).  An omitted key or range end takes the dataclass default,
+so every device default is written once, in its dataclass.  Each dataclass
+field is set by a key, and ``rig_from_config`` is the one place a rig is built.
 
 Validation fills ``seed`` and every omitted ``experiment`` key from the
 canonical scenario.  The device sections fall back to the dataclass
 defaults, not to the canonical scenario's overrides (for example its mirror
 height).  Validation then builds the rig once, so the dataclasses' own
 checks (ordered ranges, an exposure inside one frame, a lens separation
-inside the focal length) reject a bad config.  It also builds the train
-of every sweep base, keeps every dof_table distance and hd_curve position
-outside the zoom focal length and every sweep probe beyond the mirror, and
-checks the shared multiperson cast (``multiperson_cast``): unique ids, each
-subject within focus reach, and the mirror aim over its jitter envelope,
-the box of +/-4 sigma around the standing eye, inside the pan/tilt range.
+inside the focal length, a finite frame period, snap grid and full-range
+slew, a repeatability no wider than the power range) reject a bad config.
+It also builds the train of every sweep base, keeps every dof_table
+distance and hd_curve position outside the zoom focal length and every
+sweep probe beyond the mirror, and checks the shared multiperson cast
+(``multiperson_cast``): unique ids, each subject within focus reach, and
+the mirror aim over its jitter envelope, the box of +/-4 sigma around the
+standing eye, inside the pan/tilt range.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import math
 import jsonschema
 
 from . import calibration, optics
-from .devices import LensParams, MirrorParams, SensorParams
+from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
 from .optics import OpticalTrain
 from .quality import QualityThresholds
 from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
     line_of_sight_mm, subject_at
-from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, build_rig
+from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
 
@@ -326,8 +328,7 @@ def _with_ranges(cls, section: dict, **ranges):
 
 
 def lens_params(cfg: dict) -> LensParams:
-    section = {k: v for k, v in cfg.get("lens", {}).items() if k != "mode"}
-    return _with_ranges(LensParams, section,
+    return _with_ranges(LensParams, cfg.get("lens", {}),
                         power_range=("power_min_dpt", "power_max_dpt"))
 
 
@@ -340,13 +341,12 @@ def rig_from_config(cfg: dict) -> CaptureRig:
     mirror = _with_ranges(MirrorParams, cfg.get("mirror", {}),
                           pan_range=("pan_min_deg", "pan_max_deg"),
                           tilt_range=("tilt_min_deg", "tilt_max_deg"))
-    return build_rig(train_from_config(cfg), seed=cfg["seed"],
-                     geometry=RigGeometry(**cfg.get("rig", {})),
-                     sensor=SensorParams(**cfg.get("sensor", {})),
-                     thresholds=quality_thresholds(cfg),
-                     lens_params=lens_params(cfg),
-                     mirror_params=mirror,
-                     lens_mode=cfg.get("lens", {}).get("mode", CaptureRig.lens_mode))
+    return CaptureRig(train=train_from_config(cfg),
+                      geometry=RigGeometry(**cfg.get("rig", {})),
+                      lens=TunableLens(lens_params(cfg), seed=cfg["seed"]),
+                      mirror=SteeringMirror(mirror),
+                      sensor=SensorParams(**cfg.get("sensor", {})),
+                      thresholds=quality_thresholds(cfg))
 
 
 _DEFAULTS: dict[str, dict] = {

@@ -28,35 +28,34 @@ def current_gain_for_train(train: optics.OpticalTrain) -> float:
 
 
 DEFAULT_CURRENT_GAIN = current_gain_for_train(optics.reference_train())
+CURRENT_STEP_MA = 0.07  # drive current resolution
+POWER_QUANTUM_DPT = CURRENT_STEP_MA * DEFAULT_CURRENT_GAIN
+OSC_FREQ_HZ = 200.0  # ring frequency during settling; free parameter
 
 
 @dataclass(frozen=True)
 class LensParams:
     power_range: tuple[float, float] = (-10.0, 10.0)
-    current_step_ma: float = 0.07
-    current_gain_dpt_per_ma: float = DEFAULT_CURRENT_GAIN
     response_ms: float = 5.0
     settle_ms: float = 25.0
     settle_filtered_ms: float = 12.5
     repeatability_dpt: float = 0.1
-    osc_freq_hz: float = 200.0  # ring frequency during settling; free parameter
+    mode: str = "raw"  # "filtered" low-passes the drive
 
     def __post_init__(self):
         if self.power_range[0] >= self.power_range[1]:
             raise ValueError("power range must be ordered")
         if self.settle_ms < self.response_ms:
             raise ValueError("settling cannot finish before the response starts")
+        if self.mode not in ("raw", "filtered"):
+            raise ValueError(f"unknown drive mode {self.mode!r}")
+        if self.repeatability_dpt > self.power_range[1] - self.power_range[0]:
+            raise ValueError(f"repeatability {self.repeatability_dpt:.6g} dpt is "
+                             f"wider than the power range {self.power_range}")
 
     @property
-    def power_quantum_dpt(self) -> float:
-        return self.current_step_ma * self.current_gain_dpt_per_ma
-
-    def settle_time(self, mode: str) -> float:
-        if mode == "raw":
-            return self.settle_ms
-        if mode == "filtered":
-            return self.settle_filtered_ms
-        raise ValueError(f"unknown drive mode {mode!r}")
+    def settle_time(self) -> float:
+        return self.settle_filtered_ms if self.mode == "filtered" else self.settle_ms
 
 
 class TunableLens:
@@ -76,17 +75,14 @@ class TunableLens:
         self._target = 0.0
         self._prev = 0.0
         self._eps = 0.0
-        self._mode = "raw"
 
     def quantize(self, power: float) -> float:
         lo, hi = self.params.power_range
         power = min(max(power, lo), hi)
-        q = self.params.power_quantum_dpt
-        return round(power / q) * q
+        return round(power / POWER_QUANTUM_DPT) * POWER_QUANTUM_DPT
 
-    def command(self, power_dpt: float, t_ms: float, mode: str = "raw") -> float:
+    def command(self, power_dpt: float, t_ms: float) -> float:
         """Issue a setpoint; returns the clamped + quantized target."""
-        self.params.settle_time(mode)  # validate mode early
         target = self.quantize(power_dpt)
         if target == self._target and self.is_settled(t_ms):
             # zero step: nothing moves, keep the standing offset
@@ -95,7 +91,6 @@ class TunableLens:
         self._prev = self.power_at(t_ms)
         self._cmd_t = t_ms
         self._target = target
-        self._mode = mode
         self._eps = self._rng.uniform(-self.params.repeatability_dpt,
                                       self.params.repeatability_dpt)
         return target
@@ -104,7 +99,7 @@ class TunableLens:
     def settled_at(self) -> float:
         if self._cmd_t == -math.inf:
             return -math.inf
-        return self._cmd_t + self.params.settle_time(self._mode)
+        return self._cmd_t + self.params.settle_time
 
     def is_settled(self, t_ms: float) -> bool:
         return t_ms >= self.settled_at
@@ -115,7 +110,7 @@ class TunableLens:
         dt = t_ms - self._cmd_t
         if dt < self.params.response_ms:
             return self._prev
-        settle = self.params.settle_time(self._mode)
+        settle = self.params.settle_time
         if dt >= settle:
             return self._target + self._eps
         # damped ring from the old value toward the target; amplitude falls
@@ -124,7 +119,7 @@ class TunableLens:
         x = dt - self.params.response_ms
         decay = math.exp(-math.log(100.0) * x / tau)
         ring = (self._prev - self._target) * decay * math.cos(
-            2.0 * math.pi * self.params.osc_freq_hz * x / 1000.0
+            2.0 * math.pi * OSC_FREQ_HZ * x / 1000.0
         )
         return self._target + ring
 
@@ -145,6 +140,15 @@ class MirrorParams:
             raise ValueError("pan range must be ordered")
         if self.tilt_range[0] >= self.tilt_range[1]:
             raise ValueError("tilt range must be ordered")
+        # an aim is at most 180 deg off zero, and a slew crosses at most a range
+        if not math.isfinite(180.0 / self.resolution_deg):
+            raise ValueError(f"resolution {self.resolution_deg!r} deg gives no "
+                             f"finite snap grid")
+        span = max(self.pan_range[1] - self.pan_range[0],
+                   self.tilt_range[1] - self.tilt_range[0])
+        if not math.isfinite(span / self.max_speed_dps * 1000.0):
+            raise ValueError(f"max speed {self.max_speed_dps!r} deg/s gives no "
+                             f"finite full-range slew time")
 
 
 class SteeringMirror:
@@ -184,8 +188,8 @@ class SteeringMirror:
         return self._to
 
     def slew_time_ms(self, pan_deg: float, tilt_deg: float,
-                     from_pose: tuple[float, float] | None = None) -> float:
-        p0, t0 = from_pose if from_pose is not None else self._to
+                     from_pose: tuple[float, float]) -> float:
+        p0, t0 = from_pose
         delta = max(abs(self._snap(pan_deg) - p0), abs(self._snap(tilt_deg) - t0))
         return delta / self.params.max_speed_dps * 1000.0
 
@@ -220,6 +224,9 @@ class SensorParams:
     exposure_ms: float = 3.0
 
     def __post_init__(self):
+        if not math.isfinite(self.frame_period_ms):
+            raise ValueError(f"frame rate {self.frame_rate_hz!r} Hz gives no "
+                             f"finite frame period")
         if not 0.0 < self.exposure_ms < self.frame_period_ms:
             raise ValueError(
                 f"exposure {self.exposure_ms} ms must fit inside one "

@@ -58,7 +58,7 @@ def write_result(result: ExperimentResult, out_dir, dump_frames: bool = False) -
         writer.writerow(result.header)
         for row in result.rows:
             writer.writerow([format_cell(v) for v in row])
-    with open(out / "summary.txt", "w") as fh:
+    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.summary) + "\n")
     if dump_frames and result.frames:
         fdir = out / "frames"
@@ -125,7 +125,11 @@ def _extension_cell(cfg, base, d, repeat):
 
 
 def _extension_unit(args):
-    """Scan one (base, repeat): step outward from focus until the gate fails."""
+    """Scan one (base, repeat): step outward from focus until the gate fails.
+
+    A side the runaway guard stopped before its gate failed found no limit:
+    its extent is only a lower bound, and the unit names it as cut.
+    """
     cfg, base, repeat = args
     grid = cfg["experiment"]["grid_mm"]
     leg = calibration.PROBE_RIG.lens_height_mm
@@ -133,13 +137,15 @@ def _extension_unit(args):
     ok0, row0 = _extension_cell(cfg, base, base, repeat)
     rows = [row0]
     extent = {-1.0: 0.0, 1.0: 0.0}  # front and rear
+    cut = []
     if ok0:
-        for sign in (-1.0, 1.0):
+        for sign, side in ((-1.0, "front"), (1.0, "rear")):
             k = 1
             while True:
                 d = base + sign * k * grid
                 if d < 0.3 * base or d > 3.0 * base or d <= leg:
-                    break  # a runaway scan (a broken gate) or no eye past the mirror
+                    cut.append(side)  # a runaway scan or no eye past the mirror
+                    break
                 ok, row = _extension_cell(cfg, base, d, repeat)
                 rows.append(row)
                 if not ok:
@@ -147,7 +153,7 @@ def _extension_unit(args):
                 extent[sign] = k * grid
                 k += 1
     rows.sort(key=lambda r: r[2])
-    return base, repeat, extent[-1.0], extent[1.0], rows
+    return base, repeat, extent[-1.0], extent[1.0], cut, rows
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -159,25 +165,31 @@ def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     rows = [row for *_ , unit_rows in results for row in unit_rows]
     per_base: dict[float, dict] = {}
-    for base, _, front, rear, _ in results:
-        agg = per_base.setdefault(base, {"front": [], "rear": []})
+    for base, _, front, rear, cut, _ in results:
+        agg = per_base.setdefault(base, {"front": [], "rear": [], "cut": set()})
         agg["front"].append(front)
         agg["rear"].append(rear)
+        agg["cut"].update(cut)
 
     summary = []
-    stats = {}
+    stats = {"guard_cut": []}
     for base in bases:
         front = float(np.mean(per_base[base]["front"]))
         rear = float(np.mean(per_base[base]["rear"]))
         total = front + rear
+        cut = per_base[base]["cut"]
         stats[base] = {"front_mm": front, "rear_mm": rear, "total_mm": total}
+        stats["guard_cut"] += [(base, side) for side in ("front", "rear") if side in cut]
+        # a side the guard cut, and a total over it, is only a lower bound
+        ge = {side: "≥ " if side in cut else "" for side in ("front", "rear")}
+        ge["total"] = "≥ " if cut else ""
         line = (f"dof_extension: base {base / 1000.0:.6g} m -> front "
-                f"{front / 1000.0:.6g} m, rear {rear / 1000.0:.6g} m, total "
-                f"{total / 1000.0:.6g} m")
+                f"{ge['front']}{front / 1000.0:.6g} m, rear {ge['rear']}"
+                f"{rear / 1000.0:.6g} m, total {ge['total']}{total / 1000.0:.6g} m")
         if base == 5000.0:
             line += f", {total / BASELINE_DOF_MM:.3g}x the {BASELINE_DOF_MM:.6g} mm baseline"
         summary.append(line)
-    totals = [stats[b]["total_mm"] for b in sorted(stats)]
+    totals = [stats[b]["total_mm"] for b in sorted(per_base)]
     ordered = all(b > a for a, b in zip(totals, totals[1:]))
     summary.append(f"dof_extension: monotone in base distance: {'yes' if ordered else 'NO'}")
     stats["ordered"] = ordered

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 # enters the model.
 SENSOR_WIDTH_MM = 2.0 * 70.0 * math.tan(math.radians(9.0))
 SENSOR_PX_H = 4080
+PIXEL_PITCH_MM = SENSOR_WIDTH_MM / SENSOR_PX_H
 
 IRIS_DIAMETER_MM = 10.0
 
@@ -156,13 +157,11 @@ class OpticalTrain:
 
     f_zoom_mm: float = 350.0
     n_stop: float = DEFAULT_F_NUMBER
-    d_ot_mm: float = SEPARATION_FRACTION * 1750000.0 / 4650.0  # 0.895 * v1(350, 5000)
     d_ref_mm: float = 5000.0
-    sensor_width_mm: float = SENSOR_WIDTH_MM
-    sensor_px: int = SENSOR_PX_H
+    # the separation train_for_base_focus gives the default zoom and focus
+    d_ot_mm: float = SEPARATION_FRACTION * thin_lens_image_distance(f_zoom_mm, d_ref_mm)
     coc_mm: float = DEFAULT_COC_MM
     pixel_scale_cal: float = DEFAULT_PIXEL_SCALE_CAL
-    iris_mm: float = IRIS_DIAMETER_MM
 
     def __post_init__(self):
         if self.f_zoom_mm <= 0.0 or self.n_stop <= 0.0:
@@ -185,10 +184,6 @@ class OpticalTrain:
     def sensor_back_mm(self) -> float:
         """Distance from the tunable lens to the sensor."""
         return self.image_distance_ref_mm - self.d_ot_mm
-
-    @property
-    def pixel_pitch_mm(self) -> float:
-        return self.sensor_width_mm / self.sensor_px
 
     @property
     def aperture_mm(self) -> float:
@@ -304,7 +299,7 @@ def pixels_across_iris(train: OpticalTrain, d_subject: float) -> float:
     power.
     """
     m = magnification(train, d_subject)
-    return train.iris_mm * m * train.pixel_scale_cal / train.pixel_pitch_mm
+    return IRIS_DIAMETER_MM * m * train.pixel_scale_cal / PIXEL_PITCH_MM
 
 
 def effective_focal_length(train: OpticalTrain, power_dpt: float = 0.0) -> float:
@@ -316,7 +311,7 @@ def effective_focal_length(train: OpticalTrain, power_dpt: float = 0.0) -> float
 def field_of_view_deg(train: OpticalTrain, power_dpt: float = 0.0) -> float:
     """Full horizontal field of view in degrees."""
     f_eff = effective_focal_length(train, power_dpt)
-    return 2.0 * math.degrees(math.atan(train.sensor_width_mm / (2.0 * f_eff)))
+    return 2.0 * math.degrees(math.atan(SENSOR_WIDTH_MM / (2.0 * f_eff)))
 
 
 def capture_volume_m3(train: OpticalTrain, d: float) -> float:

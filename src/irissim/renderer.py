@@ -106,6 +106,14 @@ def _convolve_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[pad:-pad, pad:-pad]
 
 
+def _image_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sensor (u, w) directions around a viewing axis; u is horizontal."""
+    u = np.cross(axis, np.array([0.0, 0.0, 1.0]))
+    nu = np.linalg.norm(u)
+    u = u / nu if nu > 1e-9 else np.array([1.0, 0.0, 0.0])
+    return u, np.cross(axis, u)
+
+
 def _image_offset_px(train: OpticalTrain, power_dpt: float,
                      pan_deg: float, tilt_deg: float, eye_pos) -> tuple[float, float]:
     """Where the eye lands relative to the crop centre, from the aim residual."""
@@ -113,16 +121,8 @@ def _image_offset_px(train: OpticalTrain, power_dpt: float,
     e_hat = e / np.linalg.norm(e)
     v = reflected_view_dir(pan_deg, tilt_deg)
     delta = e_hat - np.dot(e_hat, v) * v  # transverse angular error, radians
-    up = np.array([0.0, 0.0, 1.0])
-    u = np.cross(v, up)
-    nu = np.linalg.norm(u)
-    if nu < 1e-9:
-        u = np.array([1.0, 0.0, 0.0])
-    else:
-        u /= nu
-    w = np.cross(v, u)
-    f_eff = optics.effective_focal_length(train, power_dpt)
-    scale = f_eff / train.pixel_pitch_mm
+    u, w = _image_basis(v)
+    scale = optics.effective_focal_length(train, power_dpt) / optics.PIXEL_PITCH_MM
     return float(np.dot(delta, u) * scale), float(np.dot(delta, w) * scale)
 
 
@@ -157,14 +157,15 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
         )
 
     blur_mm = optics.blur_on_sensor_mm(train, power_dpt, d)
-    blur_px = blur_mm / train.pixel_pitch_mm
+    blur_px = blur_mm / optics.PIXEL_PITCH_MM
     astig_sigma = k_ast * max(0.0, power_dpt) ** 2
 
     e = np.asarray(eye_pos_mm, dtype=float)
     e_hat = e / np.linalg.norm(e)
     v = np.asarray(eye_velocity_mmps, dtype=float)
     v_perp = v - np.dot(v, e_hat) * e_hat
-    motion_px = float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0) * (px / train.iris_mm)
+    motion_px = (float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0)
+                 * (px / optics.IRIS_DIAMETER_MM))
 
     img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
 
@@ -175,12 +176,7 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     if motion_px > 0.5:
         mdir = (1.0, 0.0)
         if np.linalg.norm(v_perp) > 0:
-            # project transverse velocity on the image basis used for offsets
-            up = np.array([0.0, 0.0, 1.0])
-            u = np.cross(e_hat, up)
-            nu = np.linalg.norm(u)
-            u = u / nu if nu > 1e-9 else np.array([1.0, 0.0, 0.0])
-            w = np.cross(e_hat, u)
+            u, w = _image_basis(e_hat)
             mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
         img = _convolve_same(img, line_kernel(motion_px, mdir))
 

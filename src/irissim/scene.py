@@ -22,6 +22,7 @@ import numpy as np
 EYE_DROP_MM = 120.0  # eye line sits this far below the top of the head
 
 _JITTER_COMPONENTS = 8
+JITTER_BANDWIDTH_HZ = 2.0
 # N sinusoids of amplitude sigma * sqrt(2 / N) per axis reach at most 4 sigma
 JITTER_REACH_SIGMAS = math.sqrt(2.0 * _JITTER_COMPONENTS)
 
@@ -50,7 +51,6 @@ class Subject:
     position_mm: tuple[float, float, float]  # eye centre at t = 0
     trajectory: tuple[TrajectorySegment, ...] = ()
     jitter_sigma_mm: float = 3.0
-    jitter_bandwidth_hz: float = 2.0
     motion_seed: int = 0
 
 
@@ -65,13 +65,14 @@ def subject_at(subject_id: str, identity_seed: int, distance_mm: float,
 
 
 @functools.lru_cache(maxsize=256)
-def _jitter_bank(seed: int, sigma: float, bandwidth_hz: float):
+def _jitter_bank(seed: int, sigma: float):
     """Per-axis sinusoid parameters for band-limited stationary head jitter."""
     freqs = np.empty((3, _JITTER_COMPONENTS))
     phases = np.empty((3, _JITTER_COMPONENTS))
     for axis in range(3):
         rng = np.random.default_rng((int(seed), 0x4A495454, axis))
-        freqs[axis] = rng.uniform(0.2 * bandwidth_hz, bandwidth_hz, _JITTER_COMPONENTS)
+        freqs[axis] = rng.uniform(0.2 * JITTER_BANDWIDTH_HZ, JITTER_BANDWIDTH_HZ,
+                                   _JITTER_COMPONENTS)
         phases[axis] = rng.uniform(0.0, 2.0 * math.pi, _JITTER_COMPONENTS)
     amp = sigma * math.sqrt(2.0 / _JITTER_COMPONENTS)
     return freqs, phases, amp
@@ -80,9 +81,7 @@ def _jitter_bank(seed: int, sigma: float, bandwidth_hz: float):
 def _jitter(subject: Subject, t_ms: float) -> np.ndarray:
     if subject.jitter_sigma_mm == 0.0:
         return np.zeros(3)
-    freqs, phases, amp = _jitter_bank(
-        subject.motion_seed, subject.jitter_sigma_mm, subject.jitter_bandwidth_hz
-    )
+    freqs, phases, amp = _jitter_bank(subject.motion_seed, subject.jitter_sigma_mm)
     phase = 2.0 * math.pi * freqs * (t_ms / 1000.0) + phases
     return amp * np.sin(phase).sum(axis=1)
 
@@ -90,9 +89,7 @@ def _jitter(subject: Subject, t_ms: float) -> np.ndarray:
 def _jitter_velocity(subject: Subject, t_ms: float) -> np.ndarray:
     if subject.jitter_sigma_mm == 0.0:
         return np.zeros(3)
-    freqs, phases, amp = _jitter_bank(
-        subject.motion_seed, subject.jitter_sigma_mm, subject.jitter_bandwidth_hz
-    )
+    freqs, phases, amp = _jitter_bank(subject.motion_seed, subject.jitter_sigma_mm)
     phase = 2.0 * math.pi * freqs * (t_ms / 1000.0) + phases
     # derivative in mm per second
     return amp * (2.0 * math.pi * freqs * np.cos(phase)).sum(axis=1)

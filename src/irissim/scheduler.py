@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics
-from .devices import (
-    LensParams,
-    MirrorParams,
-    SensorParams,
-    SteeringMirror,
-    TunableLens,
-    next_frame_start,
-)
+from .devices import LensParams, SensorParams, SteeringMirror, TunableLens, next_frame_start
 from .iriscode import IrisCode, MATCH_THRESHOLD, encode_frame, hamming_distance
 from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
@@ -70,32 +63,13 @@ class EventLog:
 
 @dataclass
 class CaptureRig:
-    """One camera head: optics, devices and gates, wired together."""
+    """One camera head: optics, devices and gates, wired by config.rig_from_config."""
     train: OpticalTrain
     geometry: RigGeometry
     lens: TunableLens
     mirror: SteeringMirror
     sensor: SensorParams
     thresholds: QualityThresholds
-    lens_mode: str = "raw"
-
-
-def build_rig(train: OpticalTrain | None = None, *, seed: int = 0,
-              geometry: RigGeometry | None = None,
-              sensor: SensorParams | None = None,
-              thresholds: QualityThresholds | None = None,
-              lens_params: LensParams | None = None,
-              mirror_params: MirrorParams | None = None,
-              lens_mode: str = CaptureRig.lens_mode) -> CaptureRig:
-    return CaptureRig(
-        train=train or optics.reference_train(),
-        geometry=geometry or RigGeometry(),
-        lens=TunableLens(lens_params or LensParams(), seed=seed),
-        mirror=SteeringMirror(mirror_params or MirrorParams()),
-        sensor=sensor or SensorParams(),
-        thresholds=thresholds or QualityThresholds(),
-        lens_mode=lens_mode,
-    )
 
 
 def setpoints_for(rig: CaptureRig, eye) -> tuple[float, float, float]:
@@ -132,7 +106,7 @@ def plan_order(rig: CaptureRig, targets: list[Subject],
             pan, tilt, p = setpoints_for(rig, eye_position(tgt, 0.0))
             slew = rig.mirror.slew_time_ms(pan, tilt, from_pose=pose)
             refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
-                       else rig.lens.params.settle_time(rig.lens_mode))
+                       else rig.lens.params.settle_time)
             costed.append((max(slew, refocus), tgt.subject_id, tgt, (pan, tilt), p))
         costed.sort(key=lambda item: (item[0], item[1]))
         _, _, best, best_pose, best_power = costed[0]
@@ -201,7 +175,7 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
         t_cmd = next_frame_start(rig.sensor, t_now)
         pan, tilt, power = setpoints_for(rig, eye_position(tgt, t_cmd))
         rig.mirror.command(pan, tilt, t_cmd)
-        rig.lens.command(power, t_cmd, mode=rig.lens_mode)
+        rig.lens.command(power, t_cmd)
         log.events.append(Event(t_cmd, "command", tgt.subject_id, pan_deg=pan,
                                 tilt_deg=tilt, power_dpt=power))
         ready = max(rig.mirror.settled_at, rig.lens.settled_at, t_cmd)
@@ -218,13 +192,13 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
     return log
 
 
-def focal_sweep_schedule(params: LensParams, powers, mode: str = "raw"):
+def focal_sweep_schedule(params: LensParams, powers):
     """Step times for sweeping the lens through a power ladder.
 
     Each step must wait out one settling time before its exposure, so the
     sweep takes len(powers) * settle_time; a filtered drive halves it.
     """
-    dwell = params.settle_time(mode)
+    dwell = params.settle_time
     times = [k * dwell for k in range(len(powers))]
     return list(zip(times, list(powers))), len(powers) * dwell
 
@@ -276,7 +250,7 @@ def track_and_capture(rig: CaptureRig, subject: Subject, *,
         pan, tilt, power = setpoints_for(rig, eye_pred)
         power = rig.lens.quantize(power + offsets[i % len(offsets)])
         rig.mirror.command(pan, tilt, t_cmd)
-        rig.lens.command(power, t_cmd, mode=rig.lens_mode)
+        rig.lens.command(power, t_cmd)
         log.events.append(Event(t_cmd, "command", subject.subject_id,
                                 pan_deg=pan, tilt_deg=tilt, power_dpt=power))
         _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i),

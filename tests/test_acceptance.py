@@ -130,8 +130,9 @@ def test_c06_device_timing():
     failures = []
     lens = devices.LensParams()
     ladder = [lens.power_range[0], 0.0, lens.power_range[1]]
-    _, raw = scheduler.focal_sweep_schedule(lens, ladder, "raw")
-    _, filtered = scheduler.focal_sweep_schedule(lens, ladder, "filtered")
+    _, raw = scheduler.focal_sweep_schedule(lens, ladder)
+    _, filtered = scheduler.focal_sweep_schedule(devices.LensParams(mode="filtered"),
+                                                 ladder)
     period = devices.SensorParams().frame_period_ms
     if abs(raw - 80.0) > period:
         failures.append(f"raw full-range sweep {raw:.1f} ms outside 80 +- {period:.2f} ms")

@@ -180,3 +180,32 @@ def test_subject_jittering_out_of_the_mirror_tilt_range_exits_2(tmp_path, capsys
     cfg["experiment"]["subjects"][0].update(distance_mm=3000.0, height_mm=3052.0)
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     ("'seated'", "jitter envelope", "tilt"))
+
+
+def test_scan_cut_by_its_guard_fails_the_check(tmp_path, capsys):
+    # a 10 mm lens separation keeps the 400 mm gate passing from the probe
+    # leg out to 3x the base, so neither limit is found
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "version": 1, "train": {"d_ot_mm": 10.0},
+        "experiment": {"kind": "dof_extension", "base_distances_mm": [400.0],
+                       "grid_mm": 50.0, "repeats": 1}}))
+    assert cli.main(["dof-extension", "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--check"]) == 3
+    captured = capsys.readouterr()
+    assert "front ≥ 0.15 m, rear ≥ 0.8 m, total ≥ 0.95 m" in captured.out
+    for side in ("front", "rear"):
+        assert f"base 400 mm: the {side} scan reached its guard" in captured.err
+
+
+@pytest.mark.parametrize("section, values, words", [
+    ("sensor", {"frame_rate_hz": 1e-320}, ("frame rate", "frame period")),
+    ("mirror", {"max_speed_dps": 1e-320}, ("max speed", "slew time")),
+    ("mirror", {"resolution_deg": 1e-320}, ("resolution", "snap grid")),
+    ("lens", {"repeatability_dpt": 1e6}, ("repeatability", "power range")),
+])
+def test_device_value_without_a_finite_run_exits_2(tmp_path, capsys, section,
+                                                   values, words):
+    cfg = config.default_config("multiperson")
+    cfg[section] = values
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg, words)

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
-from irissim import config
+from irissim import config, optics
 from irissim.config import ConfigError
-from irissim.devices import LensParams, MirrorParams
+from irissim.devices import LensParams, MirrorParams, SensorParams
+from irissim.optics import OpticalTrain
+from irissim.quality import QualityThresholds
+from irissim.scene import RigGeometry
 
 # every key the schema allows in the device sections, each off its default
 FULL_DEVICES = {
@@ -96,13 +100,31 @@ def test_every_schema_key_reaches_the_rig():
             assert getattr(obj, key) == value, (section, key)
     lens, mirror = FULL_DEVICES["lens"], FULL_DEVICES["mirror"]
     assert rig.lens.params.power_range == (lens["power_min_dpt"], lens["power_max_dpt"])
-    for key in ("response_ms", "settle_ms", "settle_filtered_ms", "repeatability_dpt"):
+    for key in ("response_ms", "settle_ms", "settle_filtered_ms", "repeatability_dpt",
+                "mode"):
         assert getattr(rig.lens.params, key) == lens[key]
-    assert rig.lens_mode == lens["mode"]
     assert rig.mirror.params.pan_range == (mirror["pan_min_deg"], mirror["pan_max_deg"])
     assert rig.mirror.params.tilt_range == (mirror["tilt_min_deg"], mirror["tilt_max_deg"])
     assert rig.mirror.params.resolution_deg == mirror["resolution_deg"]
     assert rig.mirror.params.max_speed_dps == mirror["max_speed_dps"]
+
+
+def test_every_device_field_is_set_by_a_schema_key():
+    built = {"train": OpticalTrain, "lens": LensParams, "mirror": MirrorParams,
+             "sensor": SensorParams, "rig": RigGeometry, "quality": QualityThresholds}
+    ranges = {"power_range": ("power_min_dpt", "power_max_dpt"),
+              "pan_range": ("pan_min_deg", "pan_max_deg"),
+              "tilt_range": ("tilt_min_deg", "tilt_max_deg")}
+    for section, cls in built.items():
+        keys = set(config.SCHEMA["properties"][section]["properties"])
+        for field in dataclasses.fields(cls):
+            assert set(ranges.get(field.name, [field.name])) <= keys, (section, field.name)
+
+
+def test_default_train_is_the_reference_train():
+    # one formula for the default lens separation
+    cfg = config.validate_config({"version": 1, "experiment": {"kind": "dof_table"}})
+    assert config.train_from_config(cfg) == optics.reference_train()
 
 
 def test_a_missing_range_end_takes_the_dataclass_default():

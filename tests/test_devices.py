@@ -6,6 +6,7 @@ import pytest
 from irissim import optics
 from irissim.devices import (
     DEFAULT_CURRENT_GAIN,
+    POWER_QUANTUM_DPT,
     LensParams,
     MirrorParams,
     MirrorRangeError,
@@ -31,7 +32,7 @@ def test_current_gain_anchor():
 
 def test_lens_command_clamps_and_quantizes():
     lens = TunableLens(seed=1)
-    q = lens.params.power_quantum_dpt
+    q = POWER_QUANTUM_DPT
     tgt = lens.command(3.14159, t_ms=0.0)
     assert tgt == pytest.approx(round(3.14159 / q) * q)
     assert lens.command(99.0, t_ms=100.0) == pytest.approx(round(10.0 / q) * q)
@@ -47,8 +48,8 @@ def test_lens_settles_at_25ms_raw():
 
 
 def test_lens_filtered_mode_halves_settling():
-    lens = TunableLens(seed=2)
-    lens.command(5.0, t_ms=10.0, mode="filtered")
+    lens = TunableLens(LensParams(mode="filtered"), seed=2)
+    lens.command(5.0, t_ms=10.0)
     assert lens.settled_at == pytest.approx(22.5)
 
 
@@ -107,9 +108,8 @@ def test_lens_replay_deterministic():
 
 
 def test_lens_rejects_bad_mode():
-    lens = TunableLens(seed=7)
-    with pytest.raises(ValueError):
-        lens.command(1.0, t_ms=0.0, mode="turbo")
+    with pytest.raises(ValueError, match="drive mode"):
+        LensParams(mode="turbo")
 
 
 # ---------------------------------------------------------------- mirror

@@ -58,6 +58,11 @@ def test_extension_scan_stops_before_the_probe_leg():
     assert min(positions) == 250.0
     assert all(p > PROBE_RIG.lens_height_mm for p in positions)
     assert res.stats[400.0]["front_mm"] == 150.0
+    # every cell passed, so the guard, not the gate, ended both scans
+    assert all(row[-1] for row in res.rows)
+    assert res.stats["guard_cut"] == [(400.0, "front"), (400.0, "rear")]
+    assert res.summary[0] == ("dof_extension: base 0.4 m -> front ≥ 0.15 m, "
+                              "rear ≥ 0.8 m, total ≥ 0.95 m")
 
 
 def test_analytic_limits_sit_on_their_anchors():

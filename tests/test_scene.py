@@ -167,8 +167,7 @@ def test_jitter_is_deterministic_and_seeded():
 
 def test_velocity_matches_finite_difference():
     seg = TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0))
-    s = Subject("s", 1, (0.0, 3800.0, 380.0), trajectory=(seg,),
-                jitter_sigma_mm=3.0, jitter_bandwidth_hz=2.0)
+    s = Subject("s", 1, (0.0, 3800.0, 380.0), trajectory=(seg,), jitter_sigma_mm=3.0)
     h = 0.01
     for t in (37.0, 512.0, 4096.0):
         fd = (eye_position(s, t + h) - eye_position(s, t - h)) / (2 * h) * 1000.0

@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from irissim.config import rig_from_config
 from irissim.devices import LensParams
 from irissim.experiments import ExperimentResult, write_result
 from irissim.iriscode import encode_frame
-from irissim.optics import (
-    reference_train,
-    train_for_base_focus,
-    tunable_power_for_focus,
-)
-from irissim.quality import QualityThresholds
+from irissim.optics import tunable_power_for_focus
 from irissim.renderer import render_eye
-from irissim.scene import RigGeometry, Subject, TrajectorySegment, aim_angles
+from irissim.scene import Subject, TrajectorySegment, aim_angles
 from irissim.scheduler import (
     CSV_COLUMNS,
     ConstantVelocityTracker,
-    build_rig,
     capture_sequence,
     focal_sweep_schedule,
     plan_order,
@@ -25,8 +20,17 @@ from irissim.scheduler import (
     track_and_capture,
 )
 
-TRAIN = reference_train()
 PERIOD = 1000.0 / 30.5
+
+
+def make_rig(seed=0, **sections):
+    """A rig wired the way a run wires it, from config sections."""
+    return rig_from_config({"seed": seed, **sections})
+
+
+def walking_rig():
+    return make_rig(seed=3, train={"f_zoom_mm": 210.0, "d_ref_mm": 3200.0},
+                    rig={"mirror_height_mm": 1580.0})
 
 
 def still_subject(sid, iseed, distance, azimuth_deg=0.0):
@@ -49,13 +53,13 @@ def enroll_code(train, identity_seed):
 
 
 def test_given_order_is_preserved():
-    rig = build_rig(TRAIN)
+    rig = make_rig()
     targets = [still_subject(s, 1, 4800.0) for s in ("b", "a", "c")]
     assert [t.subject_id for t in plan_order(rig, targets)] == ["b", "a", "c"]
 
 
 def test_nearest_transition_minimizes_slew():
-    rig = build_rig(TRAIN)  # mirror starts at pan 0
+    rig = make_rig()  # mirror starts at pan 0
     targets = [
         still_subject("left", 1, 4800.0, azimuth_deg=-45.0),
         still_subject("mid", 2, 4800.0, azimuth_deg=5.0),
@@ -66,7 +70,7 @@ def test_nearest_transition_minimizes_slew():
 
 
 def test_unknown_order_rejected():
-    rig = build_rig(TRAIN)
+    rig = make_rig()
     with pytest.raises(ValueError):
         plan_order(rig, [], order="fastest")
 
@@ -77,7 +81,8 @@ def test_setpoints_clamp_outside_reach():
     # 3.2 m of folded path needs +7.5 dpt: inside +-10, outside +-5
     mid = still_subject("mid", 3, 3000.0)
     for power_range in ((-10.0, 10.0), (-5.0, 5.0)):
-        rig = build_rig(TRAIN, lens_params=LensParams(power_range=power_range))
+        lo, hi = power_range
+        rig = make_rig(lens={"power_min_dpt": lo, "power_max_dpt": hi})
         *_, p_far = setpoints_for(rig, far.position_mm)
         *_, p_near = setpoints_for(rig, near.position_mm)
         assert p_far == power_range[0]
@@ -90,9 +95,9 @@ def test_setpoints_clamp_outside_reach():
 
 
 def test_two_target_sequence_matches_both():
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    gallery = {"s1": enroll_code(TRAIN, 5001), "s2": enroll_code(TRAIN, 5002)}
+    gallery = {"s1": enroll_code(rig.train, 5001), "s2": enroll_code(rig.train, 5002)}
     log = capture_sequence(rig, subjects, gallery=gallery, noise_seed=42)
     q = log.qualified()
     assert len(q) == 2
@@ -101,7 +106,7 @@ def test_two_target_sequence_matches_both():
 
 
 def test_events_are_time_ordered_on_frame_grid():
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     log = capture_sequence(rig, subjects)
     times = [e.t_ms for e in log.events]
@@ -111,7 +116,7 @@ def test_events_are_time_ordered_on_frame_grid():
 
 
 def test_one_command_per_target():
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     log = capture_sequence(rig, subjects)
     commands = [e for e in log.events if e.event_type == "command"]
@@ -120,7 +125,7 @@ def test_one_command_per_target():
 
 
 def test_first_frame_waits_for_settling():
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     # off-boresight and off-reference-focus, so both devices must move
     log = capture_sequence(rig, [still_subject("s", 1, 4380.0, azimuth_deg=10.0)])
     cmd = next(e for e in log.events if e.event_type == "command")
@@ -131,7 +136,7 @@ def test_first_frame_waits_for_settling():
 
 def test_already_settled_target_captures_immediately():
     # boresight subject at the reference focus: nothing has to move
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     log = capture_sequence(rig, [still_subject("s", 1, 4800.0)])
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms == 0.0
@@ -139,8 +144,7 @@ def test_already_settled_target_captures_immediately():
 
 
 def test_dwell_budget_limits_attempts():
-    hopeless = QualityThresholds(min_px_across_iris=10000.0)
-    rig = build_rig(TRAIN, seed=0, thresholds=hopeless)
+    rig = make_rig(quality={"min_px_across_iris": 10000.0})
     log = capture_sequence(rig, [still_subject("s", 1, 4800.0)], dwell_budget=5)
     frames = log.frames()
     assert len(frames) == 5
@@ -148,8 +152,8 @@ def test_dwell_budget_limits_attempts():
 
 
 def test_impostor_gallery_does_not_match():
-    rig = build_rig(TRAIN, seed=0)
-    gallery = {"s": enroll_code(TRAIN, 9999)}
+    rig = make_rig()
+    gallery = {"s": enroll_code(rig.train, 9999)}
     log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
                            gallery=gallery, noise_seed=7)
     q = log.qualified()
@@ -162,9 +166,9 @@ def test_impostor_gallery_does_not_match():
 
 
 def test_csv_export_is_deterministic(tmp_path):
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
-                           gallery={"s": enroll_code(TRAIN, 5001)})
+                           gallery={"s": enroll_code(rig.train, 5001)})
     rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
     result = ExperimentResult("log", CSV_COLUMNS, rows, summary=[])
     write_result(result, tmp_path / "a")
@@ -182,9 +186,9 @@ def test_csv_export_is_deterministic(tmp_path):
 
 
 def test_throughput_metrics_counts():
-    rig = build_rig(TRAIN, seed=0)
+    rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    gallery = {"s1": enroll_code(TRAIN, 5001), "s2": enroll_code(TRAIN, 5002)}
+    gallery = {"s1": enroll_code(rig.train, 5001), "s2": enroll_code(rig.train, 5002)}
     log = capture_sequence(rig, subjects, gallery=gallery)
     qualified = log.qualified()
     assert len(qualified) == 2
@@ -196,10 +200,9 @@ def test_throughput_metrics_counts():
 
 
 def test_focal_sweep_duration_raw_vs_filtered():
-    params = LensParams()
     powers = [-1.0, 0.0, 1.0]
-    sched_raw, dur_raw = focal_sweep_schedule(params, powers, mode="raw")
-    sched_f, dur_f = focal_sweep_schedule(params, powers, mode="filtered")
+    sched_raw, dur_raw = focal_sweep_schedule(LensParams(), powers)
+    sched_f, dur_f = focal_sweep_schedule(LensParams(mode="filtered"), powers)
     assert dur_raw == pytest.approx(75.0)
     assert dur_f == pytest.approx(37.5)
     assert [t for t, _ in sched_raw] == [0.0, 25.0, 50.0]
@@ -227,13 +230,11 @@ def test_tracker_degenerate_cases():
 
 
 def test_walking_subject_qualifies_frames():
-    train = train_for_base_focus(210.0, 3200.0)
-    geo = RigGeometry(mirror_height_mm=1580.0)
     walk = Subject("w", 6001, (0.0, 3800.0, 0.0),
                    trajectory=(TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0)),),
                    jitter_sigma_mm=0.0)
-    rig = build_rig(train, seed=3, geometry=geo)
-    gallery = {"w": enroll_code(train, 6001)}
+    rig = walking_rig()
+    gallery = {"w": enroll_code(rig.train, 6001)}
     log = track_and_capture(rig, walk, n_frames=6, start_frame=16,
                             gallery=gallery, noise_seed=11)
     q = log.qualified()
@@ -243,12 +244,10 @@ def test_walking_subject_qualifies_frames():
 
 
 def test_sweep_offsets_detune_the_focus():
-    train = train_for_base_focus(210.0, 3200.0)
-    geo = RigGeometry(mirror_height_mm=1580.0)
     walk = Subject("w", 6001, (0.0, 3800.0, 0.0),
                    trajectory=(TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0)),),
                    jitter_sigma_mm=0.0)
-    rig = build_rig(train, seed=3, geometry=geo)
+    rig = walking_rig()
     log = track_and_capture(rig, walk, n_frames=4, start_frame=16,
                             sweep_offsets=[0.0, 2.0], noise_seed=11)
     blurs = [e.blur_px for e in log.frames()]
