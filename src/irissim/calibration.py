@@ -27,7 +27,7 @@ PROBE_RIG = RigGeometry()  # probe_frame's eye sits d - lens_height_mm out
 
 def solve_coc() -> float:
     """Blur tolerance giving the reference train the anchor depth of field."""
-    t = optics.reference_train()
+    t = OpticalTrain()
 
     def gap(c: float) -> float:
         dof = optics.depth_of_field(t.f_zoom_mm, t.n_stop, t.d_ref_mm, c)
@@ -79,7 +79,7 @@ def solve_sharpness_min() -> float:
 
     Rendered without astigmatism: the floor measures defocus alone.
     """
-    train = optics.reference_train()
+    train = OpticalTrain()
     power = optics.tunable_power_for_focus(train, train.d_ref_mm)
     frame = probe_frame(train, train.d_ref_mm, power + one_coc_power_offset(train),
                         k_ast=0.0)
@@ -96,7 +96,7 @@ def solve_k_ast() -> float:
     over the default 5-repeat noise seeds, so the measured front limit sits
     on the anchor rather than half a noise-wobble off it.
     """
-    train = optics.reference_train()
+    train = OpticalTrain()
     power = optics.tunable_power_for_focus(train, ASTIG_ANCHOR_DISTANCE)
 
     def gap(k: float) -> float:

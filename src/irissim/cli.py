@@ -44,16 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> dict:
+    """The run config, validated once with ``--seed`` already applied."""
     kind = _KINDS[args.command]
     if args.config is None:
         cfg = config.default_config(kind)
     else:
         cfg = config.load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    config.validate_config(cfg)
     if cfg["experiment"]["kind"] != kind:
         raise config.ConfigError(
             f"config is for {cfg['experiment']['kind']!r}, not {kind!r}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     return cfg
 
 
@@ -104,7 +106,7 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
                      for a, b in zip(seq, seq[1:])), default=0.0)
         expect(worst <= 0.02,
                f"hd backslides {worst:.4g} between adjacent points, want <= 0.02")
-        near, far = experiments.analytic_extension_limits(optics.reference_train())
+        near, far = experiments.analytic_extension_limits(s["train"])
         expect(s["span_mm"] >= far - near,
                f"hd dof {s['span_mm']:.6g} mm below the gate dof {far - near:.6g} mm")
         if s["impostor_n"]:
@@ -140,10 +142,10 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
 
 
 def _run_calibrate(args) -> int:
-    train = optics.reference_train()
     rows = [
-        ("coc_mm", calibration.solve_coc(), train.coc_mm),
-        ("pixel_scale_cal", calibration.solve_pixel_scale(), train.pixel_scale_cal),
+        ("coc_mm", calibration.solve_coc(), optics.DEFAULT_COC_MM),
+        ("pixel_scale_cal", calibration.solve_pixel_scale(),
+         optics.DEFAULT_PIXEL_SCALE_CAL),
         ("sharpness_min", calibration.solve_sharpness_min(),
          quality.DEFAULT_SHARPNESS_MIN),
         ("k_ast", calibration.solve_k_ast(), DEFAULT_K_AST),

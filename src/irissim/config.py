@@ -4,6 +4,8 @@ The schema is strict on purpose: unknown keys are rejected everywhere, and
 device parameters outside the hardware envelope fail validation before any
 simulation starts.  ``default_config`` returns the canonical scenario for
 each experiment; a user config only needs the keys it wants to override.
+``load_config`` and ``default_config`` only read; ``validate_config`` is the
+one check, run once on the config a run will use.
 
 Each device section builds one dataclass and its keys are that class's
 field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
@@ -13,6 +15,10 @@ field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
 ``tilt_range``).  An omitted key or range end takes the dataclass default,
 so every device default is written once, in its dataclass.  Each dataclass
 field is set by a key, and ``rig_from_config`` is the one place a rig is built.
+Each zoom or focus value has one key: dof_table's zoom is
+``train.f_zoom_mm``, and the sweeps (dof_extension, hd_curve) re-zoom and
+re-focus the train for each base (``base_train``), so they reject
+``train.f_zoom_mm`` and ``train.d_ref_mm``.
 
 Validation fills ``seed`` and every omitted ``experiment`` key from the
 canonical scenario.  The device sections fall back to the dataclass
@@ -70,7 +76,8 @@ def _obj(properties: dict, required: list[str] | None = None) -> dict:
 
 
 _TRAIN = _obj({
-    "f_zoom_mm": {"type": "number", "minimum": 70.0, "maximum": 350.0},
+    "f_zoom_mm": {"type": "number", "minimum": optics.ZOOM_RANGE_MM[0],
+                  "maximum": optics.ZOOM_RANGE_MM[1]},
     "n_stop": _POS,
     "d_ref_mm": _POS,
     "d_ot_mm": _POS,
@@ -126,7 +133,6 @@ _EXPERIMENTS = {
     "dof_table": _obj({
         "kind": {"const": "dof_table"},
         "distances_mm": {"type": "array", "items": _POS, "minItems": 1},
-        "f_zoom_mm": {"type": "number", "minimum": 70.0, "maximum": 350.0},
     }, required=["kind"]),
     "dof_extension": _obj({
         "kind": {"const": "dof_extension"},
@@ -189,7 +195,13 @@ def validate_config(cfg: dict) -> dict:
     except jsonschema.ValidationError as err:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
-    canonical = _DEFAULTS[cfg["experiment"]["kind"]]
+    kind = cfg["experiment"]["kind"]
+    if kind in ("dof_extension", "hd_curve"):  # base_train sets both per base
+        for key in ("f_zoom_mm", "d_ref_mm"):
+            if key in cfg.get("train", {}):
+                raise ConfigError(f"train.{key} is set: {kind} re-zooms and "
+                                  f"re-focuses the train for each base itself")
+    canonical = _DEFAULTS[kind]
     cfg.setdefault("seed", canonical["seed"])
     for key, value in canonical["experiment"].items():
         cfg["experiment"].setdefault(key, copy.deepcopy(value))
@@ -208,8 +220,7 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
     leg = calibration.PROBE_RIG.lens_height_mm
     past_leg = f"is not beyond the probe's {leg:.6g} mm mirror-to-lens leg"
     if kind == "dof_table":
-        f = exp["f_zoom_mm"]
-        train_from_config(cfg, f_zoom_mm=f)
+        f = rig.train.f_zoom_mm
         for d in exp["distances_mm"]:
             if d <= f:
                 raise ConfigError(f"dof_table distance {d:.6g} mm is inside the "
@@ -278,32 +289,26 @@ def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:
 
 
 def load_config(path) -> dict:
+    """The JSON document at ``path``, not yet validated."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    return validate_config(cfg)
 
 
-def train_from_config(cfg: dict, f_zoom_mm: float | None = None,
-                      d_ref_mm: float | None = None) -> optics.OpticalTrain:
-    """Optical train from config, optionally re-based for another focus.
+def train_from_config(cfg: dict) -> OpticalTrain:
+    return OpticalTrain(**cfg.get("train", {}))
 
-    When an experiment re-bases the train (``f_zoom_mm``/``d_ref_mm``), the
-    lens separation keeps its fractional position unless explicitly pinned.
+
+def base_train(cfg: dict, base_mm: float) -> OpticalTrain:
+    """Re-zoomed train for a sweep based at ``base_mm``, magnification held.
+
+    The sweeps set the zoom and the base focus themselves, so validation
+    rejects a ``train`` section that sets either.
     """
-    over = dict(cfg.get("train", {}))
-    f = over.pop("f_zoom_mm", OpticalTrain.f_zoom_mm)
-    d = over.pop("d_ref_mm", OpticalTrain.d_ref_mm)
-    return optics.train_for_base_focus(f if f_zoom_mm is None else f_zoom_mm,
-                                       d if d_ref_mm is None else d_ref_mm, **over)
-
-
-def base_train(cfg: dict, base_mm: float) -> optics.OpticalTrain:
-    """Re-zoomed train for a sweep based at ``base_mm``, magnification held."""
-    f = min(350.0, max(70.0, optics.zoom_focal_for_distance(base_mm)))
-    return train_from_config(cfg, f_zoom_mm=f, d_ref_mm=base_mm)
+    return OpticalTrain(f_zoom_mm=optics.zoom_focal_for_distance(base_mm),
+                        d_ref_mm=base_mm, **cfg.get("train", {}))
 
 
 def hd_positions(exp: dict) -> list[float]:
@@ -356,7 +361,6 @@ _DEFAULTS: dict[str, dict] = {
         "experiment": {
             "kind": "dof_table",
             "distances_mm": [1000.0 + 500.0 * k for k in range(9)],
-            "f_zoom_mm": 350.0,
         },
     },
     "dof_extension": {
@@ -426,6 +430,7 @@ _DEFAULTS: dict[str, dict] = {
 
 
 def default_config(kind: str) -> dict:
+    """A fresh copy of the canonical scenario; it sets every key validation fills."""
     if kind not in _DEFAULTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    return validate_config(copy.deepcopy(_DEFAULTS[kind]))
+    return copy.deepcopy(_DEFAULTS[kind])

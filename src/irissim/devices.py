@@ -27,7 +27,7 @@ def current_gain_for_train(train: optics.OpticalTrain) -> float:
     return abs(p_near - p_far)
 
 
-DEFAULT_CURRENT_GAIN = current_gain_for_train(optics.reference_train())
+DEFAULT_CURRENT_GAIN = current_gain_for_train(optics.OpticalTrain())
 CURRENT_STEP_MA = 0.07  # drive current resolution
 POWER_QUANTUM_DPT = CURRENT_STEP_MA * DEFAULT_CURRENT_GAIN
 OSC_FREQ_HZ = 200.0  # ring frequency during settling; free parameter

@@ -87,8 +87,8 @@ def _probe(cfg: dict, base: float, d: float, identity_seed: int, noise_index: in
 def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     distances = exp["distances_mm"]
-    f = exp["f_zoom_mm"]
-    train = config.train_from_config(cfg, f_zoom_mm=f)
+    train = config.train_from_config(cfg)
+    f = train.f_zoom_mm
 
     rows = []
     for d in distances:
@@ -215,7 +215,7 @@ def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]
     Gates, astigmatism and lens range are the package defaults.
     """
     min_px = quality.QualityThresholds().min_px_across_iris
-    ref = optics.reference_train()
+    ref = optics.OpticalTrain()
     p_anchor = optics.tunable_power_for_focus(ref, calibration.ASTIG_ANCHOR_DISTANCE)
     sigma_anchor = DEFAULT_K_AST * p_anchor ** 2
     px_anchor = optics.pixels_across_iris(ref, calibration.ASTIG_ANCHOR_DISTANCE)
@@ -287,6 +287,7 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     stats = {
         "base_mm": base,
+        "train": config.base_train(cfg, base),
         "positions": positions,
         "mean_hd": mean_hd,
         "self_match": mean_hd[base],

@@ -24,6 +24,7 @@ PIXEL_PITCH_MM = SENSOR_WIDTH_MM / SENSOR_PX_H
 IRIS_DIAMETER_MM = 10.0
 
 DEFAULT_F_NUMBER = 4.8
+ZOOM_RANGE_MM = (70.0, 350.0)  # the telephoto zoom's focal-length travel
 DEFAULT_COC_MM = 0.0499  # solved from the 91 mm depth-of-field anchor at 5 m / 350 mm
 
 # Fraction of the zoom lens' image distance at which the tunable lens sits.
@@ -149,17 +150,20 @@ def diopter_to_focal_mm(power: float) -> float:
 class OpticalTrain:
     """Zoom lens + tunable lens + sensor, with the calibration constants.
 
-    The sensor plane sits where an object at ``d_ref_mm`` focuses with the
-    tunable lens at zero power, so ``sensor_back_mm`` is derived, not set.
-    ``d_ot_mm`` must stay below the zoom focal length; that guarantees the
-    intermediate image always forms behind the tunable lens.
+    The defaults are the calibration operating point: 350 mm at f/4.8,
+    focused at 5 m.  The sensor plane sits where an object at ``d_ref_mm``
+    focuses with the tunable lens at zero power, so ``sensor_back_mm`` is
+    derived, not set.  Unless pinned, ``d_ot_mm`` is derived too: the
+    tunable lens sits at ``SEPARATION_FRACTION`` of the zoom lens' image
+    distance, as the spacer is re-fitted when the zoom ring or the base
+    focus moves.  ``d_ot_mm`` must stay below the zoom focal length; that
+    guarantees the intermediate image always forms behind the tunable lens.
     """
 
     f_zoom_mm: float = 350.0
     n_stop: float = DEFAULT_F_NUMBER
     d_ref_mm: float = 5000.0
-    # the separation train_for_base_focus gives the default zoom and focus
-    d_ot_mm: float = SEPARATION_FRACTION * thin_lens_image_distance(f_zoom_mm, d_ref_mm)
+    d_ot_mm: float | None = None
     coc_mm: float = DEFAULT_COC_MM
     pixel_scale_cal: float = DEFAULT_PIXEL_SCALE_CAL
 
@@ -171,6 +175,9 @@ class OpticalTrain:
                 f"reference focus {self.d_ref_mm} mm must exceed the zoom focal "
                 f"length {self.f_zoom_mm} mm"
             )
+        if self.d_ot_mm is None:
+            object.__setattr__(self, "d_ot_mm", SEPARATION_FRACTION
+                               * thin_lens_image_distance(self.f_zoom_mm, self.d_ref_mm))
         if not 0.0 < self.d_ot_mm < self.f_zoom_mm:
             raise ValueError(
                 f"lens separation {self.d_ot_mm} mm must lie in (0, {self.f_zoom_mm})"
@@ -190,29 +197,14 @@ class OpticalTrain:
         return self.f_zoom_mm / self.n_stop
 
 
-def reference_train(**overrides) -> OpticalTrain:
-    """The 350 mm / f4.8 train focused at 5 m, the calibration operating point."""
-    return OpticalTrain(**overrides)
-
-
-def train_for_base_focus(f_zoom_mm: float, d_ref_mm: float, **overrides) -> OpticalTrain:
-    """Build a train re-zoomed and re-shimmed for a different base focus.
-
-    The tunable lens keeps its fractional position behind the zoom lens,
-    mirroring how the physical spacer would be re-fitted when the zoom
-    ring moves.
-    """
-    v1 = thin_lens_image_distance(f_zoom_mm, d_ref_mm)
-    overrides.setdefault("d_ot_mm", SEPARATION_FRACTION * v1)
-    return OpticalTrain(f_zoom_mm=f_zoom_mm, d_ref_mm=d_ref_mm, **overrides)
-
-
 def zoom_focal_for_distance(d_mm: float) -> float:
     """Zoom setting that keeps iris magnification constant: f = 0.07 * d.
 
-    Maps the working range 1..5 m onto the 70..350 mm zoom range.
+    Maps the working range 1..5 m onto the zoom range; a distance outside
+    it gets the zoom limit on its side.
     """
-    return 0.07 * d_mm
+    lo, hi = ZOOM_RANGE_MM
+    return min(hi, max(lo, 0.07 * d_mm))
 
 
 def _intermediate_w(train: OpticalTrain, d_subject: float) -> float:

@@ -58,7 +58,6 @@ class Frame:
     astig_sigma_px: float
     motion_px: float
     power_dpt: float
-    distance_mm: float
     offset_px: tuple[float, float]
 
 
@@ -188,8 +187,7 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     return Frame(
         image=img, cx=cx, cy=cy, r_pupil_px=r_p, r_iris_px=r_i,
         px_across_iris=px, blur_px=float(blur_px), astig_sigma_px=float(astig_sigma),
-        motion_px=motion_px, power_dpt=power_dpt, distance_mm=d,
-        offset_px=(off_x, off_y),
+        motion_px=motion_px, power_dpt=power_dpt, offset_px=(off_x, off_y),
     )
 
 

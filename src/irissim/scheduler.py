@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics
-from .devices import LensParams, SensorParams, SteeringMirror, TunableLens, next_frame_start
+from .devices import SensorParams, SteeringMirror, TunableLens, next_frame_start
 from .iriscode import IrisCode, MATCH_THRESHOLD, encode_frame, hamming_distance
 from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
@@ -190,17 +190,6 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
                 break
         t_now = t_frame
     return log
-
-
-def focal_sweep_schedule(params: LensParams, powers):
-    """Step times for sweeping the lens through a power ladder.
-
-    Each step must wait out one settling time before its exposure, so the
-    sweep takes len(powers) * settle_time; a filtered drive halves it.
-    """
-    dwell = params.settle_time
-    times = [k * dwell for k in range(len(powers))]
-    return list(zip(times, list(powers))), len(powers) * dwell
 
 
 class ConstantVelocityTracker:

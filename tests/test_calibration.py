@@ -4,8 +4,8 @@ from irissim import calibration as cal
 from irissim.optics import (
     DEFAULT_COC_MM,
     DEFAULT_PIXEL_SCALE_CAL,
+    OpticalTrain,
     blur_on_sensor_mm,
-    reference_train,
     tunable_power_for_focus,
 )
 from irissim.quality import DEFAULT_SHARPNESS_MIN, sharpness_score
@@ -24,7 +24,7 @@ def test_frozen_pixel_scale_matches_solver():
 
 
 def test_one_coc_offset_defocuses_by_one_coc():
-    train = reference_train()
+    train = OpticalTrain()
     p0 = tunable_power_for_focus(train, train.d_ref_mm)
     dp = cal.one_coc_power_offset(train)
     blur = blur_on_sensor_mm(train, p0 + dp, train.d_ref_mm)
@@ -40,7 +40,7 @@ def test_frozen_astigmatism_gain_matches_solver():
 
 
 def test_astigmatism_anchor_sits_on_the_floor():
-    train = reference_train()
+    train = OpticalTrain()
     power = tunable_power_for_focus(train, cal.ASTIG_ANCHOR_DISTANCE)
     frame = cal.probe_frame(train, cal.ASTIG_ANCHOR_DISTANCE, power, k_ast=DEFAULT_K_AST)
     score = sharpness_score(frame.image, frame.cx, frame.cy,

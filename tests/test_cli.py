@@ -209,3 +209,48 @@ def test_device_value_without_a_finite_run_exits_2(tmp_path, capsys, section,
     cfg = config.default_config("multiperson")
     cfg[section] = values
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg, words)
+
+
+@pytest.mark.parametrize("command, kind", [("dof-extension", "dof_extension"),
+                                           ("hd-curve", "hd_curve")])
+@pytest.mark.parametrize("key, value", [("f_zoom_mm", 200.0), ("d_ref_mm", 3000.0)])
+def test_sweep_setting_the_zoom_or_focus_it_sets_itself_exits_2(tmp_path, capsys, command,
+                                                                kind, key, value):
+    cfg = {"version": 1, "experiment": {"kind": kind}, "train": {key: value}}
+    _exits_2_naming(tmp_path, capsys, command, cfg, (f"train.{key}", kind))
+
+
+def test_dof_table_zoom_in_the_experiment_section_exits_2(tmp_path, capsys):
+    # the zoom has one key, train.f_zoom_mm
+    cfg = {"version": 1, "experiment": {"kind": "dof_table", "f_zoom_mm": 200.0}}
+    _exits_2_naming(tmp_path, capsys, "dof-table", cfg, ("f_zoom_mm",))
+
+
+def test_dof_table_takes_its_zoom_from_the_train(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, "experiment": {"kind": "dof_table"},
+                                "train": {"f_zoom_mm": 200.0}}))
+    assert cli.main(["dof-table", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert "dof_table: f = 200 mm at f/4.8" in capsys.readouterr().out
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    assert cli.main(["iom", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "config invalid at seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("span_mm, ok", [(2100.0, True), (2000.0, False)])
+def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
+    # the 3 m train's gate passes 2560 .. 4620 mm; the 5 m train's spans 3900 mm
+    cfg = config.validate_config({"version": 1,
+                                  "experiment": {"kind": "hd_curve", "base_mm": 3000.0}})
+    stats = {"base_mm": 3000.0, "train": config.base_train(cfg, 3000.0),
+             "positions": [3000.0], "mean_hd": {3000.0: 0.0}, "self_match": 0.0,
+             "span_mm": span_mm, "impostor_n": 0}
+    result = experiments.ExperimentResult(name="hd_curve", header=(), rows=[],
+                                          summary=[], stats=stats)
+    failures = cli._check_failures("hd_curve", result)
+    assert failures == ([] if ok else
+                        ["hd dof 2000 mm below the gate dof 2059.84 mm"])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -30,6 +31,8 @@ FULL_DEVICES = {
 def test_default_configs_validate(kind):
     cfg = config.default_config(kind)
     assert cfg["experiment"]["kind"] == kind
+    # the canonical scenario already sets every key validation fills
+    assert config.validate_config(copy.deepcopy(cfg)) == cfg
 
 
 @pytest.mark.parametrize("kind", list(config._DEFAULTS))
@@ -124,7 +127,7 @@ def test_every_device_field_is_set_by_a_schema_key():
 def test_default_train_is_the_reference_train():
     # one formula for the default lens separation
     cfg = config.validate_config({"version": 1, "experiment": {"kind": "dof_table"}})
-    assert config.train_from_config(cfg) == optics.reference_train()
+    assert config.train_from_config(cfg) == optics.OpticalTrain()
 
 
 def test_a_missing_range_end_takes_the_dataclass_default():
@@ -160,9 +163,12 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 def test_train_rebase_keeps_fractional_separation():
     cfg = config.default_config("dof_extension")
-    train = config.train_from_config(cfg, f_zoom_mm=210.0, d_ref_mm=3000.0)
-    assert train.f_zoom_mm == 210.0
+    train = config.base_train(cfg, 3000.0)
+    assert train.f_zoom_mm == pytest.approx(210.0)
+    assert train.d_ref_mm == 3000.0
     assert train.d_ot_mm == pytest.approx(0.895 * train.image_distance_ref_mm)
+    cfg["train"] = {"d_ot_mm": 100.0}
+    assert config.base_train(cfg, 3000.0).d_ot_mm == 100.0
 
 
 def test_subject_entries_require_all_fields():

@@ -22,9 +22,9 @@ from irissim.devices import (
 
 def test_current_gain_anchor():
     # 1 mA moves the 5 m focal plane about 1 cm
-    gain = current_gain_for_train(optics.reference_train())
+    gain = current_gain_for_train(optics.OpticalTrain())
     assert gain == pytest.approx(DEFAULT_CURRENT_GAIN)
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     p0 = optics.tunable_power_for_focus(t, 5000.0)
     d_after = optics.focus_distance_for_power(t, p0 - gain)
     assert d_after - 5000.0 == pytest.approx(10.0, rel=0.02)

@@ -27,7 +27,7 @@ def test_dof_table_monotone(table):
 
 
 def test_drive_power_clamps_at_membrane_limits():
-    train = optics.reference_train()
+    train = optics.OpticalTrain()
     lo, hi = -10.0, 10.0
     near_reach = optics.focus_distance_for_power(train, hi)
     far_reach = optics.focus_distance_for_power(train, lo)
@@ -66,7 +66,7 @@ def test_extension_scan_stops_before_the_probe_leg():
 
 
 def test_analytic_limits_sit_on_their_anchors():
-    train = optics.reference_train()
+    train = optics.OpticalTrain()
     near, far = experiments.analytic_extension_limits(train)
     assert near == pytest.approx(ASTIG_ANCHOR_DISTANCE, abs=1e-3)
     assert optics.pixels_across_iris(train, far) == pytest.approx(200.0, abs=1e-6)

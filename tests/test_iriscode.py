@@ -11,11 +11,11 @@ from irissim.iriscode import (
     to_bytes,
     unroll,
 )
-from irissim.optics import reference_train, tunable_power_for_focus
+from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.renderer import render_eye
 from irissim.scene import aim_angles
 
-TRAIN = reference_train()
+TRAIN = OpticalTrain()
 
 
 def frame_at(d_los, seed, nseed, power=None):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from irissim import optics
 
@@ -151,7 +153,7 @@ def test_diopter_focal_roundtrip():
 # ---------------------------------------------------------------- the train
 
 def test_train_reference_geometry():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     assert t.sensor_back_mm == pytest.approx(39.516, abs=1e-2)
     assert 0.0 < t.d_ot_mm < t.f_zoom_mm
 
@@ -163,33 +165,47 @@ def test_train_rejects_bad_separation():
         optics.OpticalTrain(d_ref_mm=300.0)  # inside focal length
 
 
+@given(f=st.floats(*optics.ZOOM_RANGE_MM), excess=st.floats(0.0, 1e7, exclude_min=True))
+def test_derived_separation_is_the_fraction_of_the_image_distance(f, excess):
+    d_ref = f + excess
+    assume(d_ref > f)
+    want = optics.SEPARATION_FRACTION * optics.thin_lens_image_distance(f, d_ref)
+    if want < f:
+        assert optics.OpticalTrain(f_zoom_mm=f, d_ref_mm=d_ref).d_ot_mm == want
+    else:  # a base focus under about 9.5 f puts the derived lens past the focal point
+        with pytest.raises(ValueError, match="lens separation"):
+            optics.OpticalTrain(f_zoom_mm=f, d_ref_mm=d_ref)
+    pinned = optics.OpticalTrain(f_zoom_mm=f, d_ref_mm=d_ref, d_ot_mm=f / 2.0)
+    assert pinned.d_ot_mm == f / 2.0
+
+
 def test_power_zero_at_reference_distance():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     assert optics.tunable_power_for_focus(t, t.d_ref_mm) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_power_sign_convention():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     assert optics.tunable_power_for_focus(t, 3800.0) > 0.0  # nearer needs added power
     assert optics.tunable_power_for_focus(t, 7700.0) < 0.0
 
 
 def test_power_solution_focuses_exactly():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     for d in (3000.0, 3800.0, 5000.0, 6340.0, 7700.0, 8300.0):
         p = optics.tunable_power_for_focus(t, d)
         assert optics.blur_on_sensor_mm(t, p, d) < 1e-9
 
 
 def test_power_monotone_decreasing_in_distance():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     d = np.linspace(2800.0, 8300.0, 60)
     p = [optics.tunable_power_for_focus(t, x) for x in d]
     assert all(a > b for a, b in zip(p, p[1:]))
 
 
 def test_focus_distance_power_roundtrip():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     for p in (-8.0, -2.0, 0.0, 3.0, 9.5):
         d = optics.focus_distance_for_power(t, p)
         assert optics.tunable_power_for_focus(t, d) == pytest.approx(p, abs=1e-9)
@@ -197,7 +213,7 @@ def test_focus_distance_power_roundtrip():
 
 def test_focus_distance_past_collimation_is_the_near_limit():
     # a tunable lens close behind the zoom collimates its image at +2.73 dpt
-    t = optics.train_for_base_focus(350.0, 5000.0, d_ot_mm=10.0)
+    t = optics.OpticalTrain(d_ot_mm=10.0)
     assert optics.focus_distance_for_power(t, 10.0) == t.f_zoom_mm
     p = optics.tunable_power_for_focus(t, 400.0)
     assert p == pytest.approx(2.3713, abs=1e-4)
@@ -206,7 +222,7 @@ def test_focus_distance_past_collimation_is_the_near_limit():
 
 
 def test_focus_reach_covers_extension_band():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     near = optics.focus_distance_for_power(t, 10.0)
     far = optics.focus_distance_for_power(t, -10.0)
     assert near < 3800.0
@@ -215,7 +231,7 @@ def test_focus_reach_covers_extension_band():
 
 def test_blur_response_to_power_error():
     # +-0.1 dpt of repeatability never exceeds one blur circle anywhere in band
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     for d in (3800.0, 4380.0, 5000.0, 6340.0, 7700.0):
         p = optics.tunable_power_for_focus(t, d)
         assert optics.blur_on_sensor_mm(t, p + 0.1, d) < t.coc_mm
@@ -225,21 +241,21 @@ def test_blur_response_to_power_error():
 # ---------------------------------------------------------------- magnification
 
 def test_pixels_anchor_at_7700():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     px = optics.pixels_across_iris(t, 7700.0)
     assert px >= 200.0
     assert px == pytest.approx(200.0, abs=1e-4)
 
 
 def test_pixels_strictly_decreasing():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     d = np.linspace(3000.0, 9000.0, 40)
     px = [optics.pixels_across_iris(t, x) for x in d]
     assert all(a > b for a, b in zip(px, px[1:]))
 
 
 def test_pixels_band_above_gate():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     for d in (3800.0, 4380.0, 5000.0, 6340.0, 7000.0):
         assert optics.pixels_across_iris(t, d) > 200.0
     assert optics.pixels_across_iris(t, 8000.0) < 200.0
@@ -247,43 +263,43 @@ def test_pixels_band_above_gate():
 
 def test_pixels_far_field_halving():
     # deep in the far field doubling the distance halves the count
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     ratio = optics.pixels_across_iris(t, 2.0e6) / optics.pixels_across_iris(t, 4.0e6)
     assert ratio == pytest.approx(2.0, rel=0.02)
 
 
 def test_pixels_constant_across_rezoomed_trains():
     # the 0.07*d zoom pairing holds in-focus resolution constant at base focus
-    ref = optics.pixels_across_iris(optics.reference_train(), 5000.0)
+    ref = optics.pixels_across_iris(optics.OpticalTrain(), 5000.0)
     for d in (1000.0, 2000.0, 3000.0, 4000.0):
-        t = optics.train_for_base_focus(optics.zoom_focal_for_distance(d), d)
+        t = optics.OpticalTrain(f_zoom_mm=optics.zoom_focal_for_distance(d), d_ref_mm=d)
         assert optics.pixels_across_iris(t, d) == pytest.approx(ref, rel=1e-9)
 
 
 # ---------------------------------------------------------------- field of view
 
 def test_fov_anchors():
-    t70 = optics.train_for_base_focus(70.0, 1000.0)
+    t70 = optics.OpticalTrain(f_zoom_mm=70.0, d_ref_mm=1000.0)
     assert optics.field_of_view_deg(t70) == pytest.approx(18.0, abs=0.01)
-    t350 = optics.reference_train()
+    t350 = optics.OpticalTrain()
     assert optics.field_of_view_deg(t350) == pytest.approx(3.63, abs=0.01)
 
 
 def test_fov_widens_with_positive_power():
     # added convergence shortens the effective focal length
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     assert optics.field_of_view_deg(t, 5.0) > optics.field_of_view_deg(t, 0.0)
 
 
 def test_aperture_within_clear_opening():
     # tunable lens clear aperture is quoted up to 73 mm
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     assert t.aperture_mm == pytest.approx(350.0 / 4.8)
     assert t.aperture_mm < 73.0
 
 
 def test_capture_volume_reference_value():
-    t = optics.reference_train()
+    t = optics.OpticalTrain()
     # 0.0909 m depth x (0.317 m)^2 transverse; the quoted 0.04 m^3 headline
     # number is not reproducible from this geometry and is reported, not asserted
     assert optics.capture_volume_m3(t, 5000.0) == pytest.approx(0.0091, abs=0.0008)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from irissim import quality
-from irissim.optics import reference_train, tunable_power_for_focus
+from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import (
     QualityThresholds,
     brightness_score,
@@ -15,7 +15,7 @@ from irissim.quality import (
 from irissim.renderer import Frame, render_eye
 from irissim.scene import aim_angles
 
-TRAIN = reference_train()
+TRAIN = OpticalTrain()
 
 
 def frame_at(d_los, power=None, seed=9000, nseed=9, k_ast=0.0):

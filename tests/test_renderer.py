@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irissim import texture
-from irissim.optics import reference_train, tunable_power_for_focus
+from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
     LID_FRACTION,
@@ -20,7 +20,7 @@ from irissim.renderer import (
 )
 from irissim.scene import aim_angles
 
-TRAIN = reference_train()
+TRAIN = OpticalTrain()
 
 
 def frame_at(d_los, power=None, seed=4000, nseed=9, k_ast=0.0, **kwargs):

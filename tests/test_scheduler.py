@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irissim.config import rig_from_config
-from irissim.devices import LensParams
 from irissim.experiments import ExperimentResult, write_result
 from irissim.iriscode import encode_frame
 from irissim.optics import tunable_power_for_focus
@@ -14,7 +13,6 @@ from irissim.scheduler import (
     CSV_COLUMNS,
     ConstantVelocityTracker,
     capture_sequence,
-    focal_sweep_schedule,
     plan_order,
     setpoints_for,
     track_and_capture,
@@ -194,20 +192,6 @@ def test_throughput_metrics_counts():
     assert len(qualified) == 2
     assert sum(1 for e in qualified if e.matched) == 2
     assert log.events[-1].t_ms > log.events[0].t_ms
-
-
-# --- focal sweep -------------------------------------------------------------
-
-
-def test_focal_sweep_duration_raw_vs_filtered():
-    powers = [-1.0, 0.0, 1.0]
-    sched_raw, dur_raw = focal_sweep_schedule(LensParams(), powers)
-    sched_f, dur_f = focal_sweep_schedule(LensParams(mode="filtered"), powers)
-    assert dur_raw == pytest.approx(75.0)
-    assert dur_f == pytest.approx(37.5)
-    assert [t for t, _ in sched_raw] == [0.0, 25.0, 50.0]
-    assert [p for _, p in sched_raw] == powers
-    assert dur_f == pytest.approx(dur_raw / 2)
 
 
 # --- tracking ----------------------------------------------------------------
