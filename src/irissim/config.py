@@ -21,15 +21,16 @@ re-focus the train for each base (``base_train``), so they reject
 ``train.f_zoom_mm`` and ``train.d_ref_mm``.
 
 Validation fills ``seed`` and every omitted ``experiment`` key from the
-canonical scenario.  The device sections fall back to the dataclass
-defaults, not to the canonical scenario's overrides (for example its mirror
-height).  Validation then builds the rig once, so the dataclasses' own
-checks (ordered ranges, an exposure inside one frame, a lens separation
-inside the focal length, a finite frame period, snap grid and full-range
-slew, a repeatability no wider than the power range) reject a bad config.
-It also builds the train of every sweep base, keeps every dof_table
-distance and hd_curve position outside the zoom focal length and every
-sweep probe beyond the mirror, and checks the shared multiperson cast
+canonical scenario, then bounds the worst-case renders a sweep queues
+(``queued_renders``, at most ``MAX_RENDERS``).  The device sections fall
+back to the dataclass defaults, not to the canonical scenario's overrides
+(for example its mirror height).  Validation then builds the rig once, so
+the dataclasses' own checks (ordered ranges, an exposure inside one frame,
+a lens separation inside the focal length, a finite frame period, snap grid
+and full-range slew, a repeatability no wider than the power range) reject
+a bad config.  It also builds the train of every sweep base, keeps every
+dof_table distance and hd_curve position outside the zoom focal length and
+every sweep probe beyond the mirror, and checks the shared multiperson cast
 (``multiperson_cast``): unique ids, each subject within focus reach, and
 the mirror aim over its jitter envelope, the box of +/-4 sigma around the
 standing eye, inside the pan/tilt range.
@@ -52,6 +53,9 @@ from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
+# worst-case renders one sweep config may queue; the canonical dof_extension
+# queues at most 12,165
+MAX_RENDERS = 100_000
 
 
 class ConfigError(ValueError):
@@ -205,12 +209,42 @@ def validate_config(cfg: dict) -> dict:
     cfg.setdefault("seed", canonical["seed"])
     for key, value in canonical["experiment"].items():
         cfg["experiment"].setdefault(key, copy.deepcopy(value))
+    renders = queued_renders(cfg["experiment"])
+    if renders > MAX_RENDERS:
+        raise ConfigError(f"{kind} queues up to {renders:.0f} renders, more than the "
+                          f"{MAX_RENDERS} allowed; coarsen grid_mm or lower the counts")
     try:
         rig = rig_from_config(cfg)
         _check_experiment(cfg, rig)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return cfg
+
+
+def _steps(length: float, grid: float, whole=math.floor) -> float:
+    """Grid steps in ``length``, made ``whole``; beyond the render bound, a float."""
+    n = max(length, 0.0) / grid
+    return whole(n) if n <= MAX_RENDERS else n
+
+
+def queued_renders(exp: dict) -> float:
+    """Worst-case renders a sweep queues; 0 for the other kinds.
+
+    dof_extension: every repeat of every base renders its base cell and each
+    cell out to the runaway guard on both sides.  hd_curve: every position
+    and repeat, the template and two eyes per impostor pair.
+    """
+    if exp["kind"] == "dof_extension":
+        leg = calibration.PROBE_RIG.lens_height_mm
+        cells = sum(1 + _steps(min(base - 0.3 * base, base - leg), exp["grid_mm"])
+                    + _steps(2.0 * base, exp["grid_mm"])
+                    for base in exp["base_distances_mm"])
+        return exp["repeats"] * cells
+    if exp["kind"] == "hd_curve":
+        positions = (_steps(exp["span_near_mm"], exp["grid_mm"], round)
+                     + _steps(exp["span_far_mm"], exp["grid_mm"], round) + 1)
+        return positions * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
+    return 0
 
 
 def _check_experiment(cfg: dict, rig: CaptureRig) -> None:

@@ -2,10 +2,16 @@
 
 Each runner returns an ExperimentResult carrying the CSV payload, a short
 text summary, any qualified frames worth dumping, and a stats dict for
-programmatic checks.  The distance sweeps decompose into independent
-(position, repeat) or (base, repeat) units that are pure functions of the
-config, so the parallel path maps the same unit functions over a process
-pool and gets byte-identical output back.
+programmatic checks.  The distance sweeps decompose into independent units
+that are pure functions of the config, so the parallel path maps the same
+unit functions over a process pool and gets byte-identical output back.
+
+Each unit holds every repeat of one clean image, so the renderer's
+one-entry clean-image cache serves the repeats after the first.  A
+dof_extension unit is one (base, side): it walks outward from the base with
+all repeats in lockstep, each repeat stopping at its own gate, and the rows
+are then reassembled per (base, repeat) in position order.  An hd_curve
+unit is one position with all of its repeats.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
         header=("focus_mm", "near_mm", "far_mm", "total_mm", "fov_deg",
                 "capture_volume_m3"),
         rows=rows, summary=summary,
-        stats={"distances_mm": list(distances), "totals_mm": totals,
+        stats={"f_zoom_mm": f, "distances_mm": list(distances), "totals_mm": totals,
                "increasing": increasing},
     )
 
@@ -124,52 +130,64 @@ def _extension_cell(cfg, base, d, repeat):
     return report.passed, row
 
 
-def _extension_unit(args):
-    """Scan one (base, repeat): step outward from focus until the gate fails.
+def _extension_side(args):
+    """Walk one (base, side) outward from focus, all repeats in lockstep.
 
-    A side the runaway guard stopped before its gate failed found no limit:
-    its extent is only a lower bound, and the unit names it as cut.
+    At each position every repeat still passing is evaluated back to back,
+    so they share one clean image; a repeat stops at the first cell its gate
+    fails.  A repeat the runaway guard stopped before its gate failed found
+    no limit: its extent is only a lower bound, and the side is cut.
+    Returns the base cell of every repeat, the side's rows (in walk order)
+    and extent per repeat, and whether the guard cut the side.
     """
-    cfg, base, repeat = args
-    grid = cfg["experiment"]["grid_mm"]
+    cfg, base, sign = args
+    exp = cfg["experiment"]
+    grid = exp["grid_mm"]
     leg = calibration.PROBE_RIG.lens_height_mm
+    repeats = range(exp["repeats"])
 
-    ok0, row0 = _extension_cell(cfg, base, base, repeat)
-    rows = [row0]
-    extent = {-1.0: 0.0, 1.0: 0.0}  # front and rear
-    cut = []
-    if ok0:
-        for sign, side in ((-1.0, "front"), (1.0, "rear")):
-            k = 1
-            while True:
-                d = base + sign * k * grid
-                if d < 0.3 * base or d > 3.0 * base or d <= leg:
-                    cut.append(side)  # a runaway scan or no eye past the mirror
-                    break
-                ok, row = _extension_cell(cfg, base, d, repeat)
-                rows.append(row)
-                if not ok:
-                    break
-                extent[sign] = k * grid
-                k += 1
-    rows.sort(key=lambda r: r[2])
-    return base, repeat, extent[-1.0], extent[1.0], cut, rows
+    base_cells = [_extension_cell(cfg, base, base, r) for r in repeats]
+    live = [r for r in repeats if base_cells[r][0]]
+    rows = [[] for _ in repeats]
+    extent = [0.0 for _ in repeats]
+    cut = False
+    k = 1
+    while live:
+        d = base + sign * k * grid
+        if d < 0.3 * base or d > 3.0 * base or d <= leg:
+            cut = True  # a runaway scan or no eye past the mirror
+            break
+        passing = []
+        for r in live:
+            ok, row = _extension_cell(cfg, base, d, r)
+            rows[r].append(row)
+            if ok:
+                extent[r] = k * grid
+                passing.append(r)
+        live = passing
+        k += 1
+    return [row for _, row in base_cells], rows, extent, cut
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     bases = exp["base_distances_mm"]
     repeats = exp["repeats"]
-    units = [(cfg, b, r) for b in bases for r in range(repeats)]
-    results = _map_units(_extension_unit, units, parallel)
+    units = [(cfg, b, sign) for b in bases for sign in (-1.0, 1.0)]
+    results = _map_units(_extension_side, units, parallel)
 
-    rows = [row for *_ , unit_rows in results for row in unit_rows]
+    rows = []
     per_base: dict[float, dict] = {}
-    for base, _, front, rear, cut, _ in results:
+    for base, front, rear in zip(bases, results[0::2], results[1::2]):
+        base_rows, front_rows, front_mm, front_cut = front
+        _, rear_rows, rear_mm, rear_cut = rear
+        for r in range(repeats):  # each (base, repeat) scan in position order
+            rows += sorted([base_rows[r], *front_rows[r], *rear_rows[r]],
+                           key=lambda row: row[2])
         agg = per_base.setdefault(base, {"front": [], "rear": [], "cut": set()})
-        agg["front"].append(front)
-        agg["rear"].append(rear)
-        agg["cut"].update(cut)
+        agg["front"] += front_mm
+        agg["rear"] += rear_mm
+        agg["cut"].update(side for side, c in (("front", front_cut), ("rear", rear_cut)) if c)
 
     summary = []
     stats = {"guard_cut": []}
@@ -239,12 +257,16 @@ def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]
 # ----------------------------------------------------------------- hd_curve
 
 def _hd_unit(args):
-    cfg, position, repeat, template_bytes = args
+    """Every repeat at one position, back to back: (position, repeat, hd) rows."""
+    cfg, position, template_bytes = args
     exp = cfg["experiment"]
-    frame = _probe(cfg, exp["base_mm"], position, exp["identity_seed"], repeat)
-    code = iriscode.encode_frame(frame, circles="truth")
-    return position, repeat, iriscode.hamming_distance(
-        code, iriscode.from_bytes(template_bytes))
+    template = iriscode.from_bytes(template_bytes)
+    cells = []
+    for repeat in range(exp["repeats"]):
+        frame = _probe(cfg, exp["base_mm"], position, exp["identity_seed"], repeat)
+        code = iriscode.encode_frame(frame, circles="truth")
+        cells.append((position, repeat, iriscode.hamming_distance(code, template)))
+    return cells
 
 
 def _impostor_unit(args):
@@ -265,14 +287,13 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     positions = config.hd_positions(exp)
     template = iriscode.to_bytes(iriscode.encode_frame(
         _probe(cfg, base, base, exp["identity_seed"], 999_983), circles="truth"))
-    units = [(cfg, p, r, template) for p in positions for r in range(repeats)]
-    cells = _map_units(_hd_unit, units, parallel)
+    units = _map_units(_hd_unit, [(cfg, p, template) for p in positions], parallel)
+    rows = [cell for unit in units for cell in unit]
     impostors = _map_units(_impostor_unit,
                            [(cfg, k) for k in range(exp["impostor_pairs"])], parallel)
 
-    rows = list(cells)
     by_pos: dict[float, list[float]] = {}
-    for position, _, hd in cells:
+    for position, _, hd in rows:
         by_pos.setdefault(position, []).append(hd)
     mean_hd = {p: float(np.mean(v)) for p, v in by_pos.items()}
 

@@ -6,14 +6,19 @@ reflectances, constant illumination); what matters for the pipeline is
 that geometry, defocus, astigmatism, motion smear and sensor noise are
 faithful to the configured state and reproducible from the seeds.
 
-Degradations applied in order: defocus disk (diameter from the blur-circle
-model), anisotropic blur growing with the square of positive tunable-lens
-power (membrane sag under drive), motion smear over the exposure, optical
-transmission, then Gaussian read noise.
+An exposure runs in two stages.  The clean-optics stage draws the eye and
+applies, in order, the defocus disk (diameter from the blur-circle model),
+anisotropic blur growing with the square of positive tunable-lens power
+(membrane sag under drive), motion smear over the exposure and optical
+transmission.  It is a pure function of the frame geometry, so a one-entry
+cache (``_clean_image``) serves every repeat exposure of one geometry from
+a single render.  The exposure stage then adds Gaussian read noise from the
+frame's noise seed, clips and quantizes, once per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,20 +171,13 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     motion_px = (float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0)
                  * (px / optics.IRIS_DIAMETER_MM))
 
-    img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
-
-    if blur_px > 0.05:
-        img = _convolve_same(img, disk_kernel(blur_px))
-    if astig_sigma > 0.05:
-        img = gaussian_filter(img, sigma=(astig_sigma, 0.3 * astig_sigma), mode="nearest")
+    mdir = (1.0, 0.0)  # without a smear the cache key holds a fixed direction
     if motion_px > 0.5:
-        mdir = (1.0, 0.0)
-        if np.linalg.norm(v_perp) > 0:
-            u, w = _image_basis(e_hat)
-            mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
-        img = _convolve_same(img, line_kernel(motion_px, mdir))
+        u, w = _image_basis(e_hat)
+        mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
+    img = _clean_image(identity_seed, width, height, cx, cy, r_p, r_i,
+                       float(blur_px), float(astig_sigma), motion_px, mdir)
 
-    img = img * TRANSMISSION * 255.0
     rng = np.random.default_rng((int(noise_seed), 0x4652414D))
     img = img + rng.normal(0.0, READ_NOISE_GREY, img.shape)
     img = np.clip(img, 0, 255).astype(np.uint8)
@@ -191,13 +189,42 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     )
 
 
+# one entry: the sweeps expose every repeat of a geometry back to back, and
+# a 640x480 float image is 2.4 MB
+@functools.lru_cache(maxsize=1)
+def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: float,
+                 r_p: float, r_i: float, blur_px: float, astig_sigma: float,
+                 motion_px: float, mdir: tuple[float, float]) -> np.ndarray:
+    """The noise-free sensor image in grey levels (read-only): optics, no noise."""
+    img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
+    if blur_px > 0.05:
+        img = _convolve_same(img, disk_kernel(blur_px))
+    if astig_sigma > 0.05:
+        img = gaussian_filter(img, sigma=(astig_sigma, 0.3 * astig_sigma), mode="nearest")
+    if motion_px > 0.5:
+        img = _convolve_same(img, line_kernel(motion_px, mdir))
+    img = img * TRANSMISSION * 255.0
+    img.flags.writeable = False
+    return img
+
+
+def _span(c: float, r: float, n: int) -> tuple[int, int]:
+    """Pixel rows (or columns) within ``r`` of ``c`` plus one spare, clipped to [0, n)."""
+    lo = min(max(math.floor(c - r), 0), n)
+    return lo, max(min(math.ceil(c + r) + 1, n), lo)
+
+
 def _draw_eye(identity_seed: int, width: int, height: int,
               cx: float, cy: float, r_p: float, r_i: float) -> np.ndarray:
     tex = iris_texture(identity_seed)
-    yy, xx = np.ogrid[0:height, 0:width]
+    img = np.full((height, width), REFLECTANCE_SCLERA)
+    # every pixel the iris, pupil or lid covers lies inside the iris disk's box
+    y0, y1 = _span(cy, r_i, height)
+    x0, x1 = _span(cx, r_i, width)
+    box = img[y0:y1, x0:x1]
+    yy, xx = np.ogrid[y0:y1, x0:x1]
     dy, dx = np.broadcast_arrays(yy - cy, xx - cx)
     rr = np.hypot(dy, dx)
-    img = np.full((height, width), REFLECTANCE_SCLERA)
 
     ann = (rr >= r_p) & (rr < r_i)
     theta = np.arctan2(dy[ann], dx[ann]) % (2 * np.pi)
@@ -205,11 +232,11 @@ def _draw_eye(identity_seed: int, width: int, height: int,
     nr, na = tex.shape
     ri_idx = np.clip((radial * nr).astype(int), 0, nr - 1)
     ai_idx = (theta / (2 * np.pi) * na).astype(int) % na
-    img[ann] = tex[ri_idx, ai_idx]
+    box[ann] = tex[ri_idx, ai_idx]
 
-    img[rr < r_p] = REFLECTANCE_PUPIL
+    box[rr < r_p] = REFLECTANCE_PUPIL
     lid = yy < (cy - r_i * (1 - 2 * LID_FRACTION))
-    img[lid & (rr < r_i)] = REFLECTANCE_LID
+    box[lid & (rr < r_i)] = REFLECTANCE_LID
     return img
 
 

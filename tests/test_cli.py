@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +256,45 @@ def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
     failures = cli._check_failures("hd_curve", result)
     assert failures == ([] if ok else
                         ["hd dof 2000 mm below the gate dof 2059.84 mm"])
+
+
+def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsys):
+    # the 91 mm and 110 mm anchors describe the 350 mm lens's table
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, "experiment": {"kind": "dof_table"},
+                                "train": {"f_zoom_mm": 200.0}}))
+    assert cli.main(["dof-table", "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--check"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    stats = {"f_zoom_mm": 200.0, "distances_mm": [4000.0, 5000.0],
+             "totals_mm": [300.0, 290.0], "increasing": False}
+    result = experiments.ExperimentResult(name="dof_table", header=(), rows=[],
+                                          summary=[], stats=stats)
+    assert cli._check_failures("dof_table", result) == [
+        "dof not strictly increasing with distance"]
+
+
+@pytest.mark.parametrize("command, experiment, count", [
+    ("dof-extension", {"kind": "dof_extension", "grid_mm": 0.01}, "12150015"),
+    ("dof-extension", {"kind": "dof_extension", "repeats": 1_000_000}, "2433000000"),
+    ("hd-curve", {"kind": "hd_curve", "grid_mm": 0.01}, "3200106"),
+    ("hd-curve", {"kind": "hd_curve", "impostor_pairs": 10_000_000}, "20000326"),
+])
+def test_sweep_queuing_too_many_renders_exits_2(tmp_path, capsys, command,
+                                                experiment, count):
+    cfg = {"version": 1, "experiment": experiment}
+    _exits_2_naming(tmp_path, capsys, command, cfg,
+                    (f"queues up to {count} renders", str(config.MAX_RENDERS)))
+
+
+def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [config.default_config(kind) for kind in config._DEFAULTS]
+    configs += [cfg for w in workloads.WORKLOADS.values()
+                for cfg in workloads.configs_for(w, 0)]
+    for cfg in configs:
+        config.validate_config(cfg)
+        assert config.queued_renders(cfg["experiment"]) <= config.MAX_RENDERS
+    assert config.queued_renders(config.default_config("dof_extension")["experiment"]) \
+        == 12_165

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from irissim import config, experiments, optics
@@ -63,6 +64,54 @@ def test_extension_scan_stops_before_the_probe_leg():
     assert res.stats["guard_cut"] == [(400.0, "front"), (400.0, "rear")]
     assert res.summary[0] == ("dof_extension: base 0.4 m -> front ≥ 0.15 m, "
                               "rear ≥ 0.8 m, total ≥ 0.95 m")
+
+
+def _linear_scan(cfg, base, repeat):
+    """Reference: one (base, repeat) scanned alone, front then rear."""
+    grid = cfg["experiment"]["grid_mm"]
+    ok0, row0 = experiments._extension_cell(cfg, base, base, repeat)
+    rows = [row0]
+    extent = {-1.0: 0.0, 1.0: 0.0}
+    cut = set()
+    if ok0:
+        for sign, side in ((-1.0, "front"), (1.0, "rear")):
+            k = 1
+            while True:
+                d = base + sign * k * grid
+                if d < 0.3 * base or d > 3.0 * base or d <= PROBE_RIG.lens_height_mm:
+                    cut.add(side)
+                    break
+                ok, row = experiments._extension_cell(cfg, base, d, repeat)
+                rows.append(row)
+                if not ok:
+                    break
+                extent[sign] = k * grid
+                k += 1
+    rows.sort(key=lambda r: r[2])
+    return extent[-1.0], extent[1.0], cut, rows
+
+
+@pytest.mark.parametrize("experiment, train", [
+    ({"base_distances_mm": [5000.0], "grid_mm": 200.0, "repeats": 3}, {}),
+    # every cell passes, so the guard ends both sides of both repeats
+    ({"base_distances_mm": [400.0], "grid_mm": 100.0, "repeats": 2}, {"d_ot_mm": 10.0}),
+])
+def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(experiment)
+    cfg["train"] = train
+    cfg = config.validate_config(cfg)
+    res = experiments.run_dof_extension(cfg)
+    rows, guard_cut = [], []
+    for base in experiment["base_distances_mm"]:
+        scans = [_linear_scan(cfg, base, r) for r in range(experiment["repeats"])]
+        rows += [row for *_, scan_rows in scans for row in scan_rows]
+        assert res.stats[base]["front_mm"] == float(np.mean([s[0] for s in scans]))
+        assert res.stats[base]["rear_mm"] == float(np.mean([s[1] for s in scans]))
+        cut = set().union(*(s[2] for s in scans))
+        guard_cut += [(base, side) for side in ("front", "rear") if side in cut]
+    assert res.rows == rows
+    assert res.stats["guard_cut"] == guard_cut
 
 
 def test_analytic_limits_sit_on_their_anchors():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irissim import texture
+from irissim import renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
@@ -167,6 +167,32 @@ def test_iris_texture_cache_is_bounded():
     assert texture._sheet.cache_info().currsize == 4
 
 
+def test_clean_image_is_a_read_only_one_entry_cache():
+    assert renderer._clean_image.cache_info().maxsize == 1
+    args = (4000, 320, 240, 160.0, 120.0, 40.0, 100.0, 2.5, 0.8, 3.0, (0.6, 0.8))
+    img = renderer._clean_image(*args)
+    assert not img.flags.writeable
+    with pytest.raises(ValueError):
+        img[0, 0] = 0.0
+    fresh = renderer._clean_image.__wrapped__(*args)
+    assert fresh is not img
+    assert np.array_equal(img, fresh)
+
+
+def test_exposures_of_one_geometry_share_one_clean_image():
+    # defocus, astigmatism and smear all run, so the cached image covers them
+    kwargs = dict(power=1.0, k_ast=0.2, eye_velocity_mmps=(100.0, 0.0, 0.0))
+    renderer._clean_image.cache_clear()
+    frames = [frame_at(4000.0, nseed=n, **kwargs) for n in (1, 2)]
+    info = renderer._clean_image.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert frames[0].motion_px > 0.5 and frames[0].astig_sigma_px > 0.05
+    assert not np.array_equal(frames[0].image, frames[1].image)
+    for n, frame in zip((1, 2), frames):
+        renderer._clean_image.cache_clear()
+        assert np.array_equal(frame.image, frame_at(4000.0, nseed=n, **kwargs).image)
+
+
 def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
     tex = texture._sheet.__wrapped__(identity_seed)
     yy, xx = np.mgrid[0:height, 0:width]
@@ -187,7 +213,7 @@ def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
 
 @settings(max_examples=40, deadline=None)
 @given(height=st.integers(4, 240), width=st.integers(4, 320),
-       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       fx=st.floats(-0.5, 1.5), fy=st.floats(-0.5, 1.5),
        r_i=st.floats(1.0, 160.0), seed=st.integers(0, 50))
 def test_draw_eye_equals_the_full_grid_reference(height, width, fx, fy, r_i, seed):
     args = (seed, width, height, width * fx, height * fy, 0.4 * r_i, r_i)
