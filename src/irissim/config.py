@@ -21,7 +21,7 @@ re-focus the train for each base (``base_train``), so they reject
 ``train.f_zoom_mm`` and ``train.d_ref_mm``.
 
 Validation fills ``seed`` and every omitted ``experiment`` key from the
-canonical scenario, then bounds the worst-case renders a sweep queues
+canonical scenario, then bounds the worst-case renders a config queues
 (``queued_renders``, at most ``MAX_RENDERS``).  The device sections fall
 back to the dataclass defaults, not to the canonical scenario's overrides
 (for example its mirror height).  Validation then builds the rig once, so
@@ -32,8 +32,10 @@ a bad config.  It also builds the train of every sweep base, keeps every
 dof_table distance and hd_curve position outside the zoom focal length and
 every sweep probe beyond the mirror, and checks the shared multiperson cast
 (``multiperson_cast``): unique ids, each subject within focus reach, and
-the mirror aim over its jitter envelope, the box of +/-4 sigma around the
-standing eye, inside the pan/tilt range.
+its jitter envelope, the box of +/-4 sigma around the standing eye, beyond
+the zoom focal length and inside the mirror's pan/tilt range.  The iom
+walker's tracked aim envelope passes the same check at its closest
+approach, and its clamped defocus disk must fit the frame.
 """
 
 from __future__ import annotations
@@ -48,14 +50,18 @@ from . import calibration, optics
 from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
 from .optics import OpticalTrain
 from .quality import QualityThresholds
+from .renderer import BASE_WIDTH
 from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
     line_of_sight_mm, subject_at
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
-# worst-case renders one sweep config may queue; the canonical dof_extension
+# worst-case renders one config may queue; the canonical dof_extension
 # queues at most 12,165
 MAX_RENDERS = 100_000
+# a dof_extension side is a runaway scan once it leaves these multiples of
+# its base without its gate failing
+GUARD_FRACTIONS = (0.3, 3.0)
 
 
 class ConfigError(ValueError):
@@ -228,27 +234,35 @@ def _steps(length: float, grid: float, whole=math.floor) -> float:
 
 
 def queued_renders(exp: dict) -> float:
-    """Worst-case renders a sweep queues; 0 for the other kinds.
+    """Worst-case renders a config queues.
 
     dof_extension: every repeat of every base renders its base cell and each
     cell out to the runaway guard on both sides.  hd_curve: every position
-    and repeat, the template and two eyes per impostor pair.
+    and repeat, the template and two eyes per impostor pair.  multiperson:
+    one enrolment and the whole dwell budget per subject.  iom: both
+    variants' frames and one enrolment.  dof_table renders nothing.
     """
-    if exp["kind"] == "dof_extension":
+    kind = exp["kind"]
+    if kind == "dof_extension":
         leg = calibration.PROBE_RIG.lens_height_mm
-        cells = sum(1 + _steps(min(base - 0.3 * base, base - leg), exp["grid_mm"])
-                    + _steps(2.0 * base, exp["grid_mm"])
+        near, far = GUARD_FRACTIONS
+        cells = sum(1 + _steps(min(base - near * base, base - leg), exp["grid_mm"])
+                    + _steps(far * base - base, exp["grid_mm"])
                     for base in exp["base_distances_mm"])
         return exp["repeats"] * cells
-    if exp["kind"] == "hd_curve":
+    if kind == "hd_curve":
         positions = (_steps(exp["span_near_mm"], exp["grid_mm"], round)
                      + _steps(exp["span_far_mm"], exp["grid_mm"], round) + 1)
         return positions * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
+    if kind == "multiperson":
+        return len(exp["subjects"]) * (exp["dwell_budget"] + 1)
+    if kind == "iom":
+        return 2 * exp["n_frames"] + 1
     return 0
 
 
 def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
-    """Every train the experiment builds exists and every focus it asks for is real."""
+    """Every train the experiment builds exists and every focus and aim it asks for is real."""
     exp = cfg["experiment"]
     kind = exp["kind"]
     leg = calibration.PROBE_RIG.lens_height_mm
@@ -277,34 +291,72 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
         if nearest <= leg:
             raise ConfigError(f"hd_curve nearest position {nearest:.6g} mm {past_leg}")
     elif kind == "multiperson":
-        _check_subjects(multiperson_cast(cfg, rig), rig)
+        cast = multiperson_cast(cfg, rig)
+        _check_subjects(cast, rig)
+        lo, hi = rig.lens.params.power_range
+        for subject in cast:
+            d = line_of_sight_mm(subject.position_mm, rig.geometry)
+            power = optics.tunable_power_for_focus(rig.train, d)
+            if not lo <= power <= hi:
+                raise ConfigError(
+                    f"subject {subject.subject_id!r} at {d:.6g} mm line of sight needs "
+                    f"{power:.4g} dpt, outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
+    elif kind == "iom":
+        # The tracker aims at each frame's mid-exposure, a lead past its newest
+        # detection, and extrapolates the jitter of its last two detections
+        # over that lead: its aim stays within 1 + 2 * lead / period jitter
+        # envelopes of the walk.  That envelope, at the walk's closest approach
+        # to the mirror over the window, is checked like a standing subject's.
+        period = rig.sensor.frame_period_ms
+        lead = period + rig.sensor.exposure_ms / 2.0
+        t_first = exp["start_frame"] * period + rig.sensor.exposure_ms / 2.0
+        t_last = t_first + (exp["n_frames"] - 1) * period
+        y_first, y_last = (exp["start_y_mm"] - exp["speed_mmps"] * t / 1000.0
+                           for t in (t_first, t_last))
+        y_closest = min(max(y_last, 0.0), y_first)
+        sigma = max(exp["jitter_sigma_mm"], exp["ablation_jitter_sigma_mm"])
+        walker = subject_at("walker", exp["identity_seed"], y_closest, 0.0,
+                            exp["height_mm"], rig.geometry,
+                            jitter_sigma_mm=sigma * (1.0 + 2.0 * lead / period))
+        try:
+            _check_subjects([walker], rig)
+        except ConfigError as err:
+            raise ConfigError(f"iom walker at y = {y_closest:.6g} mm: {err}") from err
+        # Leaving focus reach is fine, as the lens clamps, but not so far that
+        # the defocus disk is wider than the frame: such a frame holds no image,
+        # and its render grows with the disk (one of 2,000 px takes gigabytes).
+        for y in (y_first, y_closest, y_last):
+            d = line_of_sight_mm((0.0, y, walker.position_mm[2]), rig.geometry)
+            power = optics.drive_power_for_focus(rig.train, d, rig.lens.params.power_range)
+            blur = optics.blur_on_sensor_mm(rig.train, power, d) / optics.PIXEL_PITCH_MM
+            if blur > BASE_WIDTH:
+                raise ConfigError(
+                    f"iom walker at y = {y:.6g} mm is so far out of focus reach that its "
+                    f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
 
 
 def _check_subjects(subjects: list[Subject], rig: CaptureRig) -> None:
-    """Ids are unique; every subject is in focus reach and mirror range."""
-    lo, hi = rig.lens.params.power_range
+    """Ids are unique, and every subject's jitter envelope can be aimed at.
+
+    The envelope is the box of +/-4 sigma around the eye.  All of it must lie
+    beyond the zoom focal length, and the mirror must reach every aim in it.
+    """
     seen = set()
     for subject in subjects:
         sid = subject.subject_id
         if sid in seen:
             raise ConfigError(f"subject id {sid!r} appears more than once")
         seen.add(sid)
-        d = line_of_sight_mm(subject.position_mm, rig.geometry)
-        try:
-            power = optics.tunable_power_for_focus(rig.train, d)
-        except ValueError as err:
-            raise ConfigError(f"subject {sid!r}: {err}") from err
-        if not lo <= power <= hi:
-            raise ConfigError(
-                f"subject {sid!r} at {d:.6g} mm line of sight needs {power:.4g} dpt, "
-                f"outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
-        # A capture aims at the jittered eye, inside a box of half-width reach.
         # Pan (the azimuth) peaks at a horizontal corner; tilt (45 deg plus half
         # the elevation) at the top or bottom and the nearest or farthest range.
         reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
         xs, ys, zs = ((c - reach, c + reach) for c in subject.position_mm)
         near = math.hypot(max(xs[0], 0.0, -xs[1]), max(ys[0], 0.0, -ys[1]))
         far = max(math.hypot(a, b) for a in xs for b in ys)
+        d = line_of_sight_mm((0.0, near, max(zs[0], 0.0, -zs[1])), rig.geometry)
+        if d <= rig.train.f_zoom_mm:
+            raise ConfigError(f"subject {sid!r} comes within a {d:.6g} mm line of sight, "
+                              f"inside the zoom focal length {rig.train.f_zoom_mm:.6g} mm")
         try:
             pans = [aim_angles((a, b, subject.position_mm[2]))[0] for a in xs for b in ys]
             tilts = [aim_angles((0.0, h, c))[1] for h in (near, far) for c in zs]

@@ -197,8 +197,7 @@ class SteeringMirror:
     def settled_at(self) -> float:
         if self._cmd_t == -math.inf:
             return -math.inf
-        delta = max(abs(self._to[0] - self._from[0]), abs(self._to[1] - self._from[1]))
-        return self._cmd_t + delta / self.params.max_speed_dps * 1000.0
+        return self._cmd_t + self.slew_time_ms(*self._to, from_pose=self._from)
 
     def is_settled(self, t_ms: float) -> bool:
         return t_ms >= self.settled_at

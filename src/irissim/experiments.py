@@ -8,10 +8,10 @@ unit functions over a process pool and gets byte-identical output back.
 
 Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  A
-dof_extension unit is one (base, side): it walks outward from the base with
-all repeats in lockstep, each repeat stopping at its own gate, and the rows
-are then reassembled per (base, repeat) in position order.  An hd_curve
-unit is one position with all of its repeats.
+dof_extension unit is one (base, side): all repeats walk outward in lockstep
+from the base cell, step 0, each stopping at its own gate, so a (base,
+repeat) scan in position order is the front walk reversed and then the rear
+walk past the base cell.  An hd_curve unit is one position's repeats.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -133,30 +133,27 @@ def _extension_cell(cfg, base, d, repeat):
 def _extension_side(args):
     """Walk one (base, side) outward from focus, all repeats in lockstep.
 
-    At each position every repeat still passing is evaluated back to back,
-    so they share one clean image; a repeat stops at the first cell its gate
-    fails.  A repeat the runaway guard stopped before its gate failed found
-    no limit: its extent is only a lower bound, and the side is cut.
-    Returns the base cell of every repeat, the side's rows (in walk order)
-    and extent per repeat, and whether the guard cut the side.
+    Step 0 is the base cell itself.  At each position every repeat still
+    passing is evaluated back to back, so they share one clean image; a
+    repeat stops at the first cell its gate fails.  A repeat the runaway
+    guard stopped before its gate failed found no limit: its extent is only
+    a lower bound, and the side is cut.  Returns each repeat's rows in walk
+    order and extent, and whether the guard cut the side.
     """
     cfg, base, sign = args
     exp = cfg["experiment"]
     grid = exp["grid_mm"]
     leg = calibration.PROBE_RIG.lens_height_mm
-    repeats = range(exp["repeats"])
+    near, far = config.GUARD_FRACTIONS
 
-    base_cells = [_extension_cell(cfg, base, base, r) for r in repeats]
-    live = [r for r in repeats if base_cells[r][0]]
-    rows = [[] for _ in repeats]
-    extent = [0.0 for _ in repeats]
-    cut = False
-    k = 1
+    live = list(range(exp["repeats"]))
+    rows = [[] for _ in live]
+    extent = [0.0 for _ in live]
+    k = 0
     while live:
         d = base + sign * k * grid
-        if d < 0.3 * base or d > 3.0 * base or d <= leg:
-            cut = True  # a runaway scan or no eye past the mirror
-            break
+        if d < near * base or d > far * base or d <= leg:
+            return rows, extent, True  # a runaway scan or no eye past the mirror
         passing = []
         for r in live:
             ok, row = _extension_cell(cfg, base, d, r)
@@ -166,38 +163,28 @@ def _extension_side(args):
                 passing.append(r)
         live = passing
         k += 1
-    return [row for _, row in base_cells], rows, extent, cut
+    return rows, extent, False
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     bases = exp["base_distances_mm"]
-    repeats = exp["repeats"]
     units = [(cfg, b, sign) for b in bases for sign in (-1.0, 1.0)]
     results = _map_units(_extension_side, units, parallel)
 
     rows = []
-    per_base: dict[float, dict] = {}
-    for base, front, rear in zip(bases, results[0::2], results[1::2]):
-        base_rows, front_rows, front_mm, front_cut = front
-        _, rear_rows, rear_mm, rear_cut = rear
-        for r in range(repeats):  # each (base, repeat) scan in position order
-            rows += sorted([base_rows[r], *front_rows[r], *rear_rows[r]],
-                           key=lambda row: row[2])
-        agg = per_base.setdefault(base, {"front": [], "rear": [], "cut": set()})
-        agg["front"] += front_mm
-        agg["rear"] += rear_mm
-        agg["cut"].update(side for side, c in (("front", front_cut), ("rear", rear_cut)) if c)
-
     summary = []
     stats = {"guard_cut": []}
-    for base in bases:
-        front = float(np.mean(per_base[base]["front"]))
-        rear = float(np.mean(per_base[base]["rear"]))
+    for base, (front_rows, front_ext, front_cut), (rear_rows, rear_ext, rear_cut) in zip(
+            bases, results[0::2], results[1::2]):
+        for f_rows, r_rows in zip(front_rows, rear_rows):  # both walks start at the base
+            rows += f_rows[::-1] + r_rows[1:]
+        front = float(np.mean(front_ext))
+        rear = float(np.mean(rear_ext))
         total = front + rear
-        cut = per_base[base]["cut"]
         stats[base] = {"front_mm": front, "rear_mm": rear, "total_mm": total}
-        stats["guard_cut"] += [(base, side) for side in ("front", "rear") if side in cut]
+        cut = [side for side, c in (("front", front_cut), ("rear", rear_cut)) if c]
+        stats["guard_cut"] += [(base, side) for side in cut]
         # a side the guard cut, and a total over it, is only a lower bound
         ge = {side: "≥ " if side in cut else "" for side in ("front", "rear")}
         ge["total"] = "≥ " if cut else ""
@@ -207,7 +194,7 @@ def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
         if base == 5000.0:
             line += f", {total / BASELINE_DOF_MM:.3g}x the {BASELINE_DOF_MM:.6g} mm baseline"
         summary.append(line)
-    totals = [stats[b]["total_mm"] for b in sorted(per_base)]
+    totals = [stats[b]["total_mm"] for b in sorted(set(bases))]
     ordered = all(b > a for a, b in zip(totals, totals[1:]))
     summary.append(f"dof_extension: monotone in base distance: {'yes' if ordered else 'NO'}")
     stats["ordered"] = ordered
@@ -289,17 +276,12 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
         _probe(cfg, base, base, exp["identity_seed"], 999_983), circles="truth"))
     units = _map_units(_hd_unit, [(cfg, p, template) for p in positions], parallel)
     rows = [cell for unit in units for cell in unit]
+    mean_hd = {p: float(np.mean([hd for *_, hd in unit])) for p, unit in zip(positions, units)}
     impostors = _map_units(_impostor_unit,
                            [(cfg, k) for k in range(exp["impostor_pairs"])], parallel)
 
-    by_pos: dict[float, list[float]] = {}
-    for position, _, hd in rows:
-        by_pos.setdefault(position, []).append(hd)
-    mean_hd = {p: float(np.mean(v)) for p, v in by_pos.items()}
-
     # contiguous sub-threshold interval through the focal plane
-    idx0 = positions.index(base)
-    lo = hi = idx0
+    lo = hi = positions.index(base)
     while lo > 0 and mean_hd[positions[lo - 1]] < iriscode.MATCH_THRESHOLD:
         lo -= 1
     while hi < len(positions) - 1 and mean_hd[positions[hi + 1]] < iriscode.MATCH_THRESHOLD:
@@ -374,7 +356,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
                     code, gallery[other])
 
     cycle_ms = log.events[-1].t_ms - log.events[0].t_ms  # events are time-ordered
-    rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
+    rows = [astuple(e) for e in log.events]
     frames = [(f"{tid}_t{t:.0f}ms", fr.image) for tid, t, fr in log.kept]
 
     stats = {

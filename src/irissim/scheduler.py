@@ -14,7 +14,7 @@ from positions observed up to frame k-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
 from .renderer import TargetMissed, render_eye
 from .scene import RigGeometry, Subject, aim_angles, eye_position, eye_velocity, line_of_sight_mm
-
-CSV_COLUMNS = ("t_ms", "event_type", "target_id", "pan_deg", "tilt_deg",
-               "power_dpt", "blur_px", "px_across_iris", "quality_pass",
-               "hd", "matched")
 
 DEFAULT_DWELL_BUDGET = 5
 
@@ -46,6 +42,9 @@ class Event:
     quality_pass: bool | None = None
     hd: float | None = None
     matched: bool | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(Event))
 
 
 class EventLog:

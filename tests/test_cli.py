@@ -279,6 +279,10 @@ def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsy
     ("dof-extension", {"kind": "dof_extension", "repeats": 1_000_000}, "2433000000"),
     ("hd-curve", {"kind": "hd_curve", "grid_mm": 0.01}, "3200106"),
     ("hd-curve", {"kind": "hd_curve", "impostor_pairs": 10_000_000}, "20000326"),
+    # two walker variants and one enrolment
+    ("iom", {"kind": "iom", "n_frames": 1_000_000_000}, "2000000001"),
+    # one enrolment and the whole dwell budget per subject
+    ("multiperson", {"kind": "multiperson", "dwell_budget": 1_000_000_000}, "2000000002"),
 ])
 def test_sweep_queuing_too_many_renders_exits_2(tmp_path, capsys, command,
                                                 experiment, count):
@@ -298,3 +302,32 @@ def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch
         assert config.queued_renders(cfg["experiment"]) <= config.MAX_RENDERS
     assert config.queued_renders(config.default_config("dof_extension")["experiment"]) \
         == 12_165
+
+
+@pytest.mark.parametrize("experiment, rig, words", [
+    # the walk crosses the mirror within the window
+    ({"n_frames": 101}, {}, ("y = 0 mm", "inside the zoom focal length 210 mm")),
+    ({"n_frames": 2, "start_y_mm": 530.0}, {}, ("y = 0 mm", "line of sight")),
+    ({"n_frames": 2, "start_y_mm": 545.0}, {}, ("y = 0 mm", "line of sight")),
+    # a mirror 980 mm below the eye needs over 60 deg of tilt inside 1.7 m
+    ({"n_frames": 3, "start_y_mm": 2250.0}, {"mirror_height_mm": 600.0},
+     ("y = 1658.34 mm", "jitter envelope", "tilt")),
+    # nearer than 1.1 m the clamped lens blurs the eye wider than the frame
+    ({"n_frames": 80}, {}, ("out of focus reach", "wider than the 640 px frame")),
+])
+def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, words):
+    cfg = config.default_config("iom")
+    cfg["experiment"].update(experiment)
+    cfg["rig"].update(rig)
+    with pytest.raises(config.ConfigError) as err:
+        config.validate_config(cfg)
+    for word in words:
+        assert word in str(err.value)
+
+
+def test_iom_walker_leaving_focus_reach_validates():
+    # the last of 60 frames is at a 1.54 m line of sight, 0.67 m nearer than the
+    # lens can focus, so the lens clamps
+    cfg = config.default_config("iom")
+    cfg["experiment"]["n_frames"] = 60
+    config.validate_config(cfg)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irissim import config, experiments, optics
 from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
@@ -95,6 +97,8 @@ def _linear_scan(cfg, base, repeat):
     ({"base_distances_mm": [5000.0], "grid_mm": 200.0, "repeats": 3}, {}),
     # every cell passes, so the guard ends both sides of both repeats
     ({"base_distances_mm": [400.0], "grid_mm": 100.0, "repeats": 2}, {"d_ot_mm": 10.0}),
+    # the runner pairs each base with its front and rear units
+    ({"base_distances_mm": [1000.0, 3000.0], "grid_mm": 200.0, "repeats": 2}, {}),
 ])
 def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
     cfg = config.default_config("dof_extension")
@@ -112,6 +116,19 @@ def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
         guard_cut += [(base, side) for side in ("front", "rear") if side in cut]
     assert res.rows == rows
     assert res.stats["guard_cut"] == guard_cut
+
+
+@settings(max_examples=20)
+@given(n_frames=st.integers(1, 3), start_y_mm=st.floats(200.0, 1500.0))
+def test_iom_config_runs_or_fails_validation(n_frames, start_y_mm):
+    cfg = config.default_config("iom")
+    cfg["experiment"].update(n_frames=n_frames, start_y_mm=start_y_mm)
+    try:
+        config.validate_config(cfg)
+    except config.ConfigError:
+        return
+    result = experiments.run_iom(cfg)
+    assert len(result.rows) == 2 * n_frames
 
 
 def test_analytic_limits_sit_on_their_anchors():

@@ -120,7 +120,7 @@ def _whole_frame_brightness(image, cx, cy, r_p, r_i):
     return float(image[ann].mean())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(height=st.integers(8, 200), width=st.integers(8, 260),
        fx=st.floats(-0.3, 1.3), fy=st.floats(-0.3, 1.3),
        r_i=st.floats(2.0, 150.0), pupil=st.floats(0.2, 0.7),

@@ -211,7 +211,7 @@ def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
     return img
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(height=st.integers(4, 240), width=st.integers(4, 320),
        fx=st.floats(-0.5, 1.5), fy=st.floats(-0.5, 1.5),
        r_i=st.floats(1.0, 160.0), seed=st.integers(0, 50))
