@@ -35,7 +35,8 @@ every sweep probe beyond the mirror, and checks the shared multiperson cast
 its jitter envelope, the box of +/-4 sigma around the standing eye, beyond
 the zoom focal length and inside the mirror's pan/tilt range.  The iom
 walker's tracked aim envelope passes the same check at its closest
-approach, and its clamped defocus disk must fit the frame.
+approach.  The clamped defocus disk of every iom frame and hd_curve position
+must fit the frame.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
 # worst-case renders one config may queue; the canonical dof_extension
-# queues at most 12,165
+# queues at most 12,180
 MAX_RENDERS = 100_000
 # a dof_extension side is a runaway scan once it leaves these multiples of
 # its base without its gate failing
@@ -236,17 +237,18 @@ def _steps(length: float, grid: float, whole=math.floor) -> float:
 def queued_renders(exp: dict) -> float:
     """Worst-case renders a config queues.
 
-    dof_extension: every repeat of every base renders its base cell and each
-    cell out to the runaway guard on both sides.  hd_curve: every position
-    and repeat, the template and two eyes per impostor pair.  multiperson:
-    one enrolment and the whole dwell budget per subject.  iom: both
-    variants' frames and one enrolment.  dof_table renders nothing.
+    dof_extension: every repeat of every base renders its base cell once per
+    side walk, and each cell out to the runaway guard on both sides.
+    hd_curve: every position and repeat, the template and two eyes per
+    impostor pair.  multiperson: one enrolment and the whole dwell budget
+    per subject.  iom: both variants' frames and one enrolment.  dof_table
+    renders nothing.
     """
     kind = exp["kind"]
     if kind == "dof_extension":
         leg = calibration.PROBE_RIG.lens_height_mm
         near, far = GUARD_FRACTIONS
-        cells = sum(1 + _steps(min(base - near * base, base - leg), exp["grid_mm"])
+        cells = sum(2 + _steps(min(base - near * base, base - leg), exp["grid_mm"])
                     + _steps(far * base - base, exp["grid_mm"])
                     for base in exp["base_distances_mm"])
         return exp["repeats"] * cells
@@ -282,14 +284,20 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             if base <= leg:
                 raise ConfigError(f"dof_extension base {base:.6g} mm {past_leg}")
     elif kind == "hd_curve":
-        f = base_train(cfg, exp["base_mm"]).f_zoom_mm
-        nearest = hd_positions(exp)[0]
+        train = base_train(cfg, exp["base_mm"])
+        f = train.f_zoom_mm
+        positions = hd_positions(exp)
+        nearest = positions[0]
         if nearest <= f:
             raise ConfigError(
                 f"hd_curve nearest position {nearest:.6g} mm (base_mm - span_near_mm) "
                 f"is inside the zoom focal length {f:.6g} mm")
         if nearest <= leg:
             raise ConfigError(f"hd_curve nearest position {nearest:.6g} mm {past_leg}")
+        # the disk grows away from focus reach, so the grid's ends bound it
+        lens_range = rig.lens.params.power_range
+        for end, d in (("nearest", nearest), ("farthest", positions[-1])):
+            _check_disk_fits(train, lens_range, d, f"hd_curve {end} position {d:.6g} mm")
     elif kind == "multiperson":
         cast = multiperson_cast(cfg, rig)
         _check_subjects(cast, rig)
@@ -322,17 +330,26 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             _check_subjects([walker], rig)
         except ConfigError as err:
             raise ConfigError(f"iom walker at y = {y_closest:.6g} mm: {err}") from err
-        # Leaving focus reach is fine, as the lens clamps, but not so far that
-        # the defocus disk is wider than the frame: such a frame holds no image,
-        # and its render grows with the disk (one of 2,000 px takes gigabytes).
         for y in (y_first, y_closest, y_last):
             d = line_of_sight_mm((0.0, y, walker.position_mm[2]), rig.geometry)
-            power = optics.drive_power_for_focus(rig.train, d, rig.lens.params.power_range)
-            blur = optics.blur_on_sensor_mm(rig.train, power, d) / optics.PIXEL_PITCH_MM
-            if blur > BASE_WIDTH:
-                raise ConfigError(
-                    f"iom walker at y = {y:.6g} mm is so far out of focus reach that its "
-                    f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
+            _check_disk_fits(rig.train, rig.lens.params.power_range, d,
+                             f"iom walker at y = {y:.6g} mm")
+
+
+def _check_disk_fits(train: OpticalTrain, power_range: tuple[float, float], d: float,
+                     where: str) -> None:
+    """The clamped lens images a ``d`` mm line of sight with a disk no wider than the frame.
+
+    Leaving focus reach is fine, as the lens clamps, but a frame whose defocus
+    disk is wider than the frame holds no image, and its render grows with the
+    square of the disk (one of 2,000 px takes gigabytes).
+    """
+    power = optics.drive_power_for_focus(train, d, power_range)
+    blur = optics.blur_on_sensor_mm(train, power, d) / optics.PIXEL_PITCH_MM
+    if blur > BASE_WIDTH:
+        raise ConfigError(
+            f"{where} is so far out of focus reach that its "
+            f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
 
 
 def _check_subjects(subjects: list[Subject], rig: CaptureRig) -> None:

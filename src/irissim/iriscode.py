@@ -68,12 +68,9 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
     angles = np.deg2rad(np.arange(20, 161, 2))  # downward sector, clear of the lid
     ca, sa = np.cos(angles), np.sin(angles)
     h, w = image.shape
-    im = image.astype(float)
-    profile = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        x = np.clip((cx + r * ca).astype(int), 0, w - 1)
-        y = np.clip((cy + r * sa).astype(int), 0, h - 1)
-        profile[i] = im[y, x].mean()
+    x = np.clip((cx + radii[:, None] * ca).astype(int), 0, w - 1)
+    y = np.clip((cy + radii[:, None] * sa).astype(int), 0, h - 1)
+    profile = image[y, x].astype(float).mean(axis=1)  # one ring per radius
     profile = gaussian_filter1d(profile, 2.0, mode="nearest")
     grad = np.gradient(profile)
     k = int(np.argmax(grad))

@@ -10,10 +10,13 @@ An exposure runs in two stages.  The clean-optics stage draws the eye and
 applies, in order, the defocus disk (diameter from the blur-circle model),
 anisotropic blur growing with the square of positive tunable-lens power
 (membrane sag under drive), motion smear over the exposure and optical
-transmission.  It is a pure function of the frame geometry, so a one-entry
-cache (``_clean_image``) serves every repeat exposure of one geometry from
-a single render.  The exposure stage then adds Gaussian read noise from the
-frame's noise seed, clips and quantizes, once per call.
+transmission.  Outside the iris disk's box the eye is flat sclera, which no
+stage changes, so the three optics stages run on the iris window only: that
+box grown by their summed kernel reach, whose edge padding at a canvas side
+is the canvas's own.  The stage is a pure function of the frame geometry, so
+a one-entry cache (``_clean_image``) serves every repeat exposure of one
+geometry from a single render.  The exposure stage then adds Gaussian read
+noise from the frame's noise seed, clips and quantizes, once per call.
 """
 
 from __future__ import annotations
@@ -197,12 +200,24 @@ def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: flo
                  motion_px: float, mdir: tuple[float, float]) -> np.ndarray:
     """The noise-free sensor image in grey levels (read-only): optics, no noise."""
     img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
-    if blur_px > 0.05:
-        img = _convolve_same(img, disk_kernel(blur_px))
-    if astig_sigma > 0.05:
-        img = gaussian_filter(img, sigma=(astig_sigma, 0.3 * astig_sigma), mode="nearest")
-    if motion_px > 0.5:
-        img = _convolve_same(img, line_kernel(motion_px, mdir))
+    disk = disk_kernel(blur_px) if blur_px > 0.05 else None
+    line = line_kernel(motion_px, mdir) if motion_px > 0.5 else None
+    sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
+    # Outside the iris disk's box the eye is flat sclera, which every stage
+    # leaves flat, so the stages run on that box grown by their summed reach
+    # (a kernel's half width; gaussian_filter truncates at 4 sigma).
+    reach = sum(k.shape[0] // 2 for k in (disk, line) if k is not None)
+    ry, rx = (int(4.0 * s + 0.5) for s in sigma) if sigma else (0, 0)
+    y0, y1 = _span(cy, r_i + reach + ry, height)
+    x0, x1 = _span(cx, r_i + reach + rx, width)
+    window = img[y0:y1, x0:x1]
+    if disk is not None:
+        window = _convolve_same(window, disk)
+    if sigma:
+        window = gaussian_filter(window, sigma=sigma, mode="nearest")
+    if line is not None:
+        window = _convolve_same(window, line)
+    img[y0:y1, x0:x1] = window
     img = img * TRANSMISSION * 255.0
     img.flags.writeable = False
     return img

@@ -246,8 +246,10 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("span_mm, ok", [(2100.0, True), (2000.0, False)])
 def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
     # the 3 m train's gate passes 2560 .. 4620 mm; the 5 m train's spans 3900 mm
+    # (the canonical 2.4 m near span would end at 600 mm, in a 1709 px disk)
     cfg = config.validate_config({"version": 1,
-                                  "experiment": {"kind": "hd_curve", "base_mm": 3000.0}})
+                                  "experiment": {"kind": "hd_curve", "base_mm": 3000.0,
+                                                 "span_near_mm": 1000.0}})
     stats = {"base_mm": 3000.0, "train": config.base_train(cfg, 3000.0),
              "positions": [3000.0], "mean_hd": {3000.0: 0.0}, "self_match": 0.0,
              "span_mm": span_mm, "impostor_n": 0}
@@ -275,8 +277,8 @@ def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command, experiment, count", [
-    ("dof-extension", {"kind": "dof_extension", "grid_mm": 0.01}, "12150015"),
-    ("dof-extension", {"kind": "dof_extension", "repeats": 1_000_000}, "2433000000"),
+    ("dof-extension", {"kind": "dof_extension", "grid_mm": 0.01}, "12150030"),
+    ("dof-extension", {"kind": "dof_extension", "repeats": 1_000_000}, "2436000000"),
     ("hd-curve", {"kind": "hd_curve", "grid_mm": 0.01}, "3200106"),
     ("hd-curve", {"kind": "hd_curve", "impostor_pairs": 10_000_000}, "20000326"),
     # two walker variants and one enrolment
@@ -301,7 +303,7 @@ def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch
         config.validate_config(cfg)
         assert config.queued_renders(cfg["experiment"]) <= config.MAX_RENDERS
     assert config.queued_renders(config.default_config("dof_extension")["experiment"]) \
-        == 12_165
+        == 12_180
 
 
 @pytest.mark.parametrize("experiment, rig, words", [
@@ -323,6 +325,19 @@ def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, word
         config.validate_config(cfg)
     for word in words:
         assert word in str(err.value)
+
+
+@pytest.mark.parametrize("experiment, words", [
+    # nearer than about 1.7 m the lens, clamped at +10 dpt, cannot focus
+    ({"span_near_mm": 3500.0}, ("nearest position 1500 mm", "966 px defocus disk")),
+    ({"span_near_mm": 4500.0}, ("nearest position 500 mm", "5318 px defocus disk")),
+    # 100 m out the lens, clamped at -10 dpt, cannot focus either
+    ({"span_far_mm": 95000.0}, ("farthest position 100000 mm", "742 px defocus disk")),
+])
+def test_hd_curve_blurring_wider_than_the_frame_exits_2(tmp_path, capsys, experiment, words):
+    cfg = {"version": 1, "experiment": {"kind": "hd_curve", **experiment}}
+    _exits_2_naming(tmp_path, capsys, "hd-curve", cfg,
+                    words + ("out of focus reach", "wider than the 640 px frame"))
 
 
 def test_iom_walker_leaving_focus_reach_validates():

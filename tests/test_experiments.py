@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irissim import config, experiments, optics
+from irissim import calibration, config, experiments, optics
 from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
 
 
@@ -116,6 +116,28 @@ def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
         guard_cut += [(base, side) for side in ("front", "rear") if side in cut]
     assert res.rows == rows
     assert res.stats["guard_cut"] == guard_cut
+
+
+def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
+    # every cell passes, so both sides of both repeats walk out to the guard
+    # (0.3x and 3x the base) and the run renders its whole worst case
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(base_distances_mm=[1000.0], grid_mm=250.0, repeats=2)
+    cfg["quality"] = {"sharpness_min": 1e-9, "min_px_across_iris": 1.0}
+    cfg = config.validate_config(cfg)
+    distances = []
+
+    def render_eye(*args, **kwargs):
+        distances.append(kwargs["eye_pos_mm"][1] + PROBE_RIG.lens_height_mm)
+        return real_render_eye(*args, **kwargs)
+
+    real_render_eye = calibration.render_eye
+    monkeypatch.setattr(calibration, "render_eye", render_eye)
+    res = experiments.run_dof_extension(cfg)
+    assert res.stats["guard_cut"] == [(1000.0, "front"), (1000.0, "rear")]
+    # both side walks render the base cell of each repeat, as their step 0
+    assert distances.count(1000.0) == 2 * 2
+    assert len(distances) == config.queued_renders(cfg["experiment"]) == 24
 
 
 @settings(max_examples=20)

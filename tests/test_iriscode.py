@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
 from irissim.iriscode import (
     MATCH_THRESHOLD,
@@ -87,6 +88,42 @@ def test_detect_circles_match_ground_truth():
         assert abs(cy - f.cy) < 0.5
         assert abs(r_p - f.r_pupil_px) < 1.0
         assert abs(r_i - f.r_iris_px) < 1.5
+
+
+def _loop_detect_circles(image):
+    """Reference: the limbus profile sampled one radius at a time."""
+    dark = image < 40
+    n_dark = int(dark.sum())
+    ys, xs = np.nonzero(dark)
+    cx, cy = float(xs.mean()), float(ys.mean())
+    r_p = float(np.sqrt(n_dark / np.pi))
+    radii = np.arange(1.5 * r_p, 4.0 * r_p, 1.0)
+    angles = np.deg2rad(np.arange(20, 161, 2))
+    ca, sa = np.cos(angles), np.sin(angles)
+    h, w = image.shape
+    im = image.astype(float)
+    profile = np.empty(radii.size)
+    for i, r in enumerate(radii):
+        x = np.clip((cx + r * ca).astype(int), 0, w - 1)
+        y = np.clip((cy + r * sa).astype(int), 0, h - 1)
+        profile[i] = im[y, x].mean()
+    grad = np.gradient(gaussian_filter1d(profile, 2.0, mode="nearest"))
+    k = int(np.argmax(grad))
+    if 0 < k < grad.size - 1:
+        denom = grad[k - 1] - 2 * grad[k] + grad[k + 1]
+        if abs(denom) > 1e-12:
+            k = k + 0.5 * (grad[k - 1] - grad[k + 1]) / denom
+    return cx, cy, r_p, float(np.interp(k, np.arange(radii.size), radii))
+
+
+@pytest.mark.parametrize("d_los, power_offset", [
+    (3800.0, 0.0), (5000.0, 0.0), (7700.0, 0.0), (5000.0, 0.3), (2000.0, 0.0)])
+def test_detect_circles_equals_the_per_radius_reference(d_los, power_offset):
+    # full 640x480 frames, sharp and defocused; at 2 m the outer rings leave the frame
+    power = tunable_power_for_focus(TRAIN, d_los) + power_offset
+    image = frame_at(d_los, 7000, 13, power=power).image
+    assert image.shape == (480, 640)
+    assert detect_circles(image) == _loop_detect_circles(image)
 
 
 def test_detect_mode_encoding_still_matches():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+from scipy.ndimage import gaussian_filter
 
-from irissim import renderer, texture
+from irissim import config, renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
@@ -218,3 +222,71 @@ def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
 def test_draw_eye_equals_the_full_grid_reference(height, width, fx, fy, r_i, seed):
     args = (seed, width, height, width * fx, height * fy, 0.4 * r_i, r_i)
     assert np.array_equal(_draw_eye(*args), _mgrid_eye(*args))
+
+
+def _whole_canvas_clean(identity_seed, width, height, cx, cy, r_p, r_i,
+                        blur_px, astig_sigma, motion_px, mdir):
+    """Reference: every optics stage over the whole edge-padded canvas."""
+    img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
+    if blur_px > 0.05:
+        img = renderer._convolve_same(img, disk_kernel(blur_px))
+    if astig_sigma > 0.05:
+        img = gaussian_filter(img, sigma=(astig_sigma, 0.3 * astig_sigma), mode="nearest")
+    if motion_px > 0.5:
+        img = renderer._convolve_same(img, line_kernel(motion_px, mdir))
+    return img * renderer.TRANSMISSION * 255.0
+
+
+@pytest.mark.parametrize("stages", [{"blur"}, {"astig"}, {"motion"},
+                                    {"blur", "astig", "motion"}])
+@settings(max_examples=12)
+@given(r_i=st.floats(4.0, 60.0), tight=st.booleans(),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       blur=st.floats(0.06, 24.0), astig=st.floats(0.06, 4.0),
+       motion=st.floats(0.6, 16.0), angle=st.floats(0.0, 2 * math.pi),
+       seed=st.integers(0, 50))
+def test_windowed_optics_equal_the_whole_canvas_reference(stages, r_i, tight, fx, fy, blur,
+                                                          astig, motion, angle, seed):
+    # the tight crop (base_canvas=(0, 0)) is 1.3 iris radii from the centre, and
+    # fx, fy at 0 or 1 put the iris where render_eye still takes it, against a side
+    side = 2 * math.ceil(renderer._MARGIN * r_i)
+    width, height = (side, side) if tight else (side + 90, side + 60)
+    cx = 1.05 * r_i + fx * (width - 2.1 * r_i)
+    cy = 1.05 * r_i + fy * (height - 2.1 * r_i)
+    args = (seed, width, height, cx, cy, 0.4 * r_i, r_i,
+            blur if "blur" in stages else 0.0, astig if "astig" in stages else 0.0,
+            motion if "motion" in stages else 0.0, (math.cos(angle), math.sin(angle)))
+    assert_allclose(renderer._clean_image.__wrapped__(*args), _whole_canvas_clean(*args),
+                    rtol=0.0, atol=1e-9)
+
+
+def test_optics_stages_see_only_the_iris_window(monkeypatch):
+    # a canonical iom frame on the 640x480 canvas: the walker 3.3 m out,
+    # focused 0.2 dpt off and swaying sideways, so defocus and smear both run
+    shapes = []
+
+    def recorder(fn):
+        def record(img, *args, **kwargs):
+            shapes.append(img.shape)
+            return fn(img, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(renderer, "fftconvolve", recorder(renderer.fftconvolve))
+    monkeypatch.setattr(renderer, "gaussian_filter", recorder(renderer.gaussian_filter))
+    renderer._clean_image.cache_clear()
+    train = config.rig_from_config(config.default_config("iom")).train
+    eye = (0.0, 3100.0, 0.0)
+    pan, tilt = aim_angles(eye)
+    f = render_eye(train, power_dpt=tunable_power_for_focus(train, 3300.0) + 0.2,
+                   pan_deg=pan, tilt_deg=tilt, eye_pos_mm=eye, identity_seed=3377,
+                   noise_seed=1, eye_velocity_mmps=(100.0, -1000.0, 0.0))
+    assert f.image.shape == (480, 640)
+    assert f.blur_px > 0.05 and f.motion_px > 0.5
+    assert len(shapes) == 2
+    # the iris disk's box grown by both kernels' reach, plus the edge padding
+    # each convolution adds
+    reach = (disk_kernel(f.blur_px).shape[0] // 2
+             + line_kernel(f.motion_px, (1.0, 0.0)).shape[0] // 2)
+    window = 2 * math.ceil(f.r_iris_px + reach) + 2
+    assert all(max(shape) <= window + 2 * reach for shape in shapes)
+    assert window + 2 * reach < 280
