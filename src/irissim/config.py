@@ -28,33 +28,35 @@ back to the dataclass defaults, not to the canonical scenario's overrides
 the dataclasses' own checks (ordered ranges, an exposure inside one frame,
 a lens separation inside the focal length, a finite frame period, snap grid
 and full-range slew, a repeatability no wider than the power range) reject
-a bad config.  It also builds the train of every sweep base, keeps every
-dof_table distance and hd_curve position outside the zoom focal length and
-every sweep probe beyond the mirror, and checks the shared multiperson cast
-(``multiperson_cast``): unique ids, each subject within focus reach, and
-its jitter envelope, the box of +/-4 sigma around the standing eye, beyond
-the zoom focal length and inside the mirror's pan/tilt range.  The iom
-walker's tracked aim envelope passes the same check at its closest
-approach.  The clamped defocus disk of every iom frame and hd_curve position
-must fit the frame.
+a bad config.  It also builds the train of every sweep base and reads the
+plans the runners follow: the side walks (``side_walk``), the hd_curve grid
+(``hd_positions``), the multiperson cast and the iom enrolment and walkers
+(``multiperson_cast``, ``iom_cast``) with the tracker's frames
+(``scheduler.tracker_plan``).  Every aim the tracker commands must lie in
+the mirror's range, and every planned sight passes one predicate,
+``_check_sight``.  A multiperson subject's command times depend on how its
+dwell goes, so the box of +/-4 sigma around its standing eye bounds its
+sights and aims, and ids must be unique.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
+from collections.abc import Iterator
 
 import jsonschema
 
-from . import calibration, optics
+from . import calibration, iriscode, optics
 from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
 from .optics import OpticalTrain
 from .quality import QualityThresholds
 from .renderer import BASE_WIDTH
-from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
-    line_of_sight_mm, subject_at
-from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
+from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, TrajectorySegment, \
+    aim_angles, eye_position, line_of_sight_mm, subject_at
+from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, setpoints_for, tracker_plan
 
 SCHEMA_VERSION = 1
 # worst-case renders one config may queue; the canonical dof_extension
@@ -193,6 +195,7 @@ SCHEMA = _obj({
     "rig": _RIG,
     "quality": _QUALITY,
 }, required=["version", "experiment"])
+_SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -201,9 +204,8 @@ def validate_config(cfg: dict) -> dict:
     Fills ``seed`` and the omitted ``experiment`` keys in place from the
     canonical scenario of the experiment's kind, and returns ``cfg``.
     """
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_SCHEMA_VALIDATOR.iter_errors(cfg))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
     kind = cfg["experiment"]["kind"]
@@ -228,34 +230,49 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _steps(length: float, grid: float, whole=math.floor) -> float:
-    """Grid steps in ``length``, made ``whole``; beyond the render bound, a float."""
-    n = max(length, 0.0) / grid
-    return whole(n) if n <= MAX_RENDERS else n
+def side_walk(base: float, grid: float, sign: float) -> tuple[float, Iterator[float]]:
+    """One dof_extension side walk: its whole grid steps, and its positions.
+
+    From the base cell, k = 0, the walk probes ``base + sign * k * grid``
+    inside GUARD_FRACTIONS of the base and beyond the probe's mirror-to-lens
+    leg.  Float rounding can add or drop the last cell, so the steps (a
+    float beyond the render bound) only estimate what the positions count.
+    """
+    leg = calibration.PROBE_RIG.lens_height_mm
+    lo, hi = (f * base for f in GUARD_FRACTIONS)
+    steps = max(sign * ((hi if sign > 0 else max(lo, leg)) - base), 0.0) / grid
+    positions = (base + sign * k * grid for k in itertools.count())
+    return (math.floor(steps) if steps <= MAX_RENDERS else steps,
+            itertools.takewhile(lambda d: lo <= d <= hi and d > leg, positions))
+
+
+def _hd_steps(exp: dict) -> list:
+    """hd_curve grid steps below and above the base; floats beyond the render bound."""
+    steps = (exp[key] / exp["grid_mm"] for key in ("span_near_mm", "span_far_mm"))
+    return [round(n) if n <= MAX_RENDERS else n for n in steps]
 
 
 def queued_renders(exp: dict) -> float:
     """Worst-case renders a config queues.
 
-    dof_extension: every repeat of every base renders its base cell once per
-    side walk, and each cell out to the runaway guard on both sides.
-    hd_curve: every position and repeat, the template and two eyes per
-    impostor pair.  multiperson: one enrolment and the whole dwell budget
-    per subject.  iom: both variants' frames and one enrolment.  dof_table
+    dof_extension: every repeat renders each cell of both side walks of
+    every base, the base cell twice; above the render bound, as their steps
+    estimate it.  hd_curve: every position and repeat, the template and two
+    eyes per impostor pair.  multiperson: one enrolment and the whole dwell
+    budget per subject.  iom: both variants' frames and one enrolment.  dof_table
     renders nothing.
     """
     kind = exp["kind"]
     if kind == "dof_extension":
-        leg = calibration.PROBE_RIG.lens_height_mm
-        near, far = GUARD_FRACTIONS
-        cells = sum(2 + _steps(min(base - near * base, base - leg), exp["grid_mm"])
-                    + _steps(far * base - base, exp["grid_mm"])
-                    for base in exp["base_distances_mm"])
+        walks = [side_walk(base, exp["grid_mm"], sign)
+                 for base in exp["base_distances_mm"] for sign in (-1.0, 1.0)]
+        cells = sum(1 + steps for steps, _ in walks)
+        if exp["repeats"] * cells <= MAX_RENDERS:
+            cells = sum(1 for _, positions in walks for _ in positions)
         return exp["repeats"] * cells
     if kind == "hd_curve":
-        positions = (_steps(exp["span_near_mm"], exp["grid_mm"], round)
-                     + _steps(exp["span_far_mm"], exp["grid_mm"], round) + 1)
-        return positions * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
+        n_near, n_far = _hd_steps(exp)
+        return (n_near + n_far + 1) * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
     if kind == "multiperson":
         return len(exp["subjects"]) * (exp["dwell_budget"] + 1)
     if kind == "iom":
@@ -264,86 +281,100 @@ def queued_renders(exp: dict) -> float:
 
 
 def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
-    """Every train the experiment builds exists and every focus and aim it asks for is real."""
+    """Every train the experiment builds exists; every aim and sight it plans can be imaged."""
     exp = cfg["experiment"]
     kind = exp["kind"]
     leg = calibration.PROBE_RIG.lens_height_mm
-    past_leg = f"is not beyond the probe's {leg:.6g} mm mirror-to-lens leg"
+    power_range = rig.lens.params.power_range
     if kind == "dof_table":
-        f = rig.train.f_zoom_mm
         for d in exp["distances_mm"]:
-            if d <= f:
-                raise ConfigError(f"dof_table distance {d:.6g} mm is inside the "
-                                  f"zoom focal length {f:.6g} mm")
+            _check_sight(f"dof_table distance {d:.6g} mm", d, rig.train)
     elif kind == "dof_extension":
         for base in exp["base_distances_mm"]:
             try:
-                base_train(cfg, base)
+                train = base_train(cfg, base)
             except ValueError as err:
                 raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
-            if base <= leg:
-                raise ConfigError(f"dof_extension base {base:.6g} mm {past_leg}")
+            _check_sight(f"dof_extension base {base:.6g} mm", base, train, leg=leg)
     elif kind == "hd_curve":
         train = base_train(cfg, exp["base_mm"])
-        f = train.f_zoom_mm
         positions = hd_positions(exp)
-        nearest = positions[0]
-        if nearest <= f:
-            raise ConfigError(
-                f"hd_curve nearest position {nearest:.6g} mm (base_mm - span_near_mm) "
-                f"is inside the zoom focal length {f:.6g} mm")
-        if nearest <= leg:
-            raise ConfigError(f"hd_curve nearest position {nearest:.6g} mm {past_leg}")
         # the disk grows away from focus reach, so the grid's ends bound it
-        lens_range = rig.lens.params.power_range
-        for end, d in (("nearest", nearest), ("farthest", positions[-1])):
-            _check_disk_fits(train, lens_range, d, f"hd_curve {end} position {d:.6g} mm")
+        for end, d in (("nearest", positions[0]), ("farthest", positions[-1])):
+            _check_sight(f"hd_curve {end} position {d:.6g} mm", d, train, leg=leg,
+                         power_range=power_range)
     elif kind == "multiperson":
-        cast = multiperson_cast(cfg, rig)
-        _check_subjects(cast, rig)
-        lo, hi = rig.lens.params.power_range
-        for subject in cast:
-            d = line_of_sight_mm(subject.position_mm, rig.geometry)
-            power = optics.tunable_power_for_focus(rig.train, d)
-            if not lo <= power <= hi:
-                raise ConfigError(
-                    f"subject {subject.subject_id!r} at {d:.6g} mm line of sight needs "
-                    f"{power:.4g} dpt, outside the lens range [{lo:.6g}, {hi:.6g}] dpt")
+        seen = set()
+        for subject in multiperson_cast(cfg, rig):
+            sid = subject.subject_id
+            if sid in seen:
+                raise ConfigError(f"subject id {sid!r} appears more than once")
+            seen.add(sid)
+            # Over the box, pan (the azimuth) peaks at a horizontal corner; tilt
+            # (45 deg plus half the elevation) at the top or bottom and the
+            # nearest or farthest range.
+            reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
+            xs, ys, zs = ((c - reach, c + reach) for c in subject.position_mm)
+            near = math.hypot(max(xs[0], 0.0, -xs[1]), max(ys[0], 0.0, -ys[1]))
+            far = max(math.hypot(a, b) for a in xs for b in ys)
+            d = line_of_sight_mm((0.0, near, max(zs[0], 0.0, -zs[1])), rig.geometry)
+            _check_sight(f"subject {sid!r} at its nearest ({d:.6g} mm line of sight)", d,
+                         rig.train)
+            try:
+                pans = [aim_angles((a, b, subject.position_mm[2]))[0] for a in xs for b in ys]
+                tilts = [aim_angles((0.0, h, c))[1] for h in (near, far) for c in zs]
+                rig.mirror.check_range(min(pans), min(tilts))
+                rig.mirror.check_range(max(pans), max(tilts))
+            except ValueError as err:
+                raise ConfigError(f"subject {sid!r} over its jitter envelope: {err}") from err
+            d = line_of_sight_mm(subject.position_mm, rig.geometry)  # enrolled standing
+            _check_sight(f"subject {sid!r} at {d:.6g} mm line of sight", d, rig.train,
+                         power_range=power_range, enrolment=True)
     elif kind == "iom":
-        # The tracker aims at each frame's mid-exposure, a lead past its newest
-        # detection, and extrapolates the jitter of its last two detections
-        # over that lead: its aim stays within 1 + 2 * lead / period jitter
-        # envelopes of the walk.  That envelope, at the walk's closest approach
-        # to the mirror over the window, is checked like a standing subject's.
-        period = rig.sensor.frame_period_ms
-        lead = period + rig.sensor.exposure_ms / 2.0
-        t_first = exp["start_frame"] * period + rig.sensor.exposure_ms / 2.0
-        t_last = t_first + (exp["n_frames"] - 1) * period
-        y_first, y_last = (exp["start_y_mm"] - exp["speed_mmps"] * t / 1000.0
-                           for t in (t_first, t_last))
-        y_closest = min(max(y_last, 0.0), y_first)
-        sigma = max(exp["jitter_sigma_mm"], exp["ablation_jitter_sigma_mm"])
-        walker = subject_at("walker", exp["identity_seed"], y_closest, 0.0,
-                            exp["height_mm"], rig.geometry,
-                            jitter_sigma_mm=sigma * (1.0 + 2.0 * lead / period))
-        try:
-            _check_subjects([walker], rig)
-        except ConfigError as err:
-            raise ConfigError(f"iom walker at y = {y_closest:.6g} mm: {err}") from err
-        for y in (y_first, y_closest, y_last):
-            d = line_of_sight_mm((0.0, y, walker.position_mm[2]), rig.geometry)
-            _check_disk_fits(rig.train, rig.lens.params.power_range, d,
-                             f"iom walker at y = {y:.6g} mm")
+        enrolment, walkers = iom_cast(cfg, rig)
+        d = line_of_sight_mm(enrolment.position_mm, rig.geometry)
+        _check_sight(f"iom enrolment at {d:.6g} mm line of sight", d, rig.train,
+                     power_range=power_range, enrolment=True)
+        for variant, walker in walkers:
+            plan = tracker_plan(rig, walker, exp["n_frames"], exp["start_frame"])
+            for frame, (_, t_mid, eye) in enumerate(plan, exp["start_frame"]):
+                where = f"iom {variant} walker at frame {frame}"
+                try:  # the aim and focus commanded at the predicted eye
+                    pan, tilt, _ = setpoints_for(rig, eye)
+                    rig.mirror.check_range(pan, tilt)
+                except ValueError as err:
+                    raise ConfigError(f"{where}: {err}") from err
+                d = line_of_sight_mm(eye_position(walker, t_mid), rig.geometry)
+                _check_sight(f"{where} ({d:.6g} mm line of sight)", d, rig.train,
+                             power_range=power_range)
 
 
-def _check_disk_fits(train: OpticalTrain, power_range: tuple[float, float], d: float,
-                     where: str) -> None:
-    """The clamped lens images a ``d`` mm line of sight with a disk no wider than the frame.
+def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
+                 power_range: tuple[float, float] | None = None,
+                 enrolment: bool = False) -> None:
+    """``where``, ``d`` mm down the line of sight, is beyond the zoom focal length and ``leg``.
 
-    Leaving focus reach is fine, as the lens clamps, but a frame whose defocus
-    disk is wider than the frame holds no image, and its render grows with the
-    square of the disk (one of 2,000 px takes gigabytes).
+    Given a lens ``power_range``, an enrolment lies within focus reach and
+    spans ``iriscode.MIN_PX_TO_DETECT``, and the clamped lens's defocus disk
+    fits the frame: a wider one holds no image and its render grows with its
+    square.
     """
+    f = train.f_zoom_mm
+    if d <= f:
+        raise ConfigError(f"{where} is inside the zoom focal length {f:.6g} mm")
+    if d <= leg:
+        raise ConfigError(f"{where} is not beyond the probe's {leg:.6g} mm mirror-to-lens leg")
+    if power_range is None:
+        return
+    lo, hi = power_range
+    power = optics.tunable_power_for_focus(train, d)
+    if enrolment and not lo <= power <= hi:
+        raise ConfigError(f"{where} needs {power:.4g} dpt, outside the lens range "
+                          f"[{lo:.6g}, {hi:.6g}] dpt")
+    px = optics.pixels_across_iris(train, d)
+    if enrolment and px < iriscode.MIN_PX_TO_DETECT:
+        raise ConfigError(f"{where} images {px:.6g} px across the iris, fewer than the "
+                          f"{iriscode.MIN_PX_TO_DETECT:.6g} px iris detection needs")
     power = optics.drive_power_for_focus(train, d, power_range)
     blur = optics.blur_on_sensor_mm(train, power, d) / optics.PIXEL_PITCH_MM
     if blur > BASE_WIDTH:
@@ -352,43 +383,28 @@ def _check_disk_fits(train: OpticalTrain, power_range: tuple[float, float], d: f
             f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
 
 
-def _check_subjects(subjects: list[Subject], rig: CaptureRig) -> None:
-    """Ids are unique, and every subject's jitter envelope can be aimed at.
-
-    The envelope is the box of +/-4 sigma around the eye.  All of it must lie
-    beyond the zoom focal length, and the mirror must reach every aim in it.
-    """
-    seen = set()
-    for subject in subjects:
-        sid = subject.subject_id
-        if sid in seen:
-            raise ConfigError(f"subject id {sid!r} appears more than once")
-        seen.add(sid)
-        # Pan (the azimuth) peaks at a horizontal corner; tilt (45 deg plus half
-        # the elevation) at the top or bottom and the nearest or farthest range.
-        reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
-        xs, ys, zs = ((c - reach, c + reach) for c in subject.position_mm)
-        near = math.hypot(max(xs[0], 0.0, -xs[1]), max(ys[0], 0.0, -ys[1]))
-        far = max(math.hypot(a, b) for a in xs for b in ys)
-        d = line_of_sight_mm((0.0, near, max(zs[0], 0.0, -zs[1])), rig.geometry)
-        if d <= rig.train.f_zoom_mm:
-            raise ConfigError(f"subject {sid!r} comes within a {d:.6g} mm line of sight, "
-                              f"inside the zoom focal length {rig.train.f_zoom_mm:.6g} mm")
-        try:
-            pans = [aim_angles((a, b, subject.position_mm[2]))[0] for a in xs for b in ys]
-            tilts = [aim_angles((0.0, h, c))[1] for h in (near, far) for c in zs]
-            rig.mirror.check_range(min(pans), min(tilts))
-            rig.mirror.check_range(max(pans), max(tilts))
-        except ValueError as err:
-            raise ConfigError(f"subject {sid!r} over its jitter envelope: {err}") from err
-
-
 def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:
     """The multiperson cast, motion seeds ``seed + i``: validated, then captured."""
     return [subject_at(entry["subject_id"], entry["identity_seed"],
                        entry["distance_mm"], 0.0, entry["height_mm"],
                        rig.geometry, motion_seed=cfg["seed"] + i)
             for i, entry in enumerate(cfg["experiment"]["subjects"])]
+
+
+def iom_cast(cfg: dict, rig: CaptureRig) -> tuple[Subject, list[tuple[str, Subject]]]:
+    """The walker enrolled where the train is focused, and each variant's walk."""
+    exp = cfg["experiment"]
+    enrolment = subject_at("walker", exp["identity_seed"],
+                           rig.train.d_ref_mm - rig.geometry.lens_height_mm, 0.0,
+                           exp["height_mm"], rig.geometry)
+    walk = (TrajectorySegment(0.0, math.inf, (0.0, -exp["speed_mmps"], 0.0)),)
+    walkers = [(variant, subject_at("walker", exp["identity_seed"], exp["start_y_mm"], 0.0,
+                                    exp["height_mm"], rig.geometry, trajectory=walk,
+                                    jitter_sigma_mm=exp[key],
+                                    motion_seed=exp["motion_seed"]))
+               for variant, key in (("jitter", "jitter_sigma_mm"),
+                                    ("nojitter", "ablation_jitter_sigma_mm"))]
+    return enrolment, walkers
 
 
 def load_config(path) -> dict:
@@ -416,10 +432,8 @@ def base_train(cfg: dict, base_mm: float) -> OpticalTrain:
 
 def hd_positions(exp: dict) -> list[float]:
     """The hd_curve focus grid, nearest first, with the base on a grid point."""
-    base, grid = exp["base_mm"], exp["grid_mm"]
-    n_near = int(round(exp["span_near_mm"] / grid))
-    n_far = int(round(exp["span_far_mm"] / grid))
-    return [base + k * grid for k in range(-n_near, n_far + 1)]
+    n_near, n_far = _hd_steps(exp)
+    return [exp["base_mm"] + k * exp["grid_mm"] for k in range(-n_near, n_far + 1)]
 
 
 def _with_ranges(cls, section: dict, **ranges):

@@ -27,7 +27,7 @@ import numpy as np
 from . import calibration, config, iriscode, optics, quality
 from .devices import LensParams
 from .renderer import DEFAULT_K_AST, render_eye, write_pgm
-from .scene import Subject, TrajectorySegment, eye_position, subject_at
+from .scene import Subject, eye_position
 from .scheduler import CSV_COLUMNS, CaptureRig, capture_sequence, noise_seed_for, \
     setpoints_for, track_and_capture
 
@@ -133,37 +133,31 @@ def _extension_cell(cfg, base, d, repeat):
 def _extension_side(args):
     """Walk one (base, side) outward from focus, all repeats in lockstep.
 
-    Step 0 is the base cell itself.  At each position every repeat still
-    passing is evaluated back to back, so they share one clean image; a
-    repeat stops at the first cell its gate fails.  A repeat the runaway
-    guard stopped before its gate failed found no limit: its extent is only
-    a lower bound, and the side is cut.  Returns each repeat's rows in walk
-    order and extent, and whether the guard cut the side.
+    The positions are ``config.side_walk``'s, step 0 the base cell itself.
+    At each position every repeat still passing is evaluated back to back,
+    so they share one clean image; a repeat stops at the first cell its gate
+    fails.  A repeat still passing where the walk ends found no limit: its
+    extent is only a lower bound, and the side is cut.  Returns each
+    repeat's rows in walk order and extent, and whether the side is cut.
     """
     cfg, base, sign = args
     exp = cfg["experiment"]
-    grid = exp["grid_mm"]
-    leg = calibration.PROBE_RIG.lens_height_mm
-    near, far = config.GUARD_FRACTIONS
-
     live = list(range(exp["repeats"]))
     rows = [[] for _ in live]
     extent = [0.0 for _ in live]
-    k = 0
-    while live:
-        d = base + sign * k * grid
-        if d < near * base or d > far * base or d <= leg:
-            return rows, extent, True  # a runaway scan or no eye past the mirror
+    _, positions = config.side_walk(base, exp["grid_mm"], sign)
+    for k, d in enumerate(positions):
         passing = []
         for r in live:
             ok, row = _extension_cell(cfg, base, d, r)
             rows[r].append(row)
             if ok:
-                extent[r] = k * grid
+                extent[r] = k * exp["grid_mm"]
                 passing.append(r)
         live = passing
-        k += 1
-    return rows, extent, False
+        if not live:
+            return rows, extent, False
+    return rows, extent, True
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -389,40 +383,27 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     enroll_rig = config.rig_from_config(cfg)
-    train, geometry = enroll_rig.train, enroll_rig.geometry
     period = enroll_rig.sensor.frame_period_ms
-    seed = cfg["seed"]
-    walk = (TrajectorySegment(0.0, math.inf, (0.0, -exp["speed_mmps"], 0.0)),)
-    n_frames = exp["n_frames"]
-    start_frame = exp["start_frame"]
 
-    # enrolled standing where the train is focused
-    enroll_subject = subject_at("walker", exp["identity_seed"],
-                                train.d_ref_mm - geometry.lens_height_mm, 0.0,
-                                exp["height_mm"], geometry)
-    gallery = {"walker": _enroll_code(enroll_rig, enroll_subject, 7_000_777)}
+    enrolment, walkers = config.iom_cast(cfg, enroll_rig)
+    gallery = {"walker": _enroll_code(enroll_rig, enrolment, 7_000_777)}
 
-    variants = (("jitter", exp["jitter_sigma_mm"]),
-                ("nojitter", exp["ablation_jitter_sigma_mm"]))
     rows = []
     frames = []
     stats: dict = {"variants": {}}
     summary = []
-    for variant, sigma in variants:
-        subject = subject_at("walker", exp["identity_seed"], exp["start_y_mm"], 0.0,
-                             exp["height_mm"], geometry, trajectory=walk,
-                             jitter_sigma_mm=sigma, motion_seed=exp["motion_seed"])
+    for variant, subject in walkers:
         rig = config.rig_from_config(cfg)
-        log = track_and_capture(rig, subject, n_frames=n_frames,
-                                start_frame=start_frame, gallery=gallery,
-                                noise_seed=seed)
+        log = track_and_capture(rig, subject, n_frames=exp["n_frames"],
+                                start_frame=exp["start_frame"], gallery=gallery,
+                                noise_seed=cfg["seed"])
         ranges = []
         for i, e in enumerate(log.frames()):
             t_mid = e.t_ms + rig.sensor.exposure_ms / 2.0
             rng_mm = float(np.linalg.norm(eye_position(subject, t_mid)))
             if e.quality_pass:
                 ranges.append(rng_mm)
-            rows.append((variant, start_frame + i, e.t_ms, rng_mm, e.power_dpt,
+            rows.append((variant, exp["start_frame"] + i, e.t_ms, rng_mm, e.power_dpt,
                          e.blur_px, e.px_across_iris, e.quality_pass, e.hd,
                          e.matched))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
@@ -434,10 +415,11 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
         }
         span = (f", ranges {min(ranges) / 1000.0:.6g} .. "
                 f"{max(ranges) / 1000.0:.6g} m" if ranges else "")
-        summary.append(f"iom: {variant} sigma {sigma:.6g} mm -> "
-                       f"{n_ok}/{n_frames} qualified, {n_match} matched{span}")
+        summary.append(f"iom: {variant} sigma {subject.jitter_sigma_mm:.6g} mm -> "
+                       f"{n_ok}/{exp['n_frames']} qualified, {n_match} matched{span}")
     stats["frame_spacing_ms"] = period
-    summary.append(f"iom: frame spacing {period:.6g} ms at 1 m/s walk")
+    summary.append(f"iom: frame spacing {period:.6g} ms at "
+                   f"{exp['speed_mmps'] / 1000.0:.6g} m/s walk")
 
     return ExperimentResult(
         name="iom",

@@ -32,6 +32,9 @@ MATCH_THRESHOLD = 0.32
 
 _LID_HALF_WIDTH = 0.18   # of pi, angular half width of the masked lid band
 
+# enrolment floor: an in-focus iris gives detect_circles 50 pupil pixels from 20.6 px
+MIN_PX_TO_DETECT = 24.0
+
 _MAGIC = b"IC"
 _VERSION = 1
 _HEADER = struct.Struct("<2sBBHHBB6x")  # magic, version, flags, rows, cols, bpc, shifts

@@ -1,15 +1,16 @@
 """Frame-clocked capture scheduling.
 
-Everything here runs on the sensor's frame grid: device commands go out at
-frame starts, exposures begin at frame starts, and a frame is qualified
-only when both devices finished settling before its exposure opened and
-the image clears the quality gates.  One mirror + lens command is issued
-per target; if the frame fails, later frames are tried against the same
-setpoint until the dwell budget runs out.  A target is a ``Subject``.
+Everything here runs on the sensor's frame grid: device commands go out and
+exposures begin at frame starts.  A frame qualifies only when both devices
+settled before its exposure opened, the image clears the quality gates and,
+for a subject in the gallery, iris detection finds its pupil.  Each target
+gets one mirror + lens command; if its frame fails, later frames are tried
+against the same setpoint until the dwell budget runs out.  A target is a
+``Subject``.
 
 The tracking loop works on detections one frame old, the way an actual
-vision pipeline would: the command for frame k+1 is computed at frame k
-from positions observed up to frame k-1.
+vision pipeline would: frame k+1 is commanded at frame k from positions
+observed up to frame k-1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import optics
 from .devices import SensorParams, SteeringMirror, TunableLens, next_frame_start
-from .iriscode import IrisCode, MATCH_THRESHOLD, encode_frame, hamming_distance
+from .iriscode import MATCH_THRESHOLD, IrisCode, SegmentationError, encode_frame, hamming_distance
 from .optics import OpticalTrain
 from .quality import QualityThresholds, evaluate
 from .renderer import TargetMissed, render_eye
@@ -149,9 +150,13 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
     ok = settled and report.passed
     hd = matched = None
     if ok and gallery is not None and sid in gallery:
-        code = encode_frame(frame, circles="detect")
-        hd = hamming_distance(code, gallery[sid])
-        matched = hd < MATCH_THRESHOLD
+        try:
+            code = encode_frame(frame, circles="detect")
+        except SegmentationError:  # the gates passed a frame with no pupil to find
+            ok = False
+        else:
+            hd = hamming_distance(code, gallery[sid])
+            matched = hd < MATCH_THRESHOLD
     if ok:
         log.kept.append((sid, t_frame, frame))
     log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
@@ -211,39 +216,35 @@ class ConstantVelocityTracker:
         return p1 + v * (t_ms - t1)
 
 
+def tracker_plan(rig: CaptureRig, subject: Subject, n_frames: int, start_frame: int):
+    """Each frame's start, mid-exposure time and the eye the tracker predicts for it.
+
+    Frame k's eye is extrapolated from the eye at frames k-2 and k-1.
+    """
+    tracker = ConstantVelocityTracker()
+    for k in range(start_frame - 2, start_frame + n_frames):
+        t_frame = k * rig.sensor.frame_period_ms
+        if k >= start_frame:
+            t_mid = t_frame + rig.sensor.exposure_ms / 2.0
+            yield t_frame, t_mid, tracker.predict(t_mid)
+        # the detection from this frame becomes available one frame later
+        tracker.observe(t_frame, eye_position(subject, t_frame))
+
+
 def track_and_capture(rig: CaptureRig, subject: Subject, *,
                       n_frames: int, start_frame: int,
-                      sweep_offsets=None, gallery: dict[str, IrisCode] | None = None,
+                      gallery: dict[str, IrisCode] | None = None,
                       noise_seed: int = 0) -> EventLog:
-    """Follow a moving subject and expose every frame for a fixed window.
-
-    Detections lag one frame; commands go out at the frame start before
-    each exposure, predicted two frames ahead of the newest detection.
-    ``sweep_offsets`` adds a per-frame power offset on top of the predicted
-    focus, cycling through the list.
-    """
+    """Expose every frame of ``tracker_plan``, commanded a frame ahead at the predicted eye."""
     log = EventLog()
-    period = rig.sensor.frame_period_ms
-    tracker = ConstantVelocityTracker()
-    offsets = list(sweep_offsets) if sweep_offsets else [0.0]
-
-    for k in range(start_frame - 2, start_frame):
-        t = k * period
-        tracker.observe(t, eye_position(subject, t))
-
-    for i in range(n_frames):
-        t_frame = (start_frame + i) * period
-        t_cmd = t_frame - period
-        eye_pred = tracker.predict(t_frame + rig.sensor.exposure_ms / 2.0)
+    plan = tracker_plan(rig, subject, n_frames, start_frame)
+    for i, (t_frame, _, eye_pred) in enumerate(plan):
+        t_cmd = t_frame - rig.sensor.frame_period_ms
         pan, tilt, power = setpoints_for(rig, eye_pred)
-        power = rig.lens.quantize(power + offsets[i % len(offsets)])
         rig.mirror.command(pan, tilt, t_cmd)
-        rig.lens.command(power, t_cmd)
+        power = rig.lens.command(power, t_cmd)
         log.events.append(Event(t_cmd, "command", subject.subject_id,
                                 pan_deg=pan, tilt_deg=tilt, power_dpt=power))
         _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i),
                        log, gallery)
-        # the detection from this frame becomes available one frame later
-        tracker.observe(t_frame, eye_position(subject, t_frame))
     return log
-

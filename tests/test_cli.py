@@ -307,14 +307,16 @@ def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch
 
 
 @pytest.mark.parametrize("experiment, rig, words", [
-    # the walk crosses the mirror within the window
-    ({"n_frames": 101}, {}, ("y = 0 mm", "inside the zoom focal length 210 mm")),
-    ({"n_frames": 2, "start_y_mm": 530.0}, {}, ("y = 0 mm", "line of sight")),
-    ({"n_frames": 2, "start_y_mm": 545.0}, {}, ("y = 0 mm", "line of sight")),
+    # the walk would cross the mirror within the window, but nearer than 1.1 m
+    # the clamped lens already blurs the eye wider than the frame
+    ({"n_frames": 101}, {}, ("frame 89", "wider than the 640 px frame")),
+    # 4 mm from the mirror, the eye's jitter tilts the aim out of range
+    ({"n_frames": 2, "start_y_mm": 530.0}, {}, ("frame 16", "tilt")),
+    ({"n_frames": 2, "start_y_mm": 545.0}, {},
+     ("frame 16", "223.056 mm line of sight", "wider than the 640 px frame")),
     # a mirror 980 mm below the eye needs over 60 deg of tilt inside 1.7 m
     ({"n_frames": 3, "start_y_mm": 2250.0}, {"mirror_height_mm": 600.0},
-     ("y = 1658.34 mm", "jitter envelope", "tilt")),
-    # nearer than 1.1 m the clamped lens blurs the eye wider than the frame
+     ("jitter walker at frame 17", "tilt")),
     ({"n_frames": 80}, {}, ("out of focus reach", "wider than the 640 px frame")),
 ])
 def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, words):
@@ -346,3 +348,27 @@ def test_iom_walker_leaving_focus_reach_validates():
     cfg = config.default_config("iom")
     cfg["experiment"]["n_frames"] = 60
     config.validate_config(cfg)
+
+
+@pytest.mark.parametrize("train, lens, words", [
+    # the enrolment stands at d_ref_mm; from about 28 m it spans under 24 px
+    ({"d_ref_mm": 33000.0}, {}, ("iom enrolment", "20.3", "fewer than the 24 px")),
+    ({"d_ref_mm": 45000.0}, {}, ("iom enrolment", "14.8", "fewer than the 24 px")),
+    # the lens cannot reach the 0 dpt that focuses the enrolment
+    ({}, {"power_min_dpt": 6.0}, ("iom enrolment", "outside the lens range [6, 10] dpt")),
+])
+def test_iom_enrolment_that_cannot_be_detected_exits_2(tmp_path, capsys, train, lens, words):
+    cfg = config.default_config("iom")
+    cfg["experiment"]["n_frames"] = 1
+    cfg["train"].update(train)
+    cfg["lens"] = lens
+    _exits_2_naming(tmp_path, capsys, "iom", cfg, words)
+
+
+def test_multiperson_enrolment_too_small_to_detect_exits_2(tmp_path, capsys):
+    # a 70 mm zoom images a subject 20 m out 11 px across the iris
+    cfg = config.default_config("multiperson")
+    cfg["train"] = {"f_zoom_mm": 70.0, "d_ref_mm": 20000.0}
+    cfg["experiment"]["subjects"][0].update(distance_mm=20000.0)
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("subject 'seated'", "px across the iris", "fewer than the 24 px"))

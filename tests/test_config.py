@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 
+import jsonschema
 import pytest
 
 from irissim import config, optics
@@ -25,6 +26,10 @@ FULL_DEVICES = {
     "quality": {"sharpness_min": 0.02, "min_px_across_iris": 180.0,
                 "brightness_lo": 20.0, "brightness_hi": 140.0},
 }
+
+
+def test_schema_is_a_valid_json_schema():
+    jsonschema.validators.validator_for(config.SCHEMA).check_schema(config.SCHEMA)
 
 
 @pytest.mark.parametrize("kind", list(config._DEFAULTS))

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irissim import calibration, config, experiments, optics
+from irissim import calibration, config, experiments, optics, scheduler
 from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
 
 
@@ -118,39 +118,123 @@ def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
     assert res.stats["guard_cut"] == guard_cut
 
 
+def _count_renders(mp: pytest.MonkeyPatch) -> list[dict]:
+    """Record the keyword arguments of every render a runner asks for."""
+    calls = []
+    for module in (calibration, experiments, scheduler):
+        def render_eye(*args, _real=module.render_eye, **kwargs):
+            calls.append(kwargs)
+            return _real(*args, **kwargs)
+        mp.setattr(module, "render_eye", render_eye)
+    return calls
+
+
+_PASS_ALL = {"sharpness_min": 1e-9, "min_px_across_iris": 1.0}
+
+
 def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
     # every cell passes, so both sides of both repeats walk out to the guard
     # (0.3x and 3x the base) and the run renders its whole worst case
     cfg = config.default_config("dof_extension")
     cfg["experiment"].update(base_distances_mm=[1000.0], grid_mm=250.0, repeats=2)
-    cfg["quality"] = {"sharpness_min": 1e-9, "min_px_across_iris": 1.0}
+    cfg["quality"] = _PASS_ALL
     cfg = config.validate_config(cfg)
-    distances = []
-
-    def render_eye(*args, **kwargs):
-        distances.append(kwargs["eye_pos_mm"][1] + PROBE_RIG.lens_height_mm)
-        return real_render_eye(*args, **kwargs)
-
-    real_render_eye = calibration.render_eye
-    monkeypatch.setattr(calibration, "render_eye", render_eye)
+    calls = _count_renders(monkeypatch)
     res = experiments.run_dof_extension(cfg)
+    distances = [c["eye_pos_mm"][1] + PROBE_RIG.lens_height_mm for c in calls]
     assert res.stats["guard_cut"] == [(1000.0, "front"), (1000.0, "rear")]
     # both side walks render the base cell of each repeat, as their step 0
     assert distances.count(1000.0) == 2 * 2
     assert len(distances) == config.queued_renders(cfg["experiment"]) == 24
 
 
-@settings(max_examples=20)
-@given(n_frames=st.integers(1, 3), start_y_mm=st.floats(200.0, 1500.0))
-def test_iom_config_runs_or_fails_validation(n_frames, start_y_mm):
-    cfg = config.default_config("iom")
-    cfg["experiment"].update(n_frames=n_frames, start_y_mm=start_y_mm)
+def _brute_force_walk(base, grid, sign):
+    """Reference: the cells of one side walk, stepped out to the guard by hand."""
+    cells = []
+    k = 0
+    while True:
+        d = base + sign * k * grid
+        if d < 0.3 * base or d > 3.0 * base or d <= PROBE_RIG.lens_height_mm:
+            return cells
+        cells.append(d)
+        k += 1
+
+
+_EXPERIMENTS = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("dof_table"),
+        "distances_mm": st.lists(st.floats(50.0, 20000.0), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({
+        "kind": st.just("dof_extension"),
+        "base_distances_mm": st.lists(st.floats(150.0, 1000.0), min_size=1, max_size=2),
+        "grid_mm": st.floats(250.0, 800.0), "repeats": st.integers(1, 2)}),
+    st.fixed_dictionaries({
+        "kind": st.just("hd_curve"), "base_mm": st.floats(1000.0, 6000.0),
+        "grid_mm": st.floats(500.0, 2000.0), "span_near_mm": st.floats(1.0, 2000.0),
+        "span_far_mm": st.floats(1.0, 3000.0), "repeats": st.integers(1, 2),
+        "impostor_pairs": st.integers(0, 1)}),
+    st.fixed_dictionaries({
+        "kind": st.just("multiperson"),
+        "subjects": st.tuples(st.floats(500.0, 12000.0), st.floats(500.0, 12000.0),
+                              st.floats(1000.0, 2400.0)).map(lambda t: [
+            {"subject_id": "a", "identity_seed": 1, "distance_mm": t[0], "height_mm": t[2]},
+            {"subject_id": "b", "identity_seed": 2, "distance_mm": t[1],
+             "height_mm": 1700.0}]),
+        "dwell_budget": st.integers(1, 2)}),
+    st.fixed_dictionaries({
+        "kind": st.just("iom"), "n_frames": st.integers(1, 2),
+        "start_y_mm": st.floats(200.0, 5000.0), "speed_mmps": st.floats(100.0, 4000.0),
+        "jitter_sigma_mm": st.floats(0.0, 10.0)}),
+)
+_SECTIONS = st.fixed_dictionaries({}, optional={
+    # a 10 mm lens separation makes trains valid down to a 200 mm base
+    "train": st.sampled_from([{"d_ot_mm": 10.0}, {"f_zoom_mm": 210.0, "d_ref_mm": 3200.0},
+                              {"f_zoom_mm": 210.0, "d_ref_mm": 30000.0}]),
+    "quality": st.just(_PASS_ALL),
+    "rig": st.fixed_dictionaries({"mirror_height_mm": st.floats(500.0, 2000.0)}),
+})
+
+
+@settings(max_examples=30)
+@given(experiment=_EXPERIMENTS, sections=_SECTIONS)
+# the walk's last rear cell lands on 3x the base only after float rounding
+@example(experiment={"kind": "dof_extension", "base_distances_mm": [599.4],
+                     "grid_mm": 33.3, "repeats": 1},
+         sections={"train": {"d_ot_mm": 10.0}, "quality": _PASS_ALL})
+# one run of every other kind, whatever the draws
+@example(experiment={"kind": "dof_table", "distances_mm": [1000.0, 5000.0]}, sections={})
+@example(experiment={"kind": "hd_curve", "base_mm": 5000.0, "grid_mm": 1000.0,
+                     "span_near_mm": 1000.0, "span_far_mm": 1000.0, "repeats": 1,
+                     "impostor_pairs": 1}, sections={})
+@example(experiment={"kind": "multiperson", "subjects": [
+    {"subject_id": "a", "identity_seed": 1, "distance_mm": 4380.0, "height_mm": 1540.0},
+    {"subject_id": "b", "identity_seed": 2, "distance_mm": 6340.0, "height_mm": 1700.0}],
+    "dwell_budget": 1}, sections={})
+@example(experiment={"kind": "iom", "n_frames": 1, "start_y_mm": 3800.0,
+                     "speed_mmps": 1000.0, "jitter_sigma_mm": 3.0},
+         sections={"train": {"f_zoom_mm": 210.0, "d_ref_mm": 3200.0},
+                   "rig": {"mirror_height_mm": 1580.0}})
+def test_config_runs_or_fails_validation(experiment, sections):
+    cfg = {"version": 1, "experiment": dict(experiment), **sections}
     try:
         config.validate_config(cfg)
     except config.ConfigError:
+        event(f"{experiment['kind']} exits 2")
         return
-    result = experiments.run_iom(cfg)
-    assert len(result.rows) == 2 * n_frames
+    event(f"{experiment['kind']} runs")
+    queued = config.queued_renders(cfg["experiment"])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_renders(mp)
+        result = experiments.run_experiment(cfg)
+    assert len(calls) <= queued
+    if experiment["kind"] == "dof_extension":
+        walked = sum(len(_brute_force_walk(base, experiment["grid_mm"], sign))
+                     for base in experiment["base_distances_mm"] for sign in (-1.0, 1.0))
+        assert queued == experiment["repeats"] * walked
+        if all(row[-1] for row in result.rows):  # no gate failed: every walk ran out
+            assert len(calls) == queued
+    if experiment["kind"] == "iom":
+        assert len(result.rows) == 2 * experiment["n_frames"]
 
 
 def test_analytic_limits_sit_on_their_anchors():
@@ -222,6 +306,24 @@ def test_iom_tracks_the_walker():
     assert v["nojitter"]["qualified"] >= 10
     for variant in v.values():
         assert all(2400.0 <= r <= 3400.0 for r in variant["ranges_mm"])
+
+
+def test_iom_summary_names_the_walking_speed():
+    cfg = config.default_config("iom")
+    cfg["experiment"].update(n_frames=1, speed_mmps=2000.0)
+    res = experiments.run_iom(config.validate_config(cfg))
+    assert res.summary[-1] == "iom: frame spacing 32.7869 ms at 2 m/s walk"
+
+
+def test_frame_with_no_pupil_to_find_does_not_qualify():
+    # the gates pass everything, but at 2.2 m the clamped lens blurs the
+    # walker's eye by 150 px, and iris detection finds no pupil
+    cfg = {"version": 1, "quality": _PASS_ALL, "rig": {"mirror_height_mm": 500.0},
+           "experiment": {"kind": "iom", "n_frames": 1, "start_y_mm": 3656.0,
+                          "speed_mmps": 3315.0}}
+    res = experiments.run_iom(config.validate_config(cfg))
+    assert [row[7] for row in res.rows] == [False, False]
+    assert res.frames == []
 
 
 def test_write_result_outputs(tmp_path, table):

@@ -225,15 +225,3 @@ def test_walking_subject_qualifies_frames():
     assert len(log.frames()) == 6
     assert len(q) == 6
     assert all(e.matched for e in q)
-
-
-def test_sweep_offsets_detune_the_focus():
-    walk = Subject("w", 6001, (0.0, 3800.0, 0.0),
-                   trajectory=(TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0)),),
-                   jitter_sigma_mm=0.0)
-    rig = walking_rig()
-    log = track_and_capture(rig, walk, n_frames=4, start_frame=16,
-                            sweep_offsets=[0.0, 2.0], noise_seed=11)
-    blurs = [e.blur_px for e in log.frames()]
-    assert blurs[1] > 10 * max(blurs[0], 0.1)
-    assert blurs[3] > 10 * max(blurs[2], 0.1)
