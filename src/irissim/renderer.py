@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.ndimage import gaussian_filter
-from scipy.signal import fftconvolve
 
 from . import optics
 from .optics import OpticalTrain
@@ -105,11 +105,27 @@ def line_kernel(length_px: float, direction: tuple[float, float]) -> np.ndarray:
     return k / k.sum()
 
 
+def fftconvolve(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``scipy.signal.fftconvolve(img, kernel, mode="same")``, bit for bit.
+
+    ``img`` is real 2-D with no side of 1 (``_convolve_same`` pads it by
+    n // 2 all round) and ``kernel`` is odd n x n with n >= 3, so scipy
+    transforms both axes: these are its pocketfft calls at its fast lengths,
+    without the cost of importing ``scipy.signal``.
+    """
+    n = kernel.shape[0]
+    shape = [fft.next_fast_len(s + n - 1, True) for s in img.shape]
+    full = fft.irfftn(fft.rfftn(img, shape) * fft.rfftn(kernel, shape), shape)
+    c = n // 2
+    h, w = img.shape
+    return full[c:c + h, c:c + w]
+
+
 def _convolve_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # edge-pad so the smear does not drag in black from outside the crop
     pad = kernel.shape[0] // 2
     padded = np.pad(img, pad, mode="edge")
-    out = fftconvolve(padded, kernel, mode="same")
+    out = fftconvolve(padded, kernel)
     return out[pad:-pad, pad:-pad]
 
 

@@ -1,8 +1,11 @@
 """Every name a package module imports is used somewhere in that module,
-and every function and class it defines is used somewhere in the package
-or its tests."""
+every function and class it defines is used somewhere in the package or its
+tests, and importing the command line leaves out the slow scipy modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,13 @@ def test_every_function_and_class_is_used(path, names_in_use):
     defined = [node.name for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert [name for name in defined if name not in names_in_use] == []
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # a fresh interpreter: other tests import scipy.signal into this one
+    probe = ("import sys, irissim.cli; "
+             "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
+from scipy import signal
 
 from irissim import config, renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
@@ -48,6 +49,30 @@ def test_line_kernel_normalized():
     for length, direction in ((1.0, (1, 0)), (6.0, (0, 1)), (11.3, (1, -2))):
         k = line_kernel(length, direction)
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_smallest_kernels_the_renderer_builds_are_3_and_5_wide():
+    # the renderer convolves only past blur 0.05 px and smear 0.5 px; at
+    # n >= 3 no side of a kernel or padded window is 1, the case where
+    # scipy.signal.fftconvolve would skip an axis
+    assert disk_kernel(math.nextafter(0.05, 1.0)).shape == (3, 3)
+    assert line_kernel(math.nextafter(0.5, 1.0), (1.0, 0.0)).shape == (5, 5)
+
+
+kernels = st.one_of(
+    st.floats(0.05, 38.0, exclude_min=True).map(disk_kernel),
+    st.builds(line_kernel, st.floats(0.5, 37.0, exclude_min=True),
+              st.floats(0.0, 2 * math.pi).map(lambda a: (math.cos(a), math.sin(a)))))
+
+
+@settings(max_examples=60)
+@given(kernel=kernels, height=st.integers(1, 200), width=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_convolve_same_equals_scipy_signal_exactly(kernel, height, width, seed):
+    img = np.random.default_rng(seed).random((height, width))
+    p = kernel.shape[0] // 2
+    expected = signal.fftconvolve(np.pad(img, p, mode="edge"), kernel, mode="same")[p:-p, p:-p]
+    assert np.array_equal(renderer._convolve_same(img, kernel), expected)
 
 
 def test_reference_frame_geometry():
