@@ -12,9 +12,12 @@ field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
 -> MirrorParams, ``sensor`` -> SensorParams, ``rig`` -> RigGeometry and
 ``quality`` -> QualityThresholds, except that each ``*_min_*`` /
 ``*_max_*`` key pair forms one range tuple (``power_range``, ``pan_range``,
-``tilt_range``).  An omitted key or range end takes the dataclass default,
-so every device default is written once, in its dataclass.  Each dataclass
-field is set by a key, and ``rig_from_config`` is the one place a rig is built.
+``tilt_range``).  The schema of these sections is generated from the
+dataclass fields (``_section``), and each range key is bounded by its
+field's default range, the hardware envelope.  An omitted key or range end
+takes the dataclass default, so every device default and envelope is
+written once, in its dataclass.  ``rig_from_config`` is the one place a rig
+is built.
 Each zoom or focus value has one key: dof_table's zoom is
 ``train.f_zoom_mm``, and the sweeps (dof_extension, hd_curve) re-zoom and
 re-focus the train for each base (``base_train``), so they reject
@@ -31,17 +34,18 @@ and full-range slew, a repeatability no wider than the power range) reject
 a bad config.  It also builds the train of every sweep base and reads the
 plans the runners follow: the side walks (``side_walk``), the hd_curve grid
 (``hd_positions``), the multiperson cast and the iom enrolment and walkers
-(``multiperson_cast``, ``iom_cast``) with the tracker's frames
-(``scheduler.tracker_plan``).  Every aim the tracker commands must lie in
-the mirror's range, and every planned sight passes one predicate,
-``_check_sight``.  A multiperson subject's command times depend on how its
-dwell goes, so the box of +/-4 sigma around its standing eye bounds its
-sights and aims, and ids must be unique.
+(``multiperson_cast``, ``iom_cast``; a walker walks at constant velocity
+from t = 0) with the tracker's frames (``scheduler.tracker_plan``).  Every
+aim the tracker commands must lie in the mirror's range, and every planned
+sight passes one predicate, ``_check_sight``.  A multiperson subject's
+command times depend on how its dwell goes, so the box of +/-4 sigma around
+its standing eye bounds its sights and aims, and ids must be unique.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -54,8 +58,8 @@ from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, Tun
 from .optics import OpticalTrain
 from .quality import QualityThresholds
 from .renderer import BASE_WIDTH
-from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, TrajectorySegment, \
-    aim_angles, eye_position, line_of_sight_mm, subject_at
+from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, eye_position, \
+    line_of_sight_mm, subject_at
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, setpoints_for, tracker_plan
 
 SCHEMA_VERSION = 1
@@ -88,52 +92,30 @@ def _obj(properties: dict, required: list[str] | None = None) -> dict:
     return schema
 
 
-_TRAIN = _obj({
-    "f_zoom_mm": {"type": "number", "minimum": optics.ZOOM_RANGE_MM[0],
-                  "maximum": optics.ZOOM_RANGE_MM[1]},
-    "n_stop": _POS,
-    "d_ref_mm": _POS,
-    "d_ot_mm": _POS,
-    "coc_mm": _POS,
-    "pixel_scale_cal": _POS,
-})
+# each range field's (min key, max key) pair in its device section
+_RANGES = {"power_range": ("power_min_dpt", "power_max_dpt"),
+           "pan_range": ("pan_min_deg", "pan_max_deg"),
+           "tilt_range": ("tilt_min_deg", "tilt_max_deg")}
 
-# hardware envelopes: +/-10 dpt lens, +/-180 deg pan, +/-60 deg tilt
-_LENS = _obj({
-    "power_min_dpt": {"type": "number", "minimum": -10.0, "maximum": 10.0},
-    "power_max_dpt": {"type": "number", "minimum": -10.0, "maximum": 10.0},
-    "response_ms": _POS,
-    "settle_ms": _POS,
-    "settle_filtered_ms": _POS,
-    "repeatability_dpt": _NONNEG,
-    "mode": {"enum": ["raw", "filtered"]},
-})
 
-_MIRROR = _obj({
-    "pan_min_deg": {"type": "number", "minimum": -180.0, "maximum": 180.0},
-    "pan_max_deg": {"type": "number", "minimum": -180.0, "maximum": 180.0},
-    "tilt_min_deg": {"type": "number", "minimum": -60.0, "maximum": 60.0},
-    "tilt_max_deg": {"type": "number", "minimum": -60.0, "maximum": 60.0},
-    "resolution_deg": _POS,
-    "max_speed_dps": _POS,
-})
+def _section(cls, **overrides) -> dict:
+    """The schema of the device section that builds ``cls``: one key per field.
 
-_SENSOR = _obj({
-    "frame_rate_hz": _POS,
-    "exposure_ms": _POS,
-})
+    A field's key is ``_POS`` unless overridden.  A range field is its two
+    ``_RANGES`` keys, each bounded by the field's default range: the
+    hardware envelope.  Keys keep field order, so reordering fields changes
+    which of two bad keys validation reports.
+    """
+    properties = {}
+    for f in dataclasses.fields(cls):
+        if f.name in _RANGES:
+            lo, hi = f.default
+            bound = {"type": "number", "minimum": lo, "maximum": hi}
+            properties.update(dict.fromkeys(_RANGES[f.name], bound))
+        else:
+            properties[f.name] = overrides.get(f.name, _POS)
+    return _obj(properties)
 
-_RIG = _obj({
-    "lens_height_mm": _POS,
-    "mirror_height_mm": _POS,
-})
-
-_QUALITY = _obj({
-    "sharpness_min": _POS,
-    "min_px_across_iris": _POS,
-    "brightness_lo": _NONNEG,
-    "brightness_hi": _POS,
-})
 
 _SUBJECT = _obj({
     "subject_id": {"type": "string", "minLength": 1},
@@ -188,12 +170,15 @@ SCHEMA = _obj({
     "version": {"const": SCHEMA_VERSION},
     "seed": _SEED,
     "experiment": {"oneOf": list(_EXPERIMENTS.values())},
-    "train": _TRAIN,
-    "lens": _LENS,
-    "mirror": _MIRROR,
-    "sensor": _SENSOR,
-    "rig": _RIG,
-    "quality": _QUALITY,
+    "train": _section(OpticalTrain, f_zoom_mm={"type": "number",
+                                               "minimum": optics.ZOOM_RANGE_MM[0],
+                                               "maximum": optics.ZOOM_RANGE_MM[1]}),
+    "lens": _section(LensParams, repeatability_dpt=_NONNEG,
+                     mode={"enum": ["raw", "filtered"]}),
+    "mirror": _section(MirrorParams),
+    "sensor": _section(SensorParams),
+    "rig": _section(RigGeometry),
+    "quality": _section(QualityThresholds, brightness_lo=_NONNEG),
 }, required=["version", "experiment"])
 _SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
@@ -386,7 +371,7 @@ def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
 def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:
     """The multiperson cast, motion seeds ``seed + i``: validated, then captured."""
     return [subject_at(entry["subject_id"], entry["identity_seed"],
-                       entry["distance_mm"], 0.0, entry["height_mm"],
+                       entry["distance_mm"], entry["height_mm"],
                        rig.geometry, motion_seed=cfg["seed"] + i)
             for i, entry in enumerate(cfg["experiment"]["subjects"])]
 
@@ -395,11 +380,11 @@ def iom_cast(cfg: dict, rig: CaptureRig) -> tuple[Subject, list[tuple[str, Subje
     """The walker enrolled where the train is focused, and each variant's walk."""
     exp = cfg["experiment"]
     enrolment = subject_at("walker", exp["identity_seed"],
-                           rig.train.d_ref_mm - rig.geometry.lens_height_mm, 0.0,
+                           rig.train.d_ref_mm - rig.geometry.lens_height_mm,
                            exp["height_mm"], rig.geometry)
-    walk = (TrajectorySegment(0.0, math.inf, (0.0, -exp["speed_mmps"], 0.0)),)
-    walkers = [(variant, subject_at("walker", exp["identity_seed"], exp["start_y_mm"], 0.0,
-                                    exp["height_mm"], rig.geometry, trajectory=walk,
+    walkers = [(variant, subject_at("walker", exp["identity_seed"], exp["start_y_mm"],
+                                    exp["height_mm"], rig.geometry,
+                                    velocity_mmps=(0.0, -exp["speed_mmps"], 0.0),
                                     jitter_sigma_mm=exp[key],
                                     motion_seed=exp["motion_seed"]))
                for variant, key in (("jitter", "jitter_sigma_mm"),
@@ -436,22 +421,21 @@ def hd_positions(exp: dict) -> list[float]:
     return [exp["base_mm"] + k * exp["grid_mm"] for k in range(-n_near, n_far + 1)]
 
 
-def _with_ranges(cls, section: dict, **ranges):
-    """``cls(**section)``, with each ``*_min_*``/``*_max_*`` key pair as one range.
+def _with_ranges(cls, section: dict):
+    """``cls(**section)``, with each ``_RANGES`` key pair as one range.
 
-    ``ranges`` maps a range field to its (min key, max key); a missing end
-    takes that end of the field's default.
+    A missing end takes that end of the field's default.
     """
     kwargs = dict(section)
-    for name, (lo_key, hi_key) in ranges.items():
-        lo, hi = getattr(cls, name)
-        kwargs[name] = (kwargs.pop(lo_key, lo), kwargs.pop(hi_key, hi))
+    for f in dataclasses.fields(cls):
+        if f.name in _RANGES:
+            (lo_key, hi_key), (lo, hi) = _RANGES[f.name], f.default
+            kwargs[f.name] = (kwargs.pop(lo_key, lo), kwargs.pop(hi_key, hi))
     return cls(**kwargs)
 
 
 def lens_params(cfg: dict) -> LensParams:
-    return _with_ranges(LensParams, cfg.get("lens", {}),
-                        power_range=("power_min_dpt", "power_max_dpt"))
+    return _with_ranges(LensParams, cfg.get("lens", {}))
 
 
 def quality_thresholds(cfg: dict) -> QualityThresholds:
@@ -460,13 +444,10 @@ def quality_thresholds(cfg: dict) -> QualityThresholds:
 
 def rig_from_config(cfg: dict) -> CaptureRig:
     """A new capture rig: optics, devices, geometry and gates from the config."""
-    mirror = _with_ranges(MirrorParams, cfg.get("mirror", {}),
-                          pan_range=("pan_min_deg", "pan_max_deg"),
-                          tilt_range=("tilt_min_deg", "tilt_max_deg"))
     return CaptureRig(train=train_from_config(cfg),
                       geometry=RigGeometry(**cfg.get("rig", {})),
                       lens=TunableLens(lens_params(cfg), seed=cfg["seed"]),
-                      mirror=SteeringMirror(mirror),
+                      mirror=SteeringMirror(_with_ranges(MirrorParams, cfg.get("mirror", {}))),
                       sensor=SensorParams(**cfg.get("sensor", {})),
                       thresholds=quality_thresholds(cfg))
 

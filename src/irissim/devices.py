@@ -35,7 +35,7 @@ OSC_FREQ_HZ = 200.0  # ring frequency during settling; free parameter
 
 @dataclass(frozen=True)
 class LensParams:
-    power_range: tuple[float, float] = (-10.0, 10.0)
+    power_range: tuple[float, float] = (-10.0, 10.0)  # hardware envelope, bounds the config
     response_ms: float = 5.0
     settle_ms: float = 25.0
     settle_filtered_ms: float = 12.5
@@ -85,9 +85,7 @@ class TunableLens:
         """Issue a setpoint; returns the clamped + quantized target."""
         target = self.quantize(power_dpt)
         if target == self._target and self.is_settled(t_ms):
-            # zero step: nothing moves, keep the standing offset
-            self._cmd_t = min(self._cmd_t, t_ms)
-            return target
+            return target  # zero step: nothing moves, keep the standing offset
         self._prev = self.power_at(t_ms)
         self._cmd_t = t_ms
         self._target = target
@@ -130,7 +128,7 @@ class MirrorRangeError(ValueError):
 
 @dataclass(frozen=True)
 class MirrorParams:
-    pan_range: tuple[float, float] = (-180.0, 180.0)
+    pan_range: tuple[float, float] = (-180.0, 180.0)  # hardware envelopes, bound the config
     tilt_range: tuple[float, float] = (-60.0, 60.0)
     resolution_deg: float = 0.01
     max_speed_dps: float = 21000.0  # 3500 rpm galvo drive

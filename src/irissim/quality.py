@@ -42,8 +42,8 @@ BRIGHTNESS_HI = 1.15 * _NOMINAL_REFLECTANCE * 255.0
 
 @dataclass(frozen=True)
 class QualityThresholds:
-    min_px_across_iris: float = MIN_PX_ACROSS_IRIS
     sharpness_min: float = DEFAULT_SHARPNESS_MIN
+    min_px_across_iris: float = MIN_PX_ACROSS_IRIS
     brightness_lo: float = BRIGHTNESS_LO
     brightness_hi: float = BRIGHTNESS_HI
 

@@ -9,6 +9,10 @@ Mirror orientation is the pan/tilt of its surface normal: pan is the azimuth
 of the normal's horizontal projection (measured from +y), tilt its elevation.
 A subject eye level with the mirror at azimuth 0 therefore needs pan 0,
 tilt 45.
+
+A subject's eye stands at ``position_mm`` until t = 0 and from then on
+walks at the constant ``velocity_mmps``; seeded head jitter rides on top.
+``subject_at`` places a subject straight out from the mirror, on +y.
 """
 
 from __future__ import annotations
@@ -34,34 +38,20 @@ class RigGeometry:
 
 
 @dataclass(frozen=True)
-class TrajectorySegment:
-    t_start_ms: float
-    t_end_ms: float  # may be inf
-    velocity_mmps: tuple[float, float, float]
-
-    def __post_init__(self):
-        if self.t_end_ms <= self.t_start_ms:
-            raise ValueError("segment must have positive duration")
-
-
-@dataclass(frozen=True)
 class Subject:
     subject_id: str
     identity_seed: int
     position_mm: tuple[float, float, float]  # eye centre at t = 0
-    trajectory: tuple[TrajectorySegment, ...] = ()
+    velocity_mmps: tuple[float, float, float] = (0.0, 0.0, 0.0)  # walks from t = 0
     jitter_sigma_mm: float = 3.0
     motion_seed: int = 0
 
 
 def subject_at(subject_id: str, identity_seed: int, distance_mm: float,
-               azimuth_deg: float, height_mm: float, rig: RigGeometry,
-               **kwargs) -> Subject:
-    """Place a standing subject by horizontal distance, azimuth and body height."""
-    az = math.radians(azimuth_deg)
+               height_mm: float, rig: RigGeometry, **kwargs) -> Subject:
+    """Place a standing subject on the +y axis by horizontal distance and body height."""
     z = height_mm - EYE_DROP_MM - rig.mirror_height_mm
-    pos = (distance_mm * math.sin(az), distance_mm * math.cos(az), z)
-    return Subject(subject_id, identity_seed, pos, **kwargs)
+    return Subject(subject_id, identity_seed, (0.0, distance_mm, z), **kwargs)
 
 
 @functools.lru_cache(maxsize=256)
@@ -96,28 +86,20 @@ def _jitter_velocity(subject: Subject, t_ms: float) -> np.ndarray:
 
 
 def eye_position(subject: Subject, t_ms: float) -> np.ndarray:
-    """Eye centre at time t: base trajectory plus head jitter.
+    """Eye centre at time t: the walk plus head jitter.
 
-    Piecewise constant-velocity segments integrate exactly; the jitter term
-    is a seeded sum of sinusoids below the configured bandwidth, so the
-    motion is continuous and reproducible sample for sample.
+    The walk holds still before t = 0 and then moves at constant velocity;
+    the jitter term is a seeded sum of sinusoids below the configured
+    bandwidth, so the motion is continuous and reproducible sample for sample.
     """
-    pos = np.asarray(subject.position_mm, dtype=float).copy()
-    for seg in subject.trajectory:
-        if t_ms <= seg.t_start_ms:
-            continue
-        dt_s = (min(t_ms, seg.t_end_ms) - seg.t_start_ms) / 1000.0
-        pos += np.asarray(seg.velocity_mmps) * dt_s
-    return pos + _jitter(subject, t_ms)
+    walked = np.asarray(subject.velocity_mmps) * (max(t_ms, 0.0) / 1000.0)
+    return subject.position_mm + walked + _jitter(subject, t_ms)
 
 
 def eye_velocity(subject: Subject, t_ms: float) -> np.ndarray:
-    """Instantaneous eye velocity in mm/s (trajectory plus jitter derivative)."""
-    vel = np.zeros(3)
-    for seg in subject.trajectory:
-        if seg.t_start_ms < t_ms <= seg.t_end_ms:
-            vel += np.asarray(seg.velocity_mmps)
-    return vel + _jitter_velocity(subject, t_ms)
+    """Instantaneous eye velocity in mm/s (the walk's plus the jitter derivative)."""
+    walk = np.asarray(subject.velocity_mmps if t_ms > 0.0 else (0.0, 0.0, 0.0))
+    return walk + _jitter_velocity(subject, t_ms)
 
 
 def line_of_sight_mm(eye_pos, rig: RigGeometry) -> float:

@@ -10,14 +10,13 @@ against the same setpoint until the dwell budget runs out.  A target is a
 
 The tracking loop works on detections one frame old, the way an actual
 vision pipeline would: frame k+1 is commanded at frame k from positions
-observed up to frame k-1.
+observed up to frame k-1.  ``tracker_plan`` extrapolates each frame's eye
+at constant velocity from the last two detections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import optics
 from .devices import SensorParams, SteeringMirror, TunableLens, next_frame_start
@@ -196,39 +195,21 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
     return log
 
 
-class ConstantVelocityTracker:
-    """Predicts eye positions from detections one frame behind real time."""
-
-    def __init__(self):
-        self._obs: list[tuple[float, np.ndarray]] = []
-
-    def observe(self, t_ms: float, position) -> None:
-        self._obs.append((t_ms, np.asarray(position, dtype=float)))
-        del self._obs[:-2]
-
-    def predict(self, t_ms: float) -> np.ndarray:
-        if not self._obs:
-            raise ValueError("no detections yet")
-        if len(self._obs) == 1:
-            return self._obs[0][1].copy()
-        (t0, p0), (t1, p1) = self._obs
-        v = (p1 - p0) / (t1 - t0)
-        return p1 + v * (t_ms - t1)
-
-
 def tracker_plan(rig: CaptureRig, subject: Subject, n_frames: int, start_frame: int):
     """Each frame's start, mid-exposure time and the eye the tracker predicts for it.
 
-    Frame k's eye is extrapolated from the eye at frames k-2 and k-1.
+    Frame k's eye is extrapolated at constant velocity from the eye detected
+    at the starts of frames k-2 and k-1.
     """
-    tracker = ConstantVelocityTracker()
-    for k in range(start_frame - 2, start_frame + n_frames):
-        t_frame = k * rig.sensor.frame_period_ms
-        if k >= start_frame:
-            t_mid = t_frame + rig.sensor.exposure_ms / 2.0
-            yield t_frame, t_mid, tracker.predict(t_mid)
+    period = rig.sensor.frame_period_ms
+    t0, t1 = (start_frame - 2) * period, (start_frame - 1) * period
+    p0, p1 = eye_position(subject, t0), eye_position(subject, t1)
+    for k in range(start_frame, start_frame + n_frames):
+        t_frame = k * period
+        t_mid = t_frame + rig.sensor.exposure_ms / 2.0
+        yield t_frame, t_mid, p1 + (p1 - p0) / (t1 - t0) * (t_mid - t1)
         # the detection from this frame becomes available one frame later
-        tracker.observe(t_frame, eye_position(subject, t_frame))
+        t0, p0, t1, p1 = t1, p1, t_frame, eye_position(subject, t_frame)
 
 
 def track_and_capture(rig: CaptureRig, subject: Subject, *,

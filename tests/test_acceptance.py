@@ -9,6 +9,7 @@ budgets and checks that span experiments or runs.
 The whole module is budgeted to finish in well under ten minutes.
 """
 
+import hashlib
 import math
 import time
 
@@ -154,6 +155,19 @@ def test_c07_two_subject_refocusing(multiperson_pair):
         failures.append(f"took {elapsed:.1f} s, budget 30 s")
     _verdict(7, "two seated-and-standing subjects: both matched, no cross-matches, "
                 "one cycle under 1 s, reproducible", failures)
+
+
+def test_canonical_multiperson_bytes_are_pinned(multiperson_pair, tmp_path):
+    # No perfbench workload runs multiperson, so its canonical output is pinned
+    # here.  ROADMAP item 2 (the dynamic focal stack) will change both digests
+    # on purpose.
+    experiments.write_result(multiperson_pair[0], tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("multiperson.csv", "summary.txt")}
+    assert digests == {
+        "multiperson.csv": "235c9d878378f888584a18638c2317ffda9b40ebefbaaca224b31bdc730deefd",
+        "summary.txt": "e330b794b36542cbf2bd7eefa1c9b5395c59e63e814810b780c730cadb3e8fff",
+    }
 
 
 def test_c08_capture_on_the_move(iom):

@@ -79,7 +79,9 @@ def test_lens_zero_step_settles_immediately():
     lens = TunableLens(seed=5)
     lens.command(4.0, t_ms=0.0)
     v1 = lens.power_at(30.0)
+    settled = lens.settled_at
     lens.command(4.0, t_ms=30.0)  # same quantized target, already settled
+    assert lens.settled_at == settled
     assert lens.is_settled(30.0)
     assert lens.power_at(30.0) == v1  # offset retained, the lens never moved
 

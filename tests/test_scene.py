@@ -7,7 +7,6 @@ from irissim.scene import (
     EYE_DROP_MM,
     RigGeometry,
     Subject,
-    TrajectorySegment,
     aim_angles,
     eye_position,
     eye_velocity,
@@ -114,7 +113,7 @@ def test_line_of_sight_adds_lens_offset():
 
 def test_subject_at_places_eye_below_head():
     rig = RigGeometry(mirror_height_mm=1200.0)
-    s = subject_at("a", 5, 3800.0, 0.0, 1700.0, rig)
+    s = subject_at("a", 5, 3800.0, 1700.0, rig)
     assert s.position_mm == pytest.approx((0.0, 3800.0, 1700.0 - EYE_DROP_MM - 1200.0))
 
 
@@ -129,24 +128,23 @@ def test_static_subject_stays_put():
 
 
 def test_trajectory_integrates_exactly():
-    seg = TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0))
-    s = make_subject((0.0, 3800.0, 380.0), trajectory=(seg,))
+    s = make_subject((0.0, 3800.0, 380.0), velocity_mmps=(0.0, -1000.0, 0.0))
     assert eye_position(s, 500.0)[1] == pytest.approx(3300.0)
     assert np.allclose(eye_velocity(s, 500.0), [0.0, -1000.0, 0.0])
 
 
-def test_trajectory_respects_segment_bounds():
-    seg = TrajectorySegment(100.0, 600.0, (2000.0, 0.0, 0.0))
-    s = make_subject((0.0, 5000.0, 0.0), trajectory=(seg,))
-    assert eye_position(s, 50.0)[0] == pytest.approx(0.0)
-    assert eye_position(s, 350.0)[0] == pytest.approx(500.0)
-    assert eye_position(s, 2000.0)[0] == pytest.approx(1000.0)
-    assert eye_velocity(s, 2000.0)[0] == pytest.approx(0.0)
+def test_walk_holds_still_before_time_zero():
+    s = make_subject((0.0, 5000.0, 0.0), velocity_mmps=(2000.0, 0.0, 0.0))
+    for t in (-500.0, -1.0, 0.0):
+        assert np.array_equal(eye_position(s, t), [0.0, 5000.0, 0.0])
+    assert eye_position(s, 250.0)[0] == pytest.approx(500.0)
 
 
-def test_segment_duration_validated():
-    with pytest.raises(ValueError):
-        TrajectorySegment(100.0, 100.0, (1.0, 0.0, 0.0))
+def test_walk_velocity_is_zero_until_time_zero():
+    s = make_subject((0.0, 5000.0, 0.0), velocity_mmps=(2000.0, 0.0, 0.0))
+    for t in (-500.0, -1.0, 0.0):
+        assert np.array_equal(eye_velocity(s, t), [0.0, 0.0, 0.0])
+    assert np.array_equal(eye_velocity(s, 1e-6), [2000.0, 0.0, 0.0])
 
 
 def test_jitter_amplitude_matches_sigma():
@@ -166,8 +164,8 @@ def test_jitter_is_deterministic_and_seeded():
 
 
 def test_velocity_matches_finite_difference():
-    seg = TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0))
-    s = Subject("s", 1, (0.0, 3800.0, 380.0), trajectory=(seg,), jitter_sigma_mm=3.0)
+    s = Subject("s", 1, (0.0, 3800.0, 380.0), velocity_mmps=(0.0, -1000.0, 0.0),
+                jitter_sigma_mm=3.0)
     h = 0.01
     for t in (37.0, 512.0, 4096.0):
         fd = (eye_position(s, t + h) - eye_position(s, t - h)) / (2 * h) * 1000.0
@@ -175,8 +173,8 @@ def test_velocity_matches_finite_difference():
 
 
 def test_motion_is_continuous():
-    seg = TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0))
-    s = Subject("s", 1, (0.0, 3800.0, 380.0), trajectory=(seg,), jitter_sigma_mm=3.0)
+    s = Subject("s", 1, (0.0, 3800.0, 380.0), velocity_mmps=(0.0, -1000.0, 0.0),
+                jitter_sigma_mm=3.0)
     for t in np.linspace(0.0, 2000.0, 200):
         step = np.linalg.norm(eye_position(s, t + 0.1) - eye_position(s, t))
         assert step < 1.0

@@ -8,14 +8,14 @@ from irissim.experiments import ExperimentResult, write_result
 from irissim.iriscode import encode_frame
 from irissim.optics import tunable_power_for_focus
 from irissim.renderer import render_eye
-from irissim.scene import Subject, TrajectorySegment, aim_angles
+from irissim.scene import Subject, aim_angles, eye_position
 from irissim.scheduler import (
     CSV_COLUMNS,
-    ConstantVelocityTracker,
     capture_sequence,
     plan_order,
     setpoints_for,
     track_and_capture,
+    tracker_plan,
 )
 
 PERIOD = 1000.0 / 30.5
@@ -198,24 +198,25 @@ def test_throughput_metrics_counts():
 
 
 def test_tracker_predicts_linear_motion_exactly():
-    tr = ConstantVelocityTracker()
-    tr.observe(0.0, (0.0, 1000.0, 0.0))
-    tr.observe(10.0, (0.0, 990.0, 0.0))
-    pred = tr.predict(30.0)
-    assert np.allclose(pred, [0.0, 970.0, 0.0])
+    walk = Subject("w", 1, (0.0, 1000.0, 0.0), velocity_mmps=(0.0, -1000.0, 0.0),
+                   jitter_sigma_mm=0.0)
+    for _, t_mid, pred in tracker_plan(walking_rig(), walk, n_frames=4, start_frame=3):
+        assert np.allclose(pred, [0.0, 1000.0 - t_mid, 0.0])
 
 
-def test_tracker_degenerate_cases():
-    tr = ConstantVelocityTracker()
-    with pytest.raises(ValueError):
-        tr.predict(0.0)
-    tr.observe(0.0, (1.0, 2.0, 3.0))
-    assert np.allclose(tr.predict(50.0), [1.0, 2.0, 3.0])
+def test_tracker_extrapolates_detections_one_frame_old():
+    walk = Subject("w", 1, (0.0, 3800.0, 0.0), velocity_mmps=(0.0, -1000.0, 0.0),
+                   jitter_sigma_mm=3.0, motion_seed=1)
+    plan = tracker_plan(walking_rig(), walk, n_frames=15, start_frame=16)
+    for k, (t_frame, t_mid, pred) in enumerate(plan, 16):
+        t0, t1 = (k - 2) * PERIOD, (k - 1) * PERIOD
+        p0, p1 = eye_position(walk, t0), eye_position(walk, t1)
+        assert t_frame == k * PERIOD
+        assert np.array_equal(pred, p1 + (p1 - p0) / (t1 - t0) * (t_mid - t1))
 
 
 def test_walking_subject_qualifies_frames():
-    walk = Subject("w", 6001, (0.0, 3800.0, 0.0),
-                   trajectory=(TrajectorySegment(0.0, math.inf, (0.0, -1000.0, 0.0)),),
+    walk = Subject("w", 6001, (0.0, 3800.0, 0.0), velocity_mmps=(0.0, -1000.0, 0.0),
                    jitter_sigma_mm=0.0)
     rig = walking_rig()
     gallery = {"w": enroll_code(rig.train, 6001)}
