@@ -4,6 +4,9 @@ The schema is strict on purpose: unknown keys are rejected everywhere, and
 device parameters outside the hardware envelope fail validation before any
 simulation starts.  ``default_config`` returns the canonical scenario for
 each experiment; a user config only needs the keys it wants to override.
+Each experiment key is declared once, in ``_EXPERIMENTS``, with its schema
+and its canonical value: the schema's ``experiment`` section, the canonical
+scenarios and the keys validation fills all derive from that table.
 ``load_config`` and ``default_config`` only read; ``validate_config`` is the
 one check, run once on the config a run will use.
 
@@ -124,52 +127,71 @@ _SUBJECT = _obj({
     "height_mm": _POS,
 }, required=["subject_id", "identity_seed", "distance_mm", "height_mm"])
 
-_EXPERIMENTS = {
-    "dof_table": _obj({
-        "kind": {"const": "dof_table"},
-        "distances_mm": {"type": "array", "items": _POS, "minItems": 1},
-    }, required=["kind"]),
-    "dof_extension": _obj({
-        "kind": {"const": "dof_extension"},
-        "base_distances_mm": {"type": "array", "items": _POS, "minItems": 1},
-        "grid_mm": _POS,
-        "repeats": _COUNT,
-        "identity_seed": _SEED,
-    }, required=["kind"]),
-    "hd_curve": _obj({
-        "kind": {"const": "hd_curve"},
-        "base_mm": _POS,
-        "grid_mm": _POS,
-        "span_near_mm": _POS,
-        "span_far_mm": _POS,
-        "repeats": _COUNT,
-        "identity_seed": _SEED,
-        "impostor_pairs": {"type": "integer", "minimum": 0},
-    }, required=["kind"]),
-    "multiperson": _obj({
-        "kind": {"const": "multiperson"},
-        "subjects": {"type": "array", "items": _SUBJECT, "minItems": 2},
-        "order": {"enum": ["given_order", "nearest_transition"]},
-        "dwell_budget": _COUNT,
-    }, required=["kind"]),
-    "iom": _obj({
-        "kind": {"const": "iom"},
-        "identity_seed": _SEED,
-        "height_mm": _POS,
-        "start_y_mm": _POS,
-        "speed_mmps": _POS,
-        "n_frames": _COUNT,
-        "start_frame": {"type": "integer", "minimum": 2},
-        "jitter_sigma_mm": _NONNEG,
-        "ablation_jitter_sigma_mm": _NONNEG,
-        "motion_seed": _SEED,
-    }, required=["kind"]),
+# each experiment key once: (its schema, its value in the canonical scenario)
+_EXPERIMENTS: dict[str, dict[str, tuple[dict, object]]] = {
+    "dof_table": {
+        "distances_mm": ({"type": "array", "items": _POS, "minItems": 1},
+                         [1000.0 + 500.0 * k for k in range(9)]),
+    },
+    "dof_extension": {
+        "base_distances_mm": ({"type": "array", "items": _POS, "minItems": 1},
+                              [1000.0, 3000.0, 5000.0]),
+        "grid_mm": (_POS, 10.0),
+        "repeats": (_COUNT, 5),
+        "identity_seed": (_SEED, 9000),
+    },
+    "hd_curve": {
+        "base_mm": (_POS, 5000.0),
+        "grid_mm": (_POS, 100.0),
+        "span_near_mm": (_POS, 2400.0),
+        "span_far_mm": (_POS, 4000.0),
+        "repeats": (_COUNT, 5),
+        "identity_seed": (_SEED, 7000),
+        "impostor_pairs": ({"type": "integer", "minimum": 0}, 50),
+    },
+    "multiperson": {
+        "subjects": ({"type": "array", "items": _SUBJECT, "minItems": 2}, [
+            {"subject_id": "seated", "identity_seed": 4411,
+             "distance_mm": 4380.0, "height_mm": 1540.0},
+            # 6340 from the scenario diagram; a nearby writeup says 6430,
+            # the diagram wins
+            {"subject_id": "standing", "identity_seed": 8122,
+             "distance_mm": 6340.0, "height_mm": 1800.0},
+        ]),
+        "order": ({"enum": ["given_order", "nearest_transition"]}, "nearest_transition"),
+        "dwell_budget": (_COUNT, DEFAULT_DWELL_BUDGET),
+    },
+    "iom": {
+        "identity_seed": (_SEED, 3377),
+        "height_mm": (_POS, 1700.0),
+        "start_y_mm": (_POS, 3800.0),
+        "speed_mmps": (_POS, 1000.0),
+        "n_frames": (_COUNT, 15),
+        "start_frame": ({"type": "integer", "minimum": 2}, 16),
+        "jitter_sigma_mm": (_NONNEG, 3.0),
+        "ablation_jitter_sigma_mm": (_NONNEG, 0.0),
+        "motion_seed": (_SEED, 1),
+    },
+}
+
+# the device sections where a canonical scenario departs from the dataclass defaults
+_SCENARIO_DEVICES = {
+    "multiperson": {"rig": {"mirror_height_mm": 1200.0}},
+    "iom": {
+        # mirror raised to eye height: a walking eye off the mirror plane
+        # picks up a transverse velocity component that smears the exposure
+        "rig": {"mirror_height_mm": 1580.0},
+        "train": {"f_zoom_mm": 210.0, "d_ref_mm": 3200.0},
+    },
 }
 
 SCHEMA = _obj({
     "version": {"const": SCHEMA_VERSION},
     "seed": _SEED,
-    "experiment": {"oneOf": list(_EXPERIMENTS.values())},
+    "experiment": {"oneOf": [
+        _obj({"kind": {"const": kind}} | {key: schema for key, (schema, _) in keys.items()},
+             required=["kind"])
+        for kind, keys in _EXPERIMENTS.items()]},
     "train": _section(OpticalTrain, f_zoom_mm={"type": "number",
                                                "minimum": optics.ZOOM_RANGE_MM[0],
                                                "maximum": optics.ZOOM_RANGE_MM[1]}),
@@ -199,10 +221,10 @@ def validate_config(cfg: dict) -> dict:
             if key in cfg.get("train", {}):
                 raise ConfigError(f"train.{key} is set: {kind} re-zooms and "
                                   f"re-focuses the train for each base itself")
-    canonical = _DEFAULTS[kind]
+    canonical = default_config(kind)
     cfg.setdefault("seed", canonical["seed"])
     for key, value in canonical["experiment"].items():
-        cfg["experiment"].setdefault(key, copy.deepcopy(value))
+        cfg["experiment"].setdefault(key, value)
     renders = queued_renders(cfg["experiment"])
     if renders > MAX_RENDERS:
         raise ConfigError(f"{kind} queues up to {renders:.0f} renders, more than the "
@@ -452,83 +474,10 @@ def rig_from_config(cfg: dict) -> CaptureRig:
                       thresholds=quality_thresholds(cfg))
 
 
-_DEFAULTS: dict[str, dict] = {
-    "dof_table": {
-        "version": SCHEMA_VERSION,
-        "seed": 0,
-        "experiment": {
-            "kind": "dof_table",
-            "distances_mm": [1000.0 + 500.0 * k for k in range(9)],
-        },
-    },
-    "dof_extension": {
-        "version": SCHEMA_VERSION,
-        "seed": 0,
-        "experiment": {
-            "kind": "dof_extension",
-            "base_distances_mm": [1000.0, 3000.0, 5000.0],
-            "grid_mm": 10.0,
-            "repeats": 5,
-            "identity_seed": 9000,
-        },
-    },
-    "hd_curve": {
-        "version": SCHEMA_VERSION,
-        "seed": 0,
-        "experiment": {
-            "kind": "hd_curve",
-            "base_mm": 5000.0,
-            "grid_mm": 100.0,
-            "span_near_mm": 2400.0,
-            "span_far_mm": 4000.0,
-            "repeats": 5,
-            "identity_seed": 7000,
-            "impostor_pairs": 50,
-        },
-    },
-    "multiperson": {
-        "version": SCHEMA_VERSION,
-        "seed": 0,
-        "experiment": {
-            "kind": "multiperson",
-            "subjects": [
-                {"subject_id": "seated", "identity_seed": 4411,
-                 "distance_mm": 4380.0, "height_mm": 1540.0},
-                # 6340 from the scenario diagram; a nearby writeup says 6430,
-                # the diagram wins
-                {"subject_id": "standing", "identity_seed": 8122,
-                 "distance_mm": 6340.0, "height_mm": 1800.0},
-            ],
-            "order": "nearest_transition",
-            "dwell_budget": DEFAULT_DWELL_BUDGET,
-        },
-        "rig": {"mirror_height_mm": 1200.0},
-    },
-    "iom": {
-        "version": SCHEMA_VERSION,
-        "seed": 0,
-        "experiment": {
-            "kind": "iom",
-            "identity_seed": 3377,
-            "height_mm": 1700.0,
-            "start_y_mm": 3800.0,
-            "speed_mmps": 1000.0,
-            "n_frames": 15,
-            "start_frame": 16,
-            "jitter_sigma_mm": 3.0,
-            "ablation_jitter_sigma_mm": 0.0,
-            "motion_seed": 1,
-        },
-        # mirror raised to eye height: a walking eye off the mirror plane
-        # picks up a transverse velocity component that smears the exposure
-        "rig": {"mirror_height_mm": 1580.0},
-        "train": {"f_zoom_mm": 210.0, "d_ref_mm": 3200.0},
-    },
-}
-
-
 def default_config(kind: str) -> dict:
     """A fresh copy of the canonical scenario; it sets every key validation fills."""
-    if kind not in _DEFAULTS:
+    if kind not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    return copy.deepcopy(_DEFAULTS[kind])
+    experiment = {"kind": kind} | {key: value for key, (_, value) in _EXPERIMENTS[kind].items()}
+    return copy.deepcopy({"version": SCHEMA_VERSION, "seed": 0, "experiment": experiment,
+                          **_SCENARIO_DEVICES.get(kind, {})})

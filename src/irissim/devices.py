@@ -45,8 +45,12 @@ class LensParams:
     def __post_init__(self):
         if self.power_range[0] >= self.power_range[1]:
             raise ValueError("power range must be ordered")
-        if self.settle_ms < self.response_ms:
-            raise ValueError("settling cannot finish before the response starts")
+        # the settle time in use, and settle_ms in either mode
+        settle = min(self.settle_ms, self.settle_time)
+        if settle < self.response_ms:
+            raise ValueError(f"settle time {settle:.6g} ms is shorter than the "
+                             f"{self.response_ms:.6g} ms response: settling cannot "
+                             f"finish before the response starts")
         if self.mode not in ("raw", "filtered"):
             raise ValueError(f"unknown drive mode {self.mode!r}")
         if self.repeatability_dpt > self.power_range[1] - self.power_range[0]:

@@ -342,8 +342,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     # a captured frame must not match the other subject's template
     cross: dict[str, float] = {}
-    for target_id, _, frame in log.kept:
-        code = iriscode.encode_frame(frame, circles="detect")
+    for target_id, _, _, code in log.kept:
         for other in gallery:
             if other != target_id:
                 cross[f"{target_id}->{other}"] = iriscode.hamming_distance(
@@ -351,7 +350,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     cycle_ms = log.events[-1].t_ms - log.events[0].t_ms  # events are time-ordered
     rows = [astuple(e) for e in log.events]
-    frames = [(f"{tid}_t{t:.0f}ms", fr.image) for tid, t, fr in log.kept]
+    frames = [(f"{tid}_t{t:.0f}ms", fr.image) for tid, t, fr, _ in log.kept]
 
     stats = {
         "subjects": [s.subject_id for s in subjects],
@@ -407,7 +406,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
                          e.blur_px, e.px_across_iris, e.quality_pass, e.hd,
                          e.matched))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
-                      for _, t, fr in log.kept)
+                      for _, t, fr, _ in log.kept)
         n_ok = len(log.qualified())
         n_match = sum(1 for e in log.qualified() if e.matched)
         stats["variants"][variant] = {

@@ -50,8 +50,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(Event))
 class EventLog:
     def __init__(self):
         self.events: list[Event] = []
-        # (target_id, t_frame_ms, Frame) for every qualified exposure
-        self.kept: list[tuple[str, float, object]] = []
+        # (target_id, t_frame_ms, Frame, its detected IrisCode or None without a
+        # gallery template) for every qualified exposure
+        self.kept: list[tuple[str, float, object, IrisCode | None]] = []
 
     def frames(self) -> list[Event]:
         return [e for e in self.events if e.event_type == "frame"]
@@ -147,7 +148,7 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
         return False
     report = evaluate(frame, rig.thresholds)
     ok = settled and report.passed
-    hd = matched = None
+    code = hd = matched = None
     if ok and gallery is not None and sid in gallery:
         try:
             code = encode_frame(frame, circles="detect")
@@ -157,7 +158,7 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
             hd = hamming_distance(code, gallery[sid])
             matched = hd < MATCH_THRESHOLD
     if ok:
-        log.kept.append((sid, t_frame, frame))
+        log.kept.append((sid, t_frame, frame, code))
     log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
                             power_dpt=power, blur_px=frame.blur_px,
                             px_across_iris=frame.px_across_iris, quality_pass=ok,

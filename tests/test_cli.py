@@ -213,6 +213,13 @@ def test_device_value_without_a_finite_run_exits_2(tmp_path, capsys, section,
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg, words)
 
 
+def test_filtered_lens_settling_before_its_response_exits_2(tmp_path, capsys):
+    cfg = config.default_config("multiperson")
+    cfg["lens"] = {"response_ms": 40.0, "settle_ms": 40.0, "mode": "filtered"}
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("settle time 12.5 ms", "40 ms response"))
+
+
 @pytest.mark.parametrize("command, kind", [("dof-extension", "dof_extension"),
                                            ("hd-curve", "hd_curve")])
 @pytest.mark.parametrize("key, value", [("f_zoom_mm", 200.0), ("d_ref_mm", 3000.0)])
@@ -296,7 +303,7 @@ def test_sweep_queuing_too_many_renders_exits_2(tmp_path, capsys, command,
 def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    configs = [config.default_config(kind) for kind in config._DEFAULTS]
+    configs = [config.default_config(kind) for kind in config._EXPERIMENTS]
     configs += [cfg for w in workloads.WORKLOADS.values()
                 for cfg in workloads.configs_for(w, 0)]
     for cfg in configs:

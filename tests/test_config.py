@@ -32,7 +32,7 @@ def test_schema_is_a_valid_json_schema():
     jsonschema.validators.validator_for(config.SCHEMA).check_schema(config.SCHEMA)
 
 
-@pytest.mark.parametrize("kind", list(config._DEFAULTS))
+@pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
 def test_default_configs_validate(kind):
     cfg = config.default_config(kind)
     assert cfg["experiment"]["kind"] == kind
@@ -40,7 +40,7 @@ def test_default_configs_validate(kind):
     assert config.validate_config(copy.deepcopy(cfg)) == cfg
 
 
-@pytest.mark.parametrize("kind", list(config._DEFAULTS))
+@pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
 def test_kind_only_config_takes_the_canonical_experiment(kind):
     cfg = config.validate_config({"version": 1, "experiment": {"kind": kind}})
     assert cfg["experiment"] == config.default_config(kind)["experiment"]

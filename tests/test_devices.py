@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from irissim.devices import (
     DEFAULT_CURRENT_GAIN,
     POWER_QUANTUM_DPT,
     LensParams,
-    MirrorParams,
     MirrorRangeError,
     SensorParams,
     SteeringMirror,
@@ -107,6 +104,16 @@ def test_lens_replay_deterministic():
     a, b, c = run(11), run(11), run(12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("mode, settle_ms, settle", [
+    ("raw", 30.0, "30"),
+    # settled from 12.5 ms while the drive holds the old power until 40 ms
+    ("filtered", 40.0, "12.5"),
+])
+def test_lens_rejects_settling_before_the_response(mode, settle_ms, settle):
+    with pytest.raises(ValueError, match=f"settle time {settle} ms is shorter than the 40 ms"):
+        LensParams(response_ms=40.0, settle_ms=settle_ms, mode=mode)
 
 
 def test_lens_rejects_bad_mode():

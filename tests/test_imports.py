@@ -1,4 +1,4 @@
-"""Every name a package module imports is used somewhere in that module,
+"""Every name a package or test module imports is read somewhere in that module,
 every function and class it defines is used somewhere in the package or its
 tests, and importing the command line leaves out the slow scipy modules."""
 
@@ -23,13 +23,22 @@ def unused_imports(source: str) -> list[str]:
             imported |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # perfbench/ is left out: it changes only together with the benchmark it runs
+    paths = MODULES + sorted(TESTS.glob("*.py"))
+    unread = [f"{path.parent.name}/{path.name}: {name}"
+              for path in paths for name in unused_imports(path.read_text())]
+    assert unread == []
 
 
 def used_names(source: str) -> set[str]:

@@ -12,7 +12,7 @@ from irissim.quality import (
     evaluate,
     sharpness_score,
 )
-from irissim.renderer import Frame, render_eye
+from irissim.renderer import render_eye
 from irissim.scene import aim_angles
 
 TRAIN = OpticalTrain()
