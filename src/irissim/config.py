@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 
 import jsonschema
 
@@ -67,7 +66,7 @@ from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, setpoints_for, tracker_
 
 SCHEMA_VERSION = 1
 # worst-case renders one config may queue; the canonical dof_extension
-# queues at most 12,180
+# queues at most 580
 MAX_RENDERS = 100_000
 # a dof_extension side is a runaway scan once it leaves these multiples of
 # its base without its gate failing
@@ -237,20 +236,52 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def side_walk(base: float, grid: float, sign: float) -> tuple[float, Iterator[float]]:
-    """One dof_extension side walk: its whole grid steps, and its positions.
+def side_walk(base: float, grid: float, sign: float) -> tuple[float, Callable[[int], float]]:
+    """One dof_extension side walk: its cell count n, and the position of cell k.
 
-    From the base cell, k = 0, the walk probes ``base + sign * k * grid``
-    inside GUARD_FRACTIONS of the base and beyond the probe's mirror-to-lens
-    leg.  Float rounding can add or drop the last cell, so the steps (a
-    float beyond the render bound) only estimate what the positions count.
+    Cell k sits at ``base + sign * k * grid``, k = 0 the base cell.  The walk
+    is the run of cells from the base cell inside GUARD_FRACTIONS of the base
+    and beyond the probe's mirror-to-lens leg.  Its cells are never listed: n
+    is the walk's own search (``walk_probe``) for its first cell outside, which
+    is exact where float rounding adds or drops the last cell and takes
+    O(log n) steps on any grid.  A walk too long to index in floats counts inf.
     """
     leg = calibration.PROBE_RIG.lens_height_mm
     lo, hi = (f * base for f in GUARD_FRACTIONS)
-    steps = max(sign * ((hi if sign > 0 else max(lo, leg)) - base), 0.0) / grid
-    positions = (base + sign * k * grid for k in itertools.count())
-    return (math.floor(steps) if steps <= MAX_RENDERS else steps,
-            itertools.takewhile(lambda d: lo <= d <= hi and d > leg, positions))
+
+    def position(k: int) -> float:
+        return base + sign * k * grid
+
+    if not (hi - lo) / grid < 2.0 ** 1000:
+        return math.inf, position
+    inside, outside = -1, math.inf
+    while outside - inside > 1:
+        k = walk_probe(inside, outside, math.inf)
+        d = position(k)
+        if lo <= d <= hi and d > leg:
+            inside = k
+        else:
+            outside = k
+    return outside, position
+
+
+def walk_probe(lo: int, hi: float, n: float) -> int:
+    """The next cell a search of an n-cell side walk probes.
+
+    ``lo`` is the last cell known to pass (-1 before the base cell) and ``hi``
+    the first known to fail (n until one fails); the search ends when they
+    are adjacent.  Until a cell fails it gallops through cells 0, 1, 2, 4, 8,
+    ... capped at n - 1, then it bisects.  One repeat's search probes at most
+    ``walk_renders(n)`` cells.
+    """
+    return (lo + hi) // 2 if hi < n else min(lo + max(lo, 1), n - 1)
+
+
+def walk_renders(n: float) -> float:
+    """Worst-case cells one search of an n-cell side walk probes: min(n, 2 ceil(log2 n) + 2)."""
+    if math.isinf(n):
+        return n
+    return min(n, 2 * (n - 1).bit_length() + 2)
 
 
 def _hd_steps(exp: dict) -> list:
@@ -262,21 +293,17 @@ def _hd_steps(exp: dict) -> list:
 def queued_renders(exp: dict) -> float:
     """Worst-case renders a config queues.
 
-    dof_extension: every repeat renders each cell of both side walks of
-    every base, the base cell twice; above the render bound, as their steps
-    estimate it.  hd_curve: every position and repeat, the template and two
-    eyes per impostor pair.  multiperson: one enrolment and the whole dwell
-    budget per subject.  iom: both variants' frames and one enrolment.  dof_table
-    renders nothing.
+    dof_extension: every repeat searches both side walks of every base, each
+    for at most ``walk_renders`` cells, the base cell in both.  hd_curve:
+    every position and repeat, the template and two eyes per impostor pair.
+    multiperson: one enrolment and the whole dwell budget per subject.  iom:
+    both variants' frames and one enrolment.  dof_table renders nothing.
     """
     kind = exp["kind"]
     if kind == "dof_extension":
-        walks = [side_walk(base, exp["grid_mm"], sign)
-                 for base in exp["base_distances_mm"] for sign in (-1.0, 1.0)]
-        cells = sum(1 + steps for steps, _ in walks)
-        if exp["repeats"] * cells <= MAX_RENDERS:
-            cells = sum(1 for _, positions in walks for _ in positions)
-        return exp["repeats"] * cells
+        return exp["repeats"] * sum(walk_renders(side_walk(base, exp["grid_mm"], sign)[0])
+                                    for base in exp["base_distances_mm"]
+                                    for sign in (-1.0, 1.0))
     if kind == "hd_curve":
         n_near, n_far = _hd_steps(exp)
         return (n_near + n_far + 1) * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]

@@ -8,10 +8,11 @@ unit functions over a process pool and gets byte-identical output back.
 
 Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  A
-dof_extension unit is one (base, side): all repeats walk outward in lockstep
-from the base cell, step 0, each stopping at its own gate, so a (base,
-repeat) scan in position order is the front walk reversed and then the rear
-walk past the base cell.  An hd_curve unit is one position's repeats.
+dof_extension unit is one (base, side): all repeats search its walk outward
+from the base cell, cell 0, in lockstep, each for its own gate's edge (a
+gallop, then a bisection), so a (base, repeat)'s rows in position order are
+the front walk's probed cells reversed and then the rear walk's past the
+base cell.  An hd_curve unit is one position's repeats.
 """
 
 from __future__ import annotations
@@ -131,33 +132,40 @@ def _extension_cell(cfg, base, d, repeat):
 
 
 def _extension_side(args):
-    """Walk one (base, side) outward from focus, all repeats in lockstep.
+    """Search one (base, side) walk outward from focus, all repeats in lockstep.
 
-    The positions are ``config.side_walk``'s, step 0 the base cell itself.
-    At each position every repeat still passing is evaluated back to back,
-    so they share one clean image; a repeat stops at the first cell its gate
-    fails.  A repeat still passing where the walk ends found no limit: its
-    extent is only a lower bound, and the side is cut.  Returns each
-    repeat's rows in walk order and extent, and whether the side is cut.
+    The cells are ``config.side_walk``'s, cell 0 the base cell itself.  Each
+    repeat brackets its gate's edge between ``lo``, the last cell that passed
+    (-1 before the base cell), and ``hi``, the first that failed (n before
+    any): it gallops through cells 0, 1, 2, 4, ... up to cell n - 1 and, once
+    a cell fails, bisects down to adjacent cells (``config.walk_probe``).
+    Where the gate passes and then fails along the walk, ``lo`` is the last
+    cell a cell-by-cell scan would pass.  In each round every open repeat
+    picks its next cell, the round visits those cells in walk order, and the
+    repeats that picked one cell are evaluated back to back, so they share one
+    clean image.  A repeat still passing at cell n - 1 found no limit: its
+    extent is only a lower bound, and the side is cut.  Returns each repeat's
+    rows (the cells it probed, in walk order), each repeat's extent (``lo``
+    grid steps) and whether the side is cut.
     """
     cfg, base, sign = args
     exp = cfg["experiment"]
-    live = list(range(exp["repeats"]))
-    rows = [[] for _ in live]
-    extent = [0.0 for _ in live]
-    _, positions = config.side_walk(base, exp["grid_mm"], sign)
-    for k, d in enumerate(positions):
-        passing = []
-        for r in live:
-            ok, row = _extension_cell(cfg, base, d, r)
-            rows[r].append(row)
+    n, position = config.side_walk(base, exp["grid_mm"], sign)
+    repeats = range(exp["repeats"])
+    lo, hi = [-1 for _ in repeats], [n for _ in repeats]
+    rows = [{} for _ in repeats]
+    while picks := {r: config.walk_probe(lo[r], hi[r], n)
+                    for r in repeats if hi[r] - lo[r] > 1}:
+        for r in sorted(picks, key=lambda r: (picks[r], r)):
+            k = picks[r]
+            ok, rows[r][k] = _extension_cell(cfg, base, position(k), r)
             if ok:
-                extent[r] = k * exp["grid_mm"]
-                passing.append(r)
-        live = passing
-        if not live:
-            return rows, extent, False
-    return rows, extent, True
+                lo[r] = k
+            else:
+                hi[r] = k
+    extent = [max(k, 0) * exp["grid_mm"] for k in lo]
+    cut = n - 1 in lo
+    return [[cells[k] for k in sorted(cells)] for cells in rows], extent, cut
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:

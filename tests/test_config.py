@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 
 import jsonschema
 import pytest
@@ -180,4 +181,17 @@ def test_subject_entries_require_all_fields():
     cfg = config.default_config("multiperson")
     del cfg["experiment"]["subjects"][0]["height_mm"]
     with pytest.raises(ConfigError, match="height_mm"):
+        config.validate_config(cfg)
+
+
+def test_side_walk_counts_a_fine_grid_without_listing_it():
+    # ten billion cells: a walk that listed them would not finish
+    n, position = config.side_walk(5000.0, 1e-6, 1.0)
+    assert abs(n - 10 ** 10) <= 2
+    assert position(n - 1) <= 15000.0 < position(n)
+    assert config.walk_renders(n) == 2 * 34 + 2
+    # a walk too long to index in floats queues inf renders, which validation rejects
+    assert config.side_walk(1e10, 5e-324, 1.0)[0] == config.walk_renders(math.inf) == math.inf
+    cfg = {"version": 1, "experiment": {"kind": "dof_extension", "grid_mm": 5e-324}}
+    with pytest.raises(ConfigError, match="queues up to inf renders"):
         config.validate_config(cfg)

@@ -93,6 +93,26 @@ def _linear_scan(cfg, base, repeat):
     return extent[-1.0], extent[1.0], cut, rows
 
 
+def _assert_search_equals_linear_scan(cfg):
+    """The lockstep search against ``_linear_scan``, repeat by repeat."""
+    exp = cfg["experiment"]
+    res = experiments.run_dof_extension(cfg)
+    guard_cut = []
+    for base in exp["base_distances_mm"]:
+        scans = [_linear_scan(cfg, base, r) for r in range(exp["repeats"])]
+        assert res.stats[base]["front_mm"] == float(np.mean([s[0] for s in scans]))
+        assert res.stats[base]["rear_mm"] == float(np.mean([s[1] for s in scans]))
+        cut = set().union(*(s[2] for s in scans))
+        guard_cut += [(base, side) for side in ("front", "rear") if side in cut]
+    assert res.stats["guard_cut"] == guard_cut
+    # each row is its cell's, grouped by base then repeat, in position order
+    for row in res.rows:
+        base, repeat, d = row[:3]
+        assert row == experiments._extension_cell(cfg, base, d, repeat)[1]
+    keys = [(exp["base_distances_mm"].index(row[0]), row[1], row[2]) for row in res.rows]
+    assert keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("experiment, train", [
     ({"base_distances_mm": [5000.0], "grid_mm": 200.0, "repeats": 3}, {}),
     # every cell passes, so the guard ends both sides of both repeats
@@ -104,18 +124,67 @@ def test_lockstep_walk_equals_the_per_repeat_linear_scan(experiment, train):
     cfg = config.default_config("dof_extension")
     cfg["experiment"].update(experiment)
     cfg["train"] = train
-    cfg = config.validate_config(cfg)
-    res = experiments.run_dof_extension(cfg)
-    rows, guard_cut = [], []
-    for base in experiment["base_distances_mm"]:
-        scans = [_linear_scan(cfg, base, r) for r in range(experiment["repeats"])]
-        rows += [row for *_, scan_rows in scans for row in scan_rows]
-        assert res.stats[base]["front_mm"] == float(np.mean([s[0] for s in scans]))
-        assert res.stats[base]["rear_mm"] == float(np.mean([s[1] for s in scans]))
-        cut = set().union(*(s[2] for s in scans))
-        guard_cut += [(base, side) for side in ("front", "rear") if side in cut]
-    assert res.rows == rows
-    assert res.stats["guard_cut"] == guard_cut
+    _assert_search_equals_linear_scan(config.validate_config(cfg))
+
+
+@pytest.mark.parametrize("experiment, sections", [
+    # both edges lie about 30 cells out, so the gallop overshoots them
+    ({"base_distances_mm": [5000.0], "grid_mm": 10.0, "repeats": 2},
+     {"lens": {"power_min_dpt": -1.0, "power_max_dpt": 1.0}}),
+    # the base cell fails, so every extent is 0
+    ({"base_distances_mm": [5000.0], "grid_mm": 200.0, "repeats": 2},
+     {"quality": {"min_px_across_iris": 1000.0}}),
+])
+def test_search_past_the_edge_or_from_a_failing_base_equals_the_linear_scan(
+        experiment, sections):
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(experiment)
+    cfg.update(sections)
+    _assert_search_equals_linear_scan(config.validate_config(cfg))
+
+
+def _linear_edge(n, edge):
+    """Reference: scan cells 0 .. n - 1 until one fails (cell k passes iff k < edge).
+
+    Returns the last passing cell (0 when the base cell fails) and whether
+    every cell passed.
+    """
+    last = 0
+    for k in range(n):
+        if not k < edge:
+            return last, False
+        last = k
+    return last, True
+
+
+def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
+    # No rendering: cell k of every walk passes iff k is below its repeat's edge.
+    edges = {}
+    calls = []
+
+    def fake_cell(cfg, base, d, repeat):
+        k = int(d)
+        calls.append((repeat, k))
+        return k < edges[repeat], (repeat, k)
+
+    monkeypatch.setattr(experiments, "_extension_cell", fake_cell)
+    cfg = {"experiment": {"grid_mm": 10.0, "repeats": 3}}
+    for n in range(1, 72):
+        monkeypatch.setattr(config, "side_walk", lambda base, grid, sign, n=n: (n, float))
+        bound = config.walk_renders(n)
+        assert bound == min(n, 2 * math.ceil(math.log2(n)) + 2)
+        for edge in range(n + 1):
+            edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1)})
+            calls.clear()
+            rows, extent, cut = experiments._extension_side((cfg, 0.0, 1.0))
+            scans = [_linear_edge(n, edges[r]) for r in range(3)]
+            assert extent == [10.0 * last for last, _ in scans]
+            assert cut == any(c for _, c in scans)
+            for r in range(3):
+                probed = [k for rr, k in calls if rr == r]
+                assert len(probed) <= bound
+                assert rows[r] == [(r, k) for k in sorted(set(probed))]
+                assert len(set(probed)) == len(probed)
 
 
 def _count_renders(mp: pytest.MonkeyPatch) -> list[dict]:
@@ -133,8 +202,9 @@ _PASS_ALL = {"sharpness_min": 1e-9, "min_px_across_iris": 1.0}
 
 
 def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
-    # every cell passes, so both sides of both repeats walk out to the guard
-    # (0.3x and 3x the base) and the run renders its whole worst case
+    # every cell passes, so each repeat's search gallops both sides out to the
+    # guard (0.3x and 3x the base): cells 0, 1, 2 of the 3-cell front walk and
+    # 0, 1, 2, 4, 8 of the 9-cell rear walk
     cfg = config.default_config("dof_extension")
     cfg["experiment"].update(base_distances_mm=[1000.0], grid_mm=250.0, repeats=2)
     cfg["quality"] = _PASS_ALL
@@ -145,7 +215,10 @@ def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
     assert res.stats["guard_cut"] == [(1000.0, "front"), (1000.0, "rear")]
     # both side walks render the base cell of each repeat, as their step 0
     assert distances.count(1000.0) == 2 * 2
-    assert len(distances) == config.queued_renders(cfg["experiment"]) == 24
+    assert sorted(distances) == sorted(2 * [500.0, 750.0, 1000.0, 1000.0, 1250.0,
+                                            1500.0, 2000.0, 3000.0])
+    # on walks this short the worst case, min(n, 2 ceil(log2 n) + 2), is every cell
+    assert len(distances) == 16 < config.queued_renders(cfg["experiment"]) == 2 * (3 + 9)
 
 
 def _brute_force_walk(base, grid, sign):
@@ -158,6 +231,11 @@ def _brute_force_walk(base, grid, sign):
             return cells
         cells.append(d)
         k += 1
+
+
+def _gallop(n):
+    """Cells an all-passing search of an n-cell walk probes: 0, 1, 2, 4, ... and n - 1."""
+    return sorted({0, n - 1} | {2 ** j for j in range(n.bit_length()) if 2 ** j < n})
 
 
 _EXPERIMENTS = st.one_of(
@@ -228,11 +306,20 @@ def test_config_runs_or_fails_validation(experiment, sections):
         result = experiments.run_experiment(cfg)
     assert len(calls) <= queued
     if experiment["kind"] == "dof_extension":
-        walked = sum(len(_brute_force_walk(base, experiment["grid_mm"], sign))
-                     for base in experiment["base_distances_mm"] for sign in (-1.0, 1.0))
-        assert queued == experiment["repeats"] * walked
-        if all(row[-1] for row in result.rows):  # no gate failed: every walk ran out
-            assert len(calls) == queued
+        walks = {base: [_brute_force_walk(base, experiment["grid_mm"], sign)
+                        for sign in (-1.0, 1.0)]
+                 for base in experiment["base_distances_mm"]}
+        lengths = [len(walk) for pair in walks.values() for walk in pair]
+        assert queued == experiment["repeats"] * sum(
+            min(n, 2 * math.ceil(math.log2(n)) + 2) for n in lengths)
+        if all(row[-1] for row in result.rows):
+            # no gate failed: each search galloped through cells 0, 1, 2, 4, ...
+            # and ended on each walk's last cell
+            positions = []
+            for base in experiment["base_distances_mm"]:
+                front, rear = ([walk[k] for k in _gallop(len(walk))] for walk in walks[base])
+                positions += experiment["repeats"] * (front[::-1] + rear[1:])
+            assert [row[2] for row in result.rows] == positions
     if experiment["kind"] == "iom":
         assert len(result.rows) == 2 * experiment["n_frames"]
 
