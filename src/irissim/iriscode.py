@@ -5,6 +5,10 @@ annulus to a fixed polar sheet, filter each row with a 1-D log-Gabor and
 keep the two phase sign bits per sample.  Comparison is masked Hamming
 distance minimized over a small angular shift budget, which absorbs head
 roll between captures.
+
+Every code has one shape, so the sheet's sampling grid, the lid columns,
+the filter gain and the shift index are fixed at import; each call does
+only its per-frame work, on whole arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +43,30 @@ _MAGIC = b"IC"
 _VERSION = 1
 _HEADER = struct.Struct("<2sBBHHBB6x")  # magic, version, flags, rows, cols, bpc, shifts
 assert _HEADER.size == 16
+_GEOMETRY = (CODE_ROWS, 2 * CODE_COLS, 2, SHIFT_BUDGET)  # rows, cols, bpc, shifts
+
+# downward sector of the limbus rings, clear of the lid
+_RING_ANGLES = np.deg2rad(np.arange(20, 161, 2))
+_RING_COS, _RING_SIN = np.cos(_RING_ANGLES), np.sin(_RING_ANGLES)
+
+_SHEET_RADII = (np.arange(SHEET_ROWS) + 0.5) / SHEET_ROWS
+_SHEET_ANGLES = 2 * np.pi * np.arange(SHEET_COLS) / SHEET_COLS
+_SHEET_COS, _SHEET_SIN = np.cos(_SHEET_ANGLES), np.sin(_SHEET_ANGLES)
+# y grows downward, so the lid band sits around angle 3*pi/2
+_LID = ((_SHEET_ANGLES > np.pi * (1.5 - _LID_HALF_WIDTH))
+        & (_SHEET_ANGLES < np.pi * (1.5 + _LID_HALF_WIDTH)))
+_CODE_STEP = SHEET_COLS // CODE_COLS
+_CODE_OPEN = ~_LID[::_CODE_STEP]  # code columns clear of the lid
+
+# one-sided log-Gabor gain: filtering a band gives its analytic signal
+_FREQ = np.fft.fftfreq(SHEET_COLS) * SHEET_COLS
+_GAIN = np.zeros(SHEET_COLS)
+_GAIN[_FREQ > 0] = np.exp(-(np.log(_FREQ[_FREQ > 0] / LOG_GABOR_F0)) ** 2
+                          / (2 * np.log(LOG_GABOR_SIGMA) ** 2))
+
+# bits[:, _SHIFT_INDEX[k]] is np.roll(bits, 2 * _SHIFTS[k], axis=1)
+_SHIFTS = np.arange(-SHIFT_BUDGET, SHIFT_BUDGET + 1)
+_SHIFT_INDEX = (np.arange(2 * CODE_COLS) - 2 * _SHIFTS[:, None]) % (2 * CODE_COLS)
 
 
 class SegmentationError(Exception):
@@ -68,11 +96,9 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
     r_p = float(np.sqrt(n_dark / np.pi))
 
     radii = np.arange(1.5 * r_p, 4.0 * r_p, 1.0)
-    angles = np.deg2rad(np.arange(20, 161, 2))  # downward sector, clear of the lid
-    ca, sa = np.cos(angles), np.sin(angles)
     h, w = image.shape
-    x = np.clip((cx + radii[:, None] * ca).astype(int), 0, w - 1)
-    y = np.clip((cy + radii[:, None] * sa).astype(int), 0, h - 1)
+    x = np.clip((cx + radii[:, None] * _RING_COS).astype(int), 0, w - 1)
+    y = np.clip((cy + radii[:, None] * _RING_SIN).astype(int), 0, h - 1)
     profile = image[y, x].astype(float).mean(axis=1)  # one ring per radius
     profile = gaussian_filter1d(profile, 2.0, mode="nearest")
     grad = np.gradient(profile)
@@ -86,56 +112,33 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
     return cx, cy, r_p, r_i
 
 
-def unroll(image: np.ndarray, cx: float, cy: float, r_p: float, r_i: float):
-    """Rubber-sheet the annulus to SHEET_ROWS x SHEET_COLS, lid band masked."""
-    nr, na = SHEET_ROWS, SHEET_COLS
-    rads = (np.arange(nr) + 0.5) / nr
-    angs = 2 * np.pi * np.arange(na) / na
-    r = r_p + rads[:, None] * (r_i - r_p)
-    x = cx + r * np.cos(angs)[None, :]
-    y = cy + r * np.sin(angs)[None, :]
+def unroll(image: np.ndarray, cx: float, cy: float, r_p: float, r_i: float) -> np.ndarray:
+    """Rubber-sheet the annulus to SHEET_ROWS x SHEET_COLS, bilinear in the image."""
+    r = r_p + _SHEET_RADII[:, None] * (r_i - r_p)
+    x = cx + r * _SHEET_COS[None, :]
+    y = cy + r * _SHEET_SIN[None, :]
     x0 = np.clip(x.astype(int), 0, image.shape[1] - 2)
     y0 = np.clip(y.astype(int), 0, image.shape[0] - 2)
     fx = x - x0
     fy = y - y0
-    im = image.astype(float)
-    sheet = (im[y0, x0] * (1 - fx) * (1 - fy) + im[y0, x0 + 1] * fx * (1 - fy)
-             + im[y0 + 1, x0] * (1 - fx) * fy + im[y0 + 1, x0 + 1] * fx * fy)
-    mask = np.ones((nr, na), bool)
-    # y grows downward, so the lid band sits around angle 3*pi/2
-    lid = (angs > np.pi * (1.5 - _LID_HALF_WIDTH)) & (angs < np.pi * (1.5 + _LID_HALF_WIDTH))
-    mask[:, lid] = False
-    return sheet, mask
+    # cast only the four gathered taps, not the whole frame
+    p00, p01, p10, p11 = (image[y0 + dy, x0 + dx].astype(float)
+                          for dy in (0, 1) for dx in (0, 1))
+    return (p00 * (1 - fx) * (1 - fy) + p01 * fx * (1 - fy)
+            + p10 * (1 - fx) * fy + p11 * fx * fy)
 
 
-def _log_gabor_row(row: np.ndarray) -> np.ndarray:
-    n = row.size
-    f = np.fft.fftfreq(n) * n
-    gain = np.zeros(n)
-    pos = f > 0
-    gain[pos] = np.exp(-(np.log(f[pos] / LOG_GABOR_F0)) ** 2
-                       / (2 * np.log(LOG_GABOR_SIGMA) ** 2))
-    spec = fft(row - row.mean())
-    return ifft(spec * gain)  # one-sided spectrum -> analytic signal
-
-
-def encode_sheet(sheet: np.ndarray, mask: np.ndarray) -> IrisCode:
-    nr, na = sheet.shape
-    rstep = nr // CODE_ROWS
-    astep = na // CODE_COLS
-    bits = np.zeros((CODE_ROWS, CODE_COLS, 2), np.uint8)
-    keep = np.zeros((CODE_ROWS, CODE_COLS), np.uint8)
-    for i in range(CODE_ROWS):
-        band = sheet[i * rstep:(i + 1) * rstep].mean(axis=0)
-        resp = _log_gabor_row(band)
-        rms = np.sqrt(np.mean(np.abs(resp) ** 2)) + 1e-12
-        sub = resp[::astep][:CODE_COLS]
-        bits[i, :, 0] = sub.real > 0
-        bits[i, :, 1] = sub.imag > 0
-        angular_ok = mask[i * rstep][::astep][:CODE_COLS]
-        keep[i] = angular_ok & (np.abs(sub) > _LOW_CONTRAST * rms)
-    return IrisCode(bits=bits.reshape(CODE_ROWS, 2 * CODE_COLS),
-                    mask=np.repeat(keep, 2, axis=1))
+def encode_sheet(sheet: np.ndarray) -> IrisCode:
+    """Filter the CODE_ROWS bands of a sheet at once; the lid columns stay masked."""
+    bands = sheet.reshape(CODE_ROWS, -1, SHEET_COLS).mean(axis=1)
+    spec = fft(bands - bands.mean(axis=1, keepdims=True), axis=1)
+    resp = ifft(spec * _GAIN, axis=1)
+    rms = np.sqrt(np.mean(np.abs(resp) ** 2, axis=1, keepdims=True)) + 1e-12
+    sub = resp[:, ::_CODE_STEP]
+    bits = np.stack([sub.real > 0, sub.imag > 0], axis=2)
+    keep = _CODE_OPEN & (np.abs(sub) > _LOW_CONTRAST * rms)
+    return IrisCode(bits=bits.reshape(CODE_ROWS, 2 * CODE_COLS).astype(np.uint8),
+                    mask=np.repeat(keep, 2, axis=1).astype(np.uint8))
 
 
 def encode_frame(frame: Frame, circles: str = "truth") -> IrisCode:
@@ -145,8 +148,7 @@ def encode_frame(frame: Frame, circles: str = "truth") -> IrisCode:
         cx, cy, r_p, r_i = detect_circles(frame.image)
     else:
         raise ValueError(f"unknown circle source {circles!r}")
-    sheet, mask = unroll(frame.image, cx, cy, r_p, r_i)
-    return encode_sheet(sheet, mask)
+    return encode_sheet(unroll(frame.image, cx, cy, r_p, r_i))
 
 
 def hamming_distance(a: IrisCode, b: IrisCode) -> float:
@@ -155,41 +157,31 @@ def hamming_distance(a: IrisCode, b: IrisCode) -> float:
     1.0 when the masks never overlap: nothing comparable is maximally
     distant for gating purposes.
     """
-    best = 1.0
-    am = a.mask.astype(bool)
-    for s in range(-SHIFT_BUDGET, SHIFT_BUDGET + 1):
-        bb = np.roll(b.bits, 2 * s, axis=1)
-        bm = np.roll(b.mask, 2 * s, axis=1)
-        overlap = am & bm.astype(bool)
-        n = int(overlap.sum())
-        if n == 0:
-            continue
-        hd = float(np.count_nonzero(a.bits[overlap] != bb[overlap]) / n)
-        best = min(best, hd)
-    return best
+    overlap = a.mask.astype(bool)[:, None] & b.mask[:, _SHIFT_INDEX].astype(bool)
+    n = overlap.sum(axis=(0, 2))
+    differ = np.count_nonzero((a.bits[:, None] != b.bits[:, _SHIFT_INDEX]) & overlap, axis=(0, 2))
+    return float((differ[n > 0] / n[n > 0]).min(initial=1.0))
 
 
 def to_bytes(code: IrisCode) -> bytes:
-    head = _HEADER.pack(_MAGIC, _VERSION, 0, CODE_ROWS, 2 * CODE_COLS, 2, SHIFT_BUDGET)
-    body = np.packbits(code.bits, bitorder="little").tobytes()
-    mask = np.packbits(code.mask, bitorder="little").tobytes()
-    return head + body + mask
+    head = _HEADER.pack(_MAGIC, _VERSION, 0, *_GEOMETRY)
+    return head + np.packbits([code.bits, code.mask], bitorder="little").tobytes()
 
 
 def from_bytes(blob: bytes) -> IrisCode:
-    """Inverse of to_bytes; anything but a header plus two bit planes raises."""
+    """Inverse of to_bytes; anything but this module's header plus two bit planes raises."""
     if len(blob) < _HEADER.size:
         raise ValueError("not an iris code blob: shorter than its header")
-    magic, version, _flags, rows, cols, bpc, _shifts = _HEADER.unpack_from(blob)
-    if magic != _MAGIC or version != _VERSION or bpc != 2:
+    magic, version, _flags, *geometry = _HEADER.unpack_from(blob)
+    if magic != _MAGIC or version != _VERSION:
         raise ValueError("not an iris code blob")
-    n = rows * cols
-    nbytes = (n + 7) // 8
-    off = _HEADER.size
-    if len(blob) != off + 2 * nbytes:
-        raise ValueError(f"not an iris code blob: {len(blob)} bytes, want {off + 2 * nbytes}")
-    bits = np.unpackbits(np.frombuffer(blob, np.uint8, nbytes, off),
-                         bitorder="little")[:n].reshape(rows, cols)
-    mask = np.unpackbits(np.frombuffer(blob, np.uint8, nbytes, off + nbytes),
-                         bitorder="little")[:n].reshape(rows, cols)
-    return IrisCode(bits=bits.astype(np.uint8), mask=mask.astype(np.uint8))
+    if tuple(geometry) != _GEOMETRY:
+        raise ValueError(f"not an iris code blob of this geometry: {tuple(geometry)}, "
+                         f"want {_GEOMETRY} (rows, cols, bits per sample, shifts)")
+    want = _HEADER.size + 2 * (CODE_ROWS * 2 * CODE_COLS // 8)  # two bit planes
+    if len(blob) != want:
+        raise ValueError(f"not an iris code blob: {len(blob)} bytes, want {want}")
+    planes = np.unpackbits(np.frombuffer(blob, np.uint8, offset=_HEADER.size),
+                           bitorder="little")
+    bits, mask = planes.reshape(2, CODE_ROWS, 2 * CODE_COLS)
+    return IrisCode(bits=bits, mask=mask)

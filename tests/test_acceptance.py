@@ -162,16 +162,37 @@ def test_c07_two_subject_refocusing(multiperson_pair):
                 "one cycle under 1 s, reproducible", failures)
 
 
+def _digests(result, out_dir):
+    experiments.write_result(result, out_dir)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in (f"{result.name}.csv", "summary.txt")}
+
+
 def test_canonical_multiperson_bytes_are_pinned(multiperson_pair, tmp_path):
     # No perfbench workload runs multiperson, so its canonical output is pinned
-    # here.  ROADMAP item 2 (the dynamic focal stack) will change both digests
-    # on purpose.
-    experiments.write_result(multiperson_pair[0], tmp_path)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("multiperson.csv", "summary.txt")}
-    assert digests == {
+    # here.  ROADMAP item 2 (exposing only the iris window) will change both
+    # digests on purpose.
+    assert _digests(multiperson_pair[0], tmp_path) == {
         "multiperson.csv": "235c9d878378f888584a18638c2317ffda9b40ebefbaaca224b31bdc730deefd",
         "summary.txt": "e330b794b36542cbf2bd7eefa1c9b5395c59e63e814810b780c730cadb3e8fff",
+    }
+
+
+def test_canonical_hd_curve_bytes_are_pinned(hd_curve, tmp_path):
+    # perfbench checks a run only against its own first pass, so the canonical
+    # curve, whose every point goes through the iris-code stage, is pinned here.
+    assert _digests(hd_curve[0], tmp_path) == {
+        "hd_curve.csv": "f8d352b48e224e848a08d7b2784e5c87547d395f281728b94e50c7a9d6caaa7a",
+        "summary.txt": "bba2a1d751bd4c1dc0ccea9d1979ebae95d2785f0850776949daef236fbc8091",
+    }
+
+
+def test_canonical_iom_bytes_are_pinned(iom, tmp_path):
+    # ROADMAP item 2 (exposing only the iris window) will change the CSV digest
+    # on purpose.
+    assert _digests(iom[0], tmp_path) == {
+        "iom.csv": "1b51040ee8a91628770a022c8a09ad99b8d6ea8bfaf581748b2482ba4ba96ebd",
+        "summary.txt": "927b23b8e882be9cc86f2e46e2f8f87035f2a48c178a5d28def6b310209ca37f",
     }
 
 
