@@ -412,7 +412,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
                 ranges.append(rng_mm)
             rows.append((variant, exp["start_frame"] + i, e.t_ms, rng_mm, e.power_dpt,
                          e.blur_px, e.px_across_iris, e.quality_pass, e.hd,
-                         e.matched))
+                         e.matched, e.fail_reason))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
                       for _, t, fr, _ in log.kept)
         n_ok = len(log.qualified())
@@ -431,7 +431,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     return ExperimentResult(
         name="iom",
         header=("variant", "frame", "t_ms", "range_mm", "power_dpt", "blur_px",
-                "px_across_iris", "quality_pass", "hd", "matched"),
+                "px_across_iris", "quality_pass", "hd", "matched", "fail_reason"),
         rows=rows, summary=summary, frames=frames, stats=stats,
     )
 

@@ -11,12 +11,18 @@ applies, in order, the defocus disk (diameter from the blur-circle model),
 anisotropic blur growing with the square of positive tunable-lens power
 (membrane sag under drive), motion smear over the exposure and optical
 transmission.  Outside the iris disk's box the eye is flat sclera, which no
-stage changes, so the three optics stages run on the iris window only: that
-box grown by their summed kernel reach, whose edge padding at a canvas side
-is the canvas's own.  The stage is a pure function of the frame geometry, so
-a one-entry cache (``_clean_image``) serves every repeat exposure of one
-geometry from a single render.  The exposure stage then adds Gaussian read
-noise from the frame's noise seed, clips and quantizes, once per call.
+stage changes, so the stage draws and filters only the iris window: the
+union of the tight-crop box (``_MARGIN`` iris radii about the iris centre)
+and the iris disk's box grown by the optics' summed kernel reach, whose edge
+padding at a canvas side is the canvas's own.  The stage is a pure function
+of the frame geometry, so a one-entry cache (``_clean_image``) serves every
+repeat exposure of one geometry from a single render of that window.
+
+The exposure stage adds Gaussian read noise from the frame's noise seed to
+the tight-crop box, clips and quantizes, once per call.  On a tight crop the
+box is the whole canvas.  A larger canvas, such as the 640x480 frame, is
+the clean sclera grey (``SCLERA_GREY``) outside the window and noise-free
+outside the box: nothing downstream reads beyond the iris.
 """
 
 from __future__ import annotations
@@ -41,13 +47,14 @@ PUPIL_FRACTION = 0.40  # pupil diameter as a fraction of iris diameter
 LID_FRACTION = 0.15    # of the iris vertical extent covered from the top
 TRANSMISSION = 0.8     # mirror and lens train throughput
 READ_NOISE_GREY = 2.0
+SCLERA_GREY = np.uint8(np.clip(REFLECTANCE_SCLERA * TRANSMISSION * 255.0, 0, 255))
 
 # anisotropic blur sigma in px per (positive diopter)^2; set by calibration
 DEFAULT_K_AST = 0.1908002
 
 BASE_WIDTH = 640
 BASE_HEIGHT = 480
-_MARGIN = 1.3  # canvas half-extent per iris radius
+_MARGIN = 1.3  # tight-crop (and noise box) half side per iris radius
 
 
 class TargetMissed(Exception):
@@ -169,8 +176,9 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     off_x, off_y = _image_offset_px(train, power_dpt, pan_deg, tilt_deg, eye_pos_mm)
 
     min_h, min_w = base_canvas if base_canvas is not None else (BASE_HEIGHT, BASE_WIDTH)
-    width = max(min_w, 2 * int(math.ceil(_MARGIN * r_i)))
-    height = max(min_h, 2 * int(math.ceil(_MARGIN * r_i)))
+    half = math.ceil(_MARGIN * r_i)  # the tight crop's half side
+    width = max(min_w, 2 * half)
+    height = max(min_h, 2 * half)
     cx = width / 2.0 + off_x
     cy = height / 2.0 + off_y
     if (cx - 1.05 * r_i < 0 or cx + 1.05 * r_i >= width
@@ -194,12 +202,20 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     if motion_px > 0.5:
         u, w = _image_basis(e_hat)
         mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
-    img = _clean_image(identity_seed, width, height, cx, cy, r_p, r_i,
-                       float(blur_px), float(astig_sigma), motion_px, mdir)
+    window, rows, cols = _clean_image(identity_seed, width, height, cx, cy, r_p, r_i,
+                                      float(blur_px), float(astig_sigma), motion_px, mdir)
 
+    y0, y1 = _span(cy, half, height)
+    x0, x1 = _span(cx, half, width)
+    box = window[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start]
     rng = np.random.default_rng((int(noise_seed), 0x4652414D))
-    img = img + rng.normal(0.0, READ_NOISE_GREY, img.shape)
-    img = np.clip(img, 0, 255).astype(np.uint8)
+    noisy = np.clip(box + rng.normal(0.0, READ_NOISE_GREY, box.shape), 0, 255).astype(np.uint8)
+    if noisy.shape == (height, width):  # a tight crop: the box is the canvas
+        img = noisy
+    else:
+        img = np.full((height, width), SCLERA_GREY, dtype=np.uint8)
+        img[rows, cols] = np.clip(window, 0, 255)
+        img[y0:y1, x0:x1] = noisy
 
     return Frame(
         image=img, cx=cx, cy=cy, r_pupil_px=r_p, r_iris_px=r_i,
@@ -209,34 +225,45 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
 
 
 # one entry: the sweeps expose every repeat of a geometry back to back, and
-# a 640x480 float image is 2.4 MB
+# the entry is the iris window alone, never a whole 640x480 canvas
 @functools.lru_cache(maxsize=1)
 def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: float,
                  r_p: float, r_i: float, blur_px: float, astig_sigma: float,
-                 motion_px: float, mdir: tuple[float, float]) -> np.ndarray:
-    """The noise-free sensor image in grey levels (read-only): optics, no noise."""
-    img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
+                 motion_px: float, mdir: tuple[float, float]
+                 ) -> tuple[np.ndarray, slice, slice]:
+    """The noise-free iris window in grey levels (read-only): optics, no noise.
+
+    Returns the window with the canvas rows and columns it covers; the canvas
+    outside it is flat sclera.
+    """
     disk = disk_kernel(blur_px) if blur_px > 0.05 else None
     line = line_kernel(motion_px, mdir) if motion_px > 0.5 else None
     sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
     # Outside the iris disk's box the eye is flat sclera, which every stage
     # leaves flat, so the stages run on that box grown by their summed reach
-    # (a kernel's half width; gaussian_filter truncates at 4 sigma).
+    # (a kernel's half width; gaussian_filter truncates at 4 sigma).  The
+    # window also covers the tight-crop box the exposure adds noise to.
     reach = sum(k.shape[0] // 2 for k in (disk, line) if k is not None)
     ry, rx = (int(4.0 * s + 0.5) for s in sigma) if sigma else (0, 0)
-    y0, y1 = _span(cy, r_i + reach + ry, height)
-    x0, x1 = _span(cx, r_i + reach + rx, width)
-    window = img[y0:y1, x0:x1]
+    oy, ox = r_i + reach + ry, r_i + reach + rx
+    half = math.ceil(_MARGIN * r_i)
+    rows = slice(*_span(cy, max(half, oy), height))
+    cols = slice(*_span(cx, max(half, ox), width))
+    img = _draw_eye(identity_seed, cols.stop - cols.start, rows.stop - rows.start,
+                    cx - cols.start, cy - rows.start, r_p, r_i)
+    y0, y1 = (i - rows.start for i in _span(cy, oy, height))
+    x0, x1 = (i - cols.start for i in _span(cx, ox, width))
+    optics_window = img[y0:y1, x0:x1]
     if disk is not None:
-        window = _convolve_same(window, disk)
+        optics_window = _convolve_same(optics_window, disk)
     if sigma:
-        window = gaussian_filter(window, sigma=sigma, mode="nearest")
+        optics_window = gaussian_filter(optics_window, sigma=sigma, mode="nearest")
     if line is not None:
-        window = _convolve_same(window, line)
-    img[y0:y1, x0:x1] = window
+        optics_window = _convolve_same(optics_window, line)
+    img[y0:y1, x0:x1] = optics_window
     img = img * TRANSMISSION * 255.0
     img.flags.writeable = False
-    return img
+    return img, rows, cols
 
 
 def _span(c: float, r: float, n: int) -> tuple[int, int]:

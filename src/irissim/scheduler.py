@@ -3,10 +3,13 @@
 Everything here runs on the sensor's frame grid: device commands go out and
 exposures begin at frame starts.  A frame qualifies only when both devices
 settled before its exposure opened, the image clears the quality gates and,
-for a subject in the gallery, iris detection finds its pupil.  Each target
-gets one mirror + lens command; if its frame fails, later frames are tried
-against the same setpoint until the dwell budget runs out.  A target is a
-``Subject``.
+for a subject in the gallery, iris detection finds its pupil.  A frame that
+does not qualify says why in ``Event.fail_reason``.  Each target gets one
+mirror + lens command.  If its frame fails, each dwell retry re-commands the
+lens through the next rung of a dynamic focal stack (``FOCAL_STACK_DPT``
+about the setpoint) and exposes once it settles, until the dwell budget runs
+out: a fresh command draws a fresh repeatability offset, where re-exposing
+through the same one would repeat its miss.  A target is a ``Subject``.
 
 The tracking loop works on detections one frame old, the way an actual
 vision pipeline would: frame k+1 is commanded at frame k from positions
@@ -27,6 +30,8 @@ from .renderer import TargetMissed, render_eye
 from .scene import RigGeometry, Subject, aim_angles, eye_position, eye_velocity, line_of_sight_mm
 
 DEFAULT_DWELL_BUDGET = 5
+# lens offsets from the setpoint, in dpt, of dwell attempts 0, 1, 2, ... (cycled)
+FOCAL_STACK_DPT = (0.0, +0.05, -0.05, +0.10, -0.10)
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,10 @@ class Event:
     quality_pass: bool | None = None
     hd: float | None = None
     matched: bool | None = None
+    # why a frame did not qualify, "+"-joined in this order: lens_unsettled,
+    # mirror_unsettled, target_missed, the quality gate's resolution, sharpness
+    # and brightness, and segmentation (no pupil found after the gates passed)
+    fail_reason: str | None = None
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(Event))
@@ -130,7 +139,9 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
     """Render and gate one frame; returns True when it qualified."""
     sid = subject.subject_id
     t_mid = t_frame + rig.sensor.exposure_ms / 2.0
-    settled = rig.lens.is_settled(t_frame) and rig.mirror.is_settled(t_frame)
+    reasons = [reason for reason, settled in (
+        ("lens_unsettled", rig.lens.is_settled(t_frame)),
+        ("mirror_unsettled", rig.mirror.is_settled(t_frame))) if not settled]
     pan, tilt = rig.mirror.pose_at(t_mid)
     power = rig.lens.power_at(t_mid)
     eye = eye_position(subject, t_mid)
@@ -144,25 +155,26 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
         )
     except TargetMissed:
         log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
-                                power_dpt=power, quality_pass=False))
+                                power_dpt=power, quality_pass=False,
+                                fail_reason="+".join(reasons + ["target_missed"])))
         return False
-    report = evaluate(frame, rig.thresholds)
-    ok = settled and report.passed
+    reasons += evaluate(frame, rig.thresholds).fail_reasons
     code = hd = matched = None
-    if ok and gallery is not None and sid in gallery:
+    if not reasons and gallery is not None and sid in gallery:
         try:
             code = encode_frame(frame, circles="detect")
         except SegmentationError:  # the gates passed a frame with no pupil to find
-            ok = False
+            reasons.append("segmentation")
         else:
             hd = hamming_distance(code, gallery[sid])
             matched = hd < MATCH_THRESHOLD
+    ok = not reasons
     if ok:
         log.kept.append((sid, t_frame, frame, code))
     log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
                             power_dpt=power, blur_px=frame.blur_px,
                             px_across_iris=frame.px_across_iris, quality_pass=ok,
-                            hd=hd, matched=matched))
+                            hd=hd, matched=matched, fail_reason="+".join(reasons) or None))
     return ok
 
 
@@ -171,7 +183,12 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
                      gallery: dict[str, IrisCode] | None = None,
                      noise_seed: int = 0) -> EventLog:
-    """Visit each target once: aim, refocus, expose until qualified or budget out."""
+    """Visit each target once: aim, refocus, expose until qualified or budget out.
+
+    Attempt k focuses at the setpoint plus rung k of ``FOCAL_STACK_DPT``,
+    cycled.  Each retry re-commands the lens alone at the frame start after
+    the failed frame, so its command event leaves the mirror angles empty.
+    """
     log = EventLog()
     frame_index = 0
     t_now = 0.0
@@ -179,20 +196,21 @@ def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
         t_cmd = next_frame_start(rig.sensor, t_now)
         pan, tilt, power = setpoints_for(rig, eye_position(tgt, t_cmd))
         rig.mirror.command(pan, tilt, t_cmd)
-        rig.lens.command(power, t_cmd)
-        log.events.append(Event(t_cmd, "command", tgt.subject_id, pan_deg=pan,
-                                tilt_deg=tilt, power_dpt=power))
-        ready = max(rig.mirror.settled_at, rig.lens.settled_at, t_cmd)
-        t_frame = next_frame_start(rig.sensor, ready)
-        for _ in range(dwell_budget):
+        for k in range(dwell_budget):
+            focus = power + FOCAL_STACK_DPT[k % len(FOCAL_STACK_DPT)]
+            rig.lens.command(focus, t_cmd)
+            aim = {"pan_deg": pan, "tilt_deg": tilt} if k == 0 else {}
+            log.events.append(Event(t_cmd, "command", tgt.subject_id, **aim, power_dpt=focus))
+            ready = max(rig.mirror.settled_at, rig.lens.settled_at, t_cmd)
+            t_frame = next_frame_start(rig.sensor, ready)
             ok = _attempt_frame(rig, tgt, t_frame,
                                 noise_seed_for(noise_seed, frame_index),
                                 log, gallery)
             frame_index += 1
-            t_frame += rig.sensor.frame_period_ms
+            t_cmd = t_frame + rig.sensor.frame_period_ms
             if ok:
                 break
-        t_now = t_frame
+        t_now = t_cmd
     return log
 
 

@@ -170,11 +170,10 @@ def _digests(result, out_dir):
 
 def test_canonical_multiperson_bytes_are_pinned(multiperson_pair, tmp_path):
     # No perfbench workload runs multiperson, so its canonical output is pinned
-    # here.  ROADMAP item 2 (exposing only the iris window) will change both
-    # digests on purpose.
+    # here.
     assert _digests(multiperson_pair[0], tmp_path) == {
-        "multiperson.csv": "235c9d878378f888584a18638c2317ffda9b40ebefbaaca224b31bdc730deefd",
-        "summary.txt": "e330b794b36542cbf2bd7eefa1c9b5395c59e63e814810b780c730cadb3e8fff",
+        "multiperson.csv": "d8d84720d93995ba783e8e3ef24906c7d0530eb26f70a1af7df6fb62709822d4",
+        "summary.txt": "b2c4fab64e9e22bce53192b2518306e445f2b671c86da91858ab19e8a05d1416",
     }
 
 
@@ -188,10 +187,9 @@ def test_canonical_hd_curve_bytes_are_pinned(hd_curve, tmp_path):
 
 
 def test_canonical_iom_bytes_are_pinned(iom, tmp_path):
-    # ROADMAP item 2 (exposing only the iris window) will change the CSV digest
-    # on purpose.
+    # the walker's frames are full 640x480 canvases, exposed in the iris window
     assert _digests(iom[0], tmp_path) == {
-        "iom.csv": "1b51040ee8a91628770a022c8a09ad99b8d6ea8bfaf581748b2482ba4ba96ebd",
+        "iom.csv": "40db421ee27b7d8310141214bf870e82fc5f9f17e2f7d49799473293a0294e65",
         "summary.txt": "927b23b8e882be9cc86f2e46e2f8f87035f2a48c178a5d28def6b310209ca37f",
     }
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 from scipy import signal
 
-from irissim import config, renderer, texture
+from irissim import config, optics, renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
@@ -198,14 +198,18 @@ def test_iris_texture_cache_is_bounded():
 
 def test_clean_image_is_a_read_only_one_entry_cache():
     assert renderer._clean_image.cache_info().maxsize == 1
-    args = (4000, 320, 240, 160.0, 120.0, 40.0, 100.0, 2.5, 0.8, 3.0, (0.6, 0.8))
-    img = renderer._clean_image(*args)
-    assert not img.flags.writeable
+    args = (4000, 640, 480, 300.0, 250.0, 20.0, 50.0, 2.5, 0.8, 3.0, (0.6, 0.8))
+    window, rows, cols = renderer._clean_image(*args)
+    assert not window.flags.writeable
     with pytest.raises(ValueError):
-        img[0, 0] = 0.0
-    fresh = renderer._clean_image.__wrapped__(*args)
-    assert fresh is not img
-    assert np.array_equal(img, fresh)
+        window[0, 0] = 0.0
+    # the cached entry is the iris window, not the 640x480 canvas
+    assert window.shape == (rows.stop - rows.start, cols.stop - cols.start)
+    assert window.size < 640 * 480 / 10
+    fresh, fresh_rows, fresh_cols = renderer._clean_image.__wrapped__(*args)
+    assert fresh is not window
+    assert np.array_equal(window, fresh)
+    assert (fresh_rows, fresh_cols) == (rows, cols)
 
 
 def test_exposures_of_one_geometry_share_one_clean_image():
@@ -281,8 +285,94 @@ def test_windowed_optics_equal_the_whole_canvas_reference(stages, r_i, tight, fx
     args = (seed, width, height, cx, cy, 0.4 * r_i, r_i,
             blur if "blur" in stages else 0.0, astig if "astig" in stages else 0.0,
             motion if "motion" in stages else 0.0, (math.cos(angle), math.sin(angle)))
-    assert_allclose(renderer._clean_image.__wrapped__(*args), _whole_canvas_clean(*args),
-                    rtol=0.0, atol=1e-9)
+    window, rows, cols = renderer._clean_image.__wrapped__(*args)
+    reference = _whole_canvas_clean(*args)
+    assert_allclose(window, reference[rows, cols], rtol=0.0, atol=1e-9)
+    # the window holds the tight-crop box, and outside it the canvas is flat sclera
+    half = math.ceil(renderer._MARGIN * r_i)
+    for (lo, hi), window_span in zip((renderer._span(cy, half, height),
+                                      renderer._span(cx, half, width)), (rows, cols)):
+        assert window_span.start <= lo and hi <= window_span.stop
+    outside = np.ones(reference.shape, dtype=bool)
+    outside[rows, cols] = False
+    assert_allclose(reference[outside], SCLERA_CLEAN, rtol=0.0, atol=1e-9)
+
+
+# the clean grey of flat sclera, which the exposure quantizes to SCLERA_GREY
+SCLERA_CLEAN = REFLECTANCE_SCLERA * renderer.TRANSMISSION * 255.0
+
+
+def test_sclera_grey_is_the_quantized_clean_sclera():
+    assert renderer.SCLERA_GREY == 163 == np.uint8(SCLERA_CLEAN)
+    assert renderer.SCLERA_GREY.dtype == np.uint8
+
+
+def _parent_exposure(identity_seed, width, height, cx, cy, r_p, r_i, blur_px,
+                     astig_sigma, motion_px, mdir, noise_seed):
+    """Reference: the whole clean canvas, read noise on every pixel, clip, cast.
+
+    The optics run on the iris disk's box grown by their reach, as in the
+    renderer; everything else covers the whole canvas.
+    """
+    img = _draw_eye(identity_seed, width, height, cx, cy, r_p, r_i)
+    disk = disk_kernel(blur_px) if blur_px > 0.05 else None
+    line = line_kernel(motion_px, mdir) if motion_px > 0.5 else None
+    sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
+    reach = sum(k.shape[0] // 2 for k in (disk, line) if k is not None)
+    ry, rx = (int(4.0 * s + 0.5) for s in sigma) if sigma else (0, 0)
+    y0, y1 = renderer._span(cy, r_i + reach + ry, height)
+    x0, x1 = renderer._span(cx, r_i + reach + rx, width)
+    window = img[y0:y1, x0:x1]
+    if disk is not None:
+        window = renderer._convolve_same(window, disk)
+    if sigma:
+        window = gaussian_filter(window, sigma=sigma, mode="nearest")
+    if line is not None:
+        window = renderer._convolve_same(window, line)
+    img[y0:y1, x0:x1] = window
+    img = img * renderer.TRANSMISSION * 255.0
+    rng = np.random.default_rng((int(noise_seed), 0x4652414D))
+    img = img + rng.normal(0.0, renderer.READ_NOISE_GREY, img.shape)
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+def _render_recording_geometry(**kwargs):
+    """``render_eye``'s frame and the arguments it passed ``_clean_image``."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return clean(*args)
+
+    clean = renderer._clean_image
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renderer, "_clean_image", spy)
+        frame = render_eye(**kwargs)
+    (args,) = calls
+    return frame, args
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.floats(3500.0, 7000.0), off_x=st.floats(-0.99, 0.99),
+       off_y=st.floats(-0.99, 0.99), defocus=st.sampled_from([0.0, 0.15, 0.6]),
+       k_ast=st.sampled_from([0.0, 0.2]), speed=st.sampled_from([0.0, 150.0, 900.0]),
+       angle=st.floats(0.0, 2 * math.pi), nseed=st.integers(0, 2**32 - 1))
+def test_tight_crop_exposure_equals_the_whole_canvas_reference(d, off_x, off_y, defocus,
+                                                               k_ast, speed, angle, nseed):
+    # a tight crop whose iris lies within a pixel of its centre, as every
+    # sweep and calibration probe aims it: the noise box is the whole canvas
+    eye = (0.0, d - 200.0, 0.0)
+    pan, tilt = aim_angles(eye)
+    power = tunable_power_for_focus(TRAIN, d) + defocus
+    px_per_rad = optics.effective_focal_length(TRAIN, power) / optics.PIXEL_PITCH_MM
+    # the image moves 1 px per pixel-angle of pan and -2 px per one of tilt
+    frame, args = _render_recording_geometry(
+        train=TRAIN, power_dpt=power, pan_deg=pan - math.degrees(off_x / px_per_rad),
+        tilt_deg=tilt + math.degrees(off_y / px_per_rad / 2), eye_pos_mm=eye,
+        identity_seed=4000, noise_seed=nseed, k_ast=k_ast, base_canvas=(0, 0),
+        eye_velocity_mmps=(speed * math.cos(angle), 0.0, speed * math.sin(angle)))
+    assume(max(map(abs, frame.offset_px)) < 1.0)
+    assert np.array_equal(frame.image, _parent_exposure(*args, nseed))
 
 
 def test_optics_stages_see_only_the_iris_window(monkeypatch):
@@ -315,3 +405,36 @@ def test_optics_stages_see_only_the_iris_window(monkeypatch):
     window = 2 * math.ceil(f.r_iris_px + reach) + 2
     assert all(max(shape) <= window + 2 * reach for shape in shapes)
     assert window + 2 * reach < 280
+
+
+def test_full_frame_is_sclera_grey_outside_the_window_and_noise_free_outside_the_box():
+    # smear and astigmatism grow the optics window past the tight-crop box
+    eye = (0.0, 3800.0, 0.0)
+    pan, tilt = aim_angles(eye)
+    frame, args = _render_recording_geometry(
+        train=TRAIN, power_dpt=tunable_power_for_focus(TRAIN, 4000.0) + 0.5,
+        pan_deg=pan + 0.08, tilt_deg=tilt, eye_pos_mm=eye, identity_seed=4000,
+        noise_seed=5, k_ast=0.2, eye_velocity_mmps=(900.0, 0.0, 0.0))
+    img = frame.image
+    assert img.shape == (480, 640) and img.size == 307_200
+    window, rows, cols = renderer._clean_image.__wrapped__(*args)
+    half = math.ceil(renderer._MARGIN * frame.r_iris_px)
+    y0, y1 = renderer._span(frame.cy, half, 480)
+    x0, x1 = renderer._span(frame.cx, half, 640)
+    # the iris sits off-centre, and the window reaches past the box on both axes
+    assert abs(frame.offset_px[0]) > 50
+    assert rows.start < y0 and y1 < rows.stop and cols.start < x0 and x1 < cols.stop
+
+    outside = np.ones(img.shape, dtype=bool)
+    outside[rows, cols] = False
+    assert np.all(img[outside] == 163)
+    clean = np.clip(window, 0, 255).astype(np.uint8)
+    margin = np.ones(window.shape, dtype=bool)
+    margin[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start] = False
+    assert np.array_equal(img[rows, cols][margin], clean[margin])
+    # inside the box the read noise of the frame's own seed is added
+    box = window[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start]
+    noise = np.random.default_rng((5, 0x4652414D)).normal(0.0, renderer.READ_NOISE_GREY,
+                                                          box.shape)
+    assert np.array_equal(img[y0:y1, x0:x1], np.clip(box + noise, 0, 255).astype(np.uint8))
+    assert np.mean(img[y0:y1, x0:x1] != clean[~margin].reshape(box.shape)) > 0.5

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from irissim import cli, config, experiments, scheduler
 from irissim.config import rig_from_config
 from irissim.experiments import ExperimentResult, write_result
-from irissim.iriscode import encode_frame
+from irissim.iriscode import SegmentationError, encode_frame
 from irissim.optics import tunable_power_for_focus
 from irissim.renderer import render_eye
 from irissim.scene import Subject, aim_angles, eye_position
+from irissim.quality import QualityThresholds
 from irissim.scheduler import (
     CSV_COLUMNS,
+    FOCAL_STACK_DPT,
+    EventLog,
+    _attempt_frame,
     capture_sequence,
     plan_order,
     setpoints_for,
@@ -149,6 +154,78 @@ def test_dwell_budget_limits_attempts():
     assert not any(e.quality_pass for e in frames)
 
 
+def test_dwell_retries_refocus_through_the_focal_stack():
+    rig = make_rig(quality={"min_px_across_iris": 10000.0})
+    log = capture_sequence(rig, [still_subject("s", 1, 4380.0, azimuth_deg=10.0)],
+                           dwell_budget=7)
+    commands = [e for e in log.events if e.event_type == "command"]
+    frames = log.frames()
+    assert len(commands) == len(frames) == 7
+    setpoint = commands[0].power_dpt
+    assert [c.power_dpt - setpoint for c in commands] == pytest.approx(
+        [0.0, 0.05, -0.05, 0.10, -0.10, 0.0, 0.05], abs=1e-12)
+    assert FOCAL_STACK_DPT == (0.0, 0.05, -0.05, 0.10, -0.10)
+    # only the lens is re-commanded, at the frame start after a failed frame,
+    # and each retry exposes at the first frame start after the lens settles
+    assert all(c.pan_deg is None and c.tilt_deg is None for c in commands[1:])
+    for failed, cmd, frame in zip(frames, commands[1:], frames[1:]):
+        assert cmd.t_ms == pytest.approx(failed.t_ms + PERIOD)
+        settled = cmd.t_ms + rig.lens.params.settle_time
+        assert settled <= frame.t_ms < settled + PERIOD
+    # a rung off focus can add sharpness; every frame is too small to pass
+    assert all(e.fail_reason.split("+")[0] == "resolution" for e in frames)
+
+
+def test_multiperson_retry_seed_refocuses_until_the_seated_subject_qualifies():
+    # seed 4: the seated subject fails sharpness twice through the standing
+    # repeatability offset, then qualifies on the third rung of the stack
+    res = experiments.run_multiperson(config.default_config("multiperson") | {"seed": 4})
+    events = [dict(zip(CSV_COLUMNS, row)) for row in res.rows]
+    seated = [e for e in events if e["target_id"] == "seated"]
+    commands = [e for e in seated if e["event_type"] == "command"]
+    assert [c["power_dpt"] - commands[0]["power_dpt"] for c in commands] == pytest.approx(
+        [0.0, 0.05, -0.05], abs=1e-12)
+    assert [(c["pan_deg"], c["tilt_deg"]) for c in commands[1:]] == [(None, None)] * 2
+    assert [(e["quality_pass"], e["fail_reason"]) for e in seated
+            if e["event_type"] == "frame"] == [(False, "sharpness"), (False, "sharpness"),
+                                               (True, None)]
+    assert cli._check_failures("multiperson", res) == []
+
+
+def test_fail_reasons_name_every_cause_in_order(monkeypatch):
+    rig = make_rig()
+    subject = still_subject("s", 5001, 4800.0)
+    gallery = {"s": enroll_code(rig.train, 5001)}
+
+    def reasons(t_frame):
+        log = EventLog()
+        ok = _attempt_frame(rig, subject, t_frame, 0, log, gallery)
+        (event,) = log.events
+        assert ok == event.quality_pass == (event.fail_reason is None)
+        return event.fail_reason
+
+    assert reasons(0.0) is None
+    # both devices swing 20 degrees and refocus: the frame at the command misses the eye
+    rig.mirror.command(20.0, 20.0, 10 * PERIOD)
+    rig.lens.command(3.0, 10 * PERIOD)
+    assert reasons(10 * PERIOD) == "lens_unsettled+mirror_unsettled+target_missed"
+    assert reasons(20 * PERIOD) == "target_missed"
+    pan, tilt, power = setpoints_for(rig, subject.position_mm)
+    rig.mirror.command(pan, tilt, 30 * PERIOD)
+    assert reasons(40 * PERIOD) == "sharpness"  # the lens still focuses 3 dpt
+    rig.thresholds = QualityThresholds(min_px_across_iris=10000.0)
+    assert reasons(40 * PERIOD) == "resolution+sharpness"
+    rig.thresholds = QualityThresholds()
+    rig.lens.command(power, 50 * PERIOD)
+    assert reasons(60 * PERIOD) is None
+
+    def no_pupil(frame, circles):
+        raise SegmentationError("no pupil-dark region found")
+
+    monkeypatch.setattr(scheduler, "encode_frame", no_pupil)
+    assert reasons(60 * PERIOD) == "segmentation"
+
+
 def test_impostor_gallery_does_not_match():
     rig = make_rig()
     gallery = {"s": enroll_code(rig.train, 9999)}
@@ -175,7 +252,7 @@ def test_csv_export_is_deterministic(tmp_path):
     assert p1.read_bytes() == (tmp_path / "b" / "log.csv").read_bytes()
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == ("t_ms,event_type,target_id,pan_deg,tilt_deg,power_dpt,"
-                        "blur_px,px_across_iris,quality_pass,hd,matched")
+                        "blur_px,px_across_iris,quality_pass,hd,matched,fail_reason")
     assert len(lines) == 1 + len(log.events)
     # command rows leave capture-only cells empty
     cmd_row = lines[1].split(",")
