@@ -6,7 +6,9 @@ reflectances, constant illumination); what matters for the pipeline is
 that geometry, defocus, astigmatism, motion smear and sensor noise are
 faithful to the configured state and reproducible from the seeds.
 
-An exposure runs in two stages.  The clean-optics stage draws the eye and
+An exposure runs in two stages.  The clean-optics stage draws the eye (a
+polar map of the iris disk's box, which depends only on the geometry and is
+cached for one geometry, looked up in the identity's texture sheet) and
 applies, in order, the defocus disk (diameter from the blur-circle model),
 anisotropic blur growing with the square of positive tunable-lens power
 (membrane sag under drive), motion smear over the exposure and optical
@@ -19,10 +21,11 @@ of the frame geometry, so a one-entry cache (``_clean_image``) serves every
 repeat exposure of one geometry from a single render of that window.
 
 The exposure stage adds Gaussian read noise from the frame's noise seed to
-the tight-crop box, clips and quantizes, once per call.  On a tight crop the
-box is the whole canvas.  A larger canvas, such as the 640x480 frame, is
-the clean sclera grey (``SCLERA_GREY``) outside the window and noise-free
-outside the box: nothing downstream reads beyond the iris.
+the tight-crop box, clips and quantizes, once per call, in one box-sized
+buffer.  On a tight crop the box is the whole canvas.  A larger canvas, such
+as the 640x480 frame, is the clean sclera grey (``SCLERA_GREY``) outside the
+window and noise-free outside the box: nothing downstream reads beyond the
+iris.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from scipy.ndimage import gaussian_filter
 from . import optics
 from .optics import OpticalTrain
 from .scene import RigGeometry, line_of_sight_mm, reflected_view_dir
-from .texture import iris_texture
+from .texture import SHEET_ANGULAR, SHEET_RADIAL, iris_texture
 
 REFLECTANCE_SCLERA = 0.80
 REFLECTANCE_PUPIL = 0.05
@@ -209,7 +212,12 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     x0, x1 = _span(cx, half, width)
     box = window[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start]
     rng = np.random.default_rng((int(noise_seed), 0x4652414D))
-    noisy = np.clip(box + rng.normal(0.0, READ_NOISE_GREY, box.shape), 0, 255).astype(np.uint8)
+    # rng.normal(0, s, shape) is 0 + s * z, so scaling z in place and adding
+    # the box to it gives the same sums without two box-sized temporaries
+    noise = rng.standard_normal(box.shape)
+    noise *= READ_NOISE_GREY
+    noise += box
+    noisy = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
     if noisy.shape == (height, width):  # a tight crop: the box is the canvas
         img = noisy
     else:
@@ -274,12 +282,29 @@ def _span(c: float, r: float, n: int) -> tuple[int, int]:
 
 def _draw_eye(identity_seed: int, width: int, height: int,
               cx: float, cy: float, r_p: float, r_i: float) -> np.ndarray:
-    tex = iris_texture(identity_seed)
+    rows, cols, ann, index, pupil, lid = _polar_map(width, height, cx, cy, r_p, r_i)
     img = np.full((height, width), REFLECTANCE_SCLERA)
-    # every pixel the iris, pupil or lid covers lies inside the iris disk's box
+    box = img[rows, cols]
+    box[ann] = iris_texture(identity_seed).ravel()[index]
+    box[pupil] = REFLECTANCE_PUPIL
+    box[lid] = REFLECTANCE_LID
+    return img
+
+
+# one entry: the identity-free half of a draw, which the hd-curve template and
+# both eyes of every impostor pair share at the base geometry
+@functools.lru_cache(maxsize=1)
+def _polar_map(width: int, height: int, cx: float, cy: float, r_p: float, r_i: float
+               ) -> tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where a draw of this geometry puts the iris sheet, pupil and lid (read-only).
+
+    Returns the iris disk's box as canvas rows and columns, then, over that
+    box, the annulus mask, the flat sheet index of each annulus pixel, the
+    pupil mask and the lid mask.  Every pixel the iris, pupil or lid covers
+    lies inside the box.
+    """
     y0, y1 = _span(cy, r_i, height)
     x0, x1 = _span(cx, r_i, width)
-    box = img[y0:y1, x0:x1]
     yy, xx = np.ogrid[y0:y1, x0:x1]
     dy, dx = np.broadcast_arrays(yy - cy, xx - cx)
     rr = np.hypot(dy, dx)
@@ -287,15 +312,16 @@ def _draw_eye(identity_seed: int, width: int, height: int,
     ann = (rr >= r_p) & (rr < r_i)
     theta = np.arctan2(dy[ann], dx[ann]) % (2 * np.pi)
     radial = (rr[ann] - r_p) / (r_i - r_p)
-    nr, na = tex.shape
+    nr, na = SHEET_RADIAL, SHEET_ANGULAR
     ri_idx = np.clip((radial * nr).astype(int), 0, nr - 1)
     ai_idx = (theta / (2 * np.pi) * na).astype(int) % na
-    box[ann] = tex[ri_idx, ai_idx]
+    index = ri_idx * na + ai_idx
 
-    box[rr < r_p] = REFLECTANCE_PUPIL
-    lid = yy < (cy - r_i * (1 - 2 * LID_FRACTION))
-    box[lid & (rr < r_i)] = REFLECTANCE_LID
-    return img
+    pupil = rr < r_p
+    lid = (yy < (cy - r_i * (1 - 2 * LID_FRACTION))) & (rr < r_i)
+    for a in (ann, index, pupil, lid):
+        a.flags.writeable = False
+    return slice(y0, y1), slice(x0, x1), ann, index, pupil, lid
 
 
 def write_pgm(path, image: np.ndarray) -> None:

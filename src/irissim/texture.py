@@ -3,7 +3,9 @@
 Each identity is a seed.  The pattern lives on a polar sheet (radial x
 angular) so it wraps seamlessly around the pupil: multi-octave value noise
 for the stromal mottle plus a few angular furrow harmonics that drift with
-radius.  Values are reflectances in [0.25, 0.65].
+radius.  Values are reflectances in [0.25, 0.65].  Each octave weights its
+two bracketing lattice rows once and gathers the angular corners from
+them, so a sheet costs one row gather and four column gathers per octave.
 
 A sheet is a pure function of its seed, so the last few are kept and
 handed out read-only: a sweep renders one identity hundreds of times.
@@ -36,14 +38,14 @@ def _value_noise_polar(rng: np.random.Generator, nr: int, na: int,
     aa = (a - a0)[None, :]
     r1 = np.minimum(r0 + 1, lat_r)
     a1 = (a0 + 1) % lat_a
-    g00 = grid[np.ix_(r0, a0)]
-    g01 = grid[np.ix_(r0, a1)]
-    g10 = grid[np.ix_(r1, a0)]
-    g11 = grid[np.ix_(r1, a1)]
     sr = ra * ra * (3 - 2 * ra)
     sa = aa * aa * (3 - 2 * aa)
-    return (g00 * (1 - sr) * (1 - sa) + g01 * (1 - sr) * sa
-            + g10 * sr * (1 - sa) + g11 * sr * sa)
+    # weight the lattice rows, then gather columns: each corner term is the
+    # same product, in the same order, as g00 * (1 - sr) * (1 - sa)
+    near = grid[r0] * (1 - sr)
+    far = grid[r1] * sr
+    return (near[:, a0] * (1 - sa) + near[:, a1] * sa
+            + far[:, a0] * (1 - sa) + far[:, a1] * sa)
 
 
 def iris_texture(identity_seed: int) -> np.ndarray:

@@ -107,11 +107,15 @@ def test_c04_focal_sweep_extends_dof(extension, tmp_path):
     failures = cli._check_failures("dof_extension", res)
     if elapsed >= 120.0:
         failures.append(f"took {elapsed:.1f} s, budget 120 s")
-    # the canonical summary is pinned: how the walks are searched must not move it
-    experiments.write_result(res, tmp_path)
-    digest = hashlib.sha256((tmp_path / "summary.txt").read_bytes()).hexdigest()
-    if digest != "46b0a7679cb1a0606578ad4d75061deabb04bb8e03dac789f85d38e1127b2ae8":
-        failures.append(f"canonical summary.txt has SHA-256 {digest}")
+    # the canonical summary is pinned: how the walks are searched must not move
+    # it; the CSV holds every probed cell, so it pins the draw and exposure too
+    pins = {
+        "summary.txt": "46b0a7679cb1a0606578ad4d75061deabb04bb8e03dac789f85d38e1127b2ae8",
+        "dof_extension.csv": "2e9b47f15f6037277f7dd906e9d11fd5e5a56616fe522fe2e1c2b8a138eb90bd",
+    }
+    for name, digest in _digests(res, tmp_path).items():
+        if digest != pins[name]:
+            failures.append(f"canonical {name} has SHA-256 {digest}")
     _verdict(4, "sweep DoF at 5 m: 3.9 m total (1.2 front, 2.7 rear), about 37x the "
                 "bare lens, ordered in distance", failures)
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 from scipy import signal
 
-from irissim import config, optics, renderer, texture
+from irissim import config, experiments, optics, renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
@@ -196,6 +196,45 @@ def test_iris_texture_cache_is_bounded():
     assert texture._sheet.cache_info().currsize == 4
 
 
+def _ix_value_noise_polar(rng, nr, na, lat_r, lat_a):
+    """Reference: the four corner grids gathered with ``np.ix_``, then weighted."""
+    grid = rng.uniform(-1.0, 1.0, size=(lat_r + 1, lat_a))
+    r = np.linspace(0, lat_r, nr, endpoint=False)
+    a = np.linspace(0, lat_a, na, endpoint=False)
+    r0 = np.floor(r).astype(int)
+    ra = (r - r0)[:, None]
+    a0 = np.floor(a).astype(int)
+    aa = (a - a0)[None, :]
+    r1 = np.minimum(r0 + 1, lat_r)
+    a1 = (a0 + 1) % lat_a
+    g00 = grid[np.ix_(r0, a0)]
+    g01 = grid[np.ix_(r0, a1)]
+    g10 = grid[np.ix_(r1, a0)]
+    g11 = grid[np.ix_(r1, a1)]
+    sr = ra * ra * (3 - 2 * ra)
+    sa = aa * aa * (3 - 2 * aa)
+    return (g00 * (1 - sr) * (1 - sa) + g01 * (1 - sr) * sa
+            + g10 * sr * (1 - sa) + g11 * sr * sa)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), nr=st.integers(1, 80), na=st.integers(1, 600),
+       lat_r=st.integers(1, 40), lat_a=st.integers(1, 80))
+def test_value_noise_equals_the_corner_grid_reference(seed, nr, na, lat_r, lat_a):
+    ours = texture._value_noise_polar(np.random.default_rng(seed), nr, na, lat_r, lat_a)
+    reference = _ix_value_noise_polar(np.random.default_rng(seed), nr, na, lat_r, lat_a)
+    assert ours.shape == (nr, na)
+    assert np.array_equal(ours, reference)
+
+
+def test_sheet_equals_one_built_with_the_corner_grid_reference(monkeypatch):
+    seeds = (0, 1, 77, 4000, 2**31 - 1)
+    sheets = [texture._sheet.__wrapped__(s) for s in seeds]
+    monkeypatch.setattr(texture, "_value_noise_polar", _ix_value_noise_polar)
+    for s, sheet in zip(seeds, sheets):
+        assert np.array_equal(sheet, texture._sheet.__wrapped__(s))
+
+
 def test_clean_image_is_a_read_only_one_entry_cache():
     assert renderer._clean_image.cache_info().maxsize == 1
     args = (4000, 640, 480, 300.0, 250.0, 20.0, 50.0, 2.5, 0.8, 3.0, (0.6, 0.8))
@@ -251,6 +290,69 @@ def _mgrid_eye(identity_seed, width, height, cx, cy, r_p, r_i):
 def test_draw_eye_equals_the_full_grid_reference(height, width, fx, fy, r_i, seed):
     args = (seed, width, height, width * fx, height * fy, 0.4 * r_i, r_i)
     assert np.array_equal(_draw_eye(*args), _mgrid_eye(*args))
+
+
+def test_polar_map_is_a_read_only_one_entry_cache():
+    assert renderer._polar_map.cache_info().maxsize == 1
+    geometry = (312, 300, 150.4, 160.7, 48.0, 120.0)
+    rows, cols, *masks = renderer._polar_map(*geometry)
+    assert renderer._polar_map.cache_info().currsize == 1
+    assert (rows, cols) == (slice(*renderer._span(160.7, 120.0, 300)),
+                            slice(*renderer._span(150.4, 120.0, 312)))
+    for a in masks:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    ann, index, pupil, lid = masks
+    assert ann.shape == pupil.shape == lid.shape == (rows.stop - rows.start,
+                                                     cols.stop - cols.start)
+    assert index.shape == (np.count_nonzero(ann),)
+    assert 0 <= index.min() and index.max() < texture.SHEET_RADIAL * texture.SHEET_ANGULAR
+    renderer._polar_map(312, 300, 150.4, 160.7, 48.0, 121.0)
+    assert renderer._polar_map.cache_info().currsize == 1
+
+
+def test_both_eyes_of_an_impostor_pair_share_one_polar_map():
+    cfg = config.default_config("hd_curve")
+    renderer._clean_image.cache_clear()
+    renderer._polar_map.cache_clear()
+    experiments._impostor_unit((cfg, 0))
+    info = renderer._polar_map.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_identities_drawn_at_one_geometry_differ_only_inside_the_iris_disk():
+    width, height, cx, cy, r_p, r_i = 260, 240, 131.3, 118.6, 36.0, 90.0
+    renderer._polar_map.cache_clear()
+    first = _draw_eye(1000, width, height, cx, cy, r_p, r_i)
+    second = _draw_eye(2000, width, height, cx, cy, r_p, r_i)
+    assert renderer._polar_map.cache_info().hits == 1
+    yy, xx = np.mgrid[0:height, 0:width]
+    inside = np.hypot(yy - cy, xx - cx) < r_i
+    differ = first != second
+    assert np.any(differ)
+    assert not np.any(differ & ~inside)
+    assert np.all(first[~inside] == REFLECTANCE_SCLERA)
+
+
+def test_every_clean_image_miss_looks_up_the_texture_once(monkeypatch):
+    # the tracer wraps renderer.iris_texture: its span and unique ratio must
+    # count every draw, the ones whose polar map is cached included
+    seeds = []
+
+    def counting(identity_seed):
+        seeds.append(identity_seed)
+        return texture.iris_texture(identity_seed)
+
+    monkeypatch.setattr(renderer, "iris_texture", counting)
+    renderer._clean_image.cache_clear()
+    renderer._polar_map.cache_clear()
+    for seed, nseed in ((4000, 1), (4000, 2), (4001, 1), (4002, 1), (4002, 2), (4000, 3)):
+        frame_at(4000.0, seed=seed, nseed=nseed, base_canvas=(0, 0))
+    clean = renderer._clean_image.cache_info()
+    assert seeds == [4000, 4001, 4002, 4000]
+    assert clean.misses == len(seeds)
+    assert renderer._polar_map.cache_info().hits == 3
 
 
 def _whole_canvas_clean(identity_seed, width, height, cx, cy, r_p, r_i,
