@@ -31,6 +31,7 @@ DEFAULT_CURRENT_GAIN = current_gain_for_train(optics.OpticalTrain())
 CURRENT_STEP_MA = 0.07  # drive current resolution
 POWER_QUANTUM_DPT = CURRENT_STEP_MA * DEFAULT_CURRENT_GAIN
 OSC_FREQ_HZ = 200.0  # ring frequency during settling; free parameter
+MIRROR_REST_DEG = (0.0, 45.0)  # pan, tilt before the first command: aimed level, at azimuth 0
 
 
 @dataclass(frozen=True)
@@ -156,17 +157,15 @@ class MirrorParams:
 class SteeringMirror:
     """Two-axis mirror; both axes slew concurrently at the maximum speed.
 
-    Setpoints snap to the 0.01 degree grid; a command outside the mechanical
-    range raises rather than clamping silently.  Sampled poses are reported
-    on the same grid, mid-slew included.
+    Setpoints snap to the ``resolution_deg`` grid; a command outside the
+    mechanical range raises rather than clamping silently.  Sampled poses are
+    reported on the same grid, mid-slew included, and so is the rest pose.
     """
 
-    def __init__(self, params: MirrorParams = MirrorParams(),
-                 pan_deg: float = 0.0, tilt_deg: float = 45.0):
+    def __init__(self, params: MirrorParams = MirrorParams()):
         self.params = params
         self._cmd_t = -math.inf
-        self._from = (self._snap(pan_deg), self._snap(tilt_deg))
-        self._to = self._from
+        self._from = self._to = (self._snap(MIRROR_REST_DEG[0]), self._snap(MIRROR_REST_DEG[1]))
 
     def _snap(self, angle: float) -> float:
         r = self.params.resolution_deg

@@ -387,6 +387,10 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 # ---------------------------------------------------------------------- iom
 
+# each frame event's columns from power_dpt on, after the frame's index, time and range
+IOM_FRAME_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("power_dpt"):]
+
+
 def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     enroll_rig = config.rig_from_config(cfg)
@@ -410,9 +414,8 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
             rng_mm = float(np.linalg.norm(eye_position(subject, t_mid)))
             if e.quality_pass:
                 ranges.append(rng_mm)
-            rows.append((variant, exp["start_frame"] + i, e.t_ms, rng_mm, e.power_dpt,
-                         e.blur_px, e.px_across_iris, e.quality_pass, e.hd,
-                         e.matched, e.fail_reason))
+            rows.append((variant, exp["start_frame"] + i, e.t_ms, rng_mm,
+                         *(getattr(e, c) for c in IOM_FRAME_COLUMNS)))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
                       for _, t, fr, _ in log.kept)
         n_ok = len(log.qualified())
@@ -430,8 +433,7 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     return ExperimentResult(
         name="iom",
-        header=("variant", "frame", "t_ms", "range_mm", "power_dpt", "blur_px",
-                "px_across_iris", "quality_pass", "hd", "matched", "fail_reason"),
+        header=("variant", "frame", "t_ms", "range_mm") + IOM_FRAME_COLUMNS,
         rows=rows, summary=summary, frames=frames, stats=stats,
     )
 

@@ -50,11 +50,12 @@ class QualityThresholds:
 
 @dataclass(frozen=True)
 class QualityReport:
-    passed: bool
     sharpness: float
-    brightness: float
-    px_across_iris: float
     fail_reasons: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.fail_reasons
 
 
 @functools.lru_cache(maxsize=1)
@@ -126,7 +127,4 @@ def evaluate(frame: Frame,
         reasons.append("sharpness")
     if not (thresholds.brightness_lo <= bright <= thresholds.brightness_hi):
         reasons.append("brightness")
-    return QualityReport(
-        passed=not reasons, sharpness=sharp, brightness=bright,
-        px_across_iris=frame.px_across_iris, fail_reasons=tuple(reasons),
-    )
+    return QualityReport(sharpness=sharp, fail_reasons=tuple(reasons))

@@ -68,21 +68,14 @@ def _jitter_bank(seed: int, sigma: float):
     return freqs, phases, amp
 
 
-def _jitter(subject: Subject, t_ms: float) -> np.ndarray:
+def _jitter(subject: Subject, t_ms: float) -> tuple[np.ndarray, np.ndarray]:
+    """Head jitter offset in mm and its rate in mm per second."""
     if subject.jitter_sigma_mm == 0.0:
-        return np.zeros(3)
+        return np.zeros(3), np.zeros(3)
     freqs, phases, amp = _jitter_bank(subject.motion_seed, subject.jitter_sigma_mm)
     phase = 2.0 * math.pi * freqs * (t_ms / 1000.0) + phases
-    return amp * np.sin(phase).sum(axis=1)
-
-
-def _jitter_velocity(subject: Subject, t_ms: float) -> np.ndarray:
-    if subject.jitter_sigma_mm == 0.0:
-        return np.zeros(3)
-    freqs, phases, amp = _jitter_bank(subject.motion_seed, subject.jitter_sigma_mm)
-    phase = 2.0 * math.pi * freqs * (t_ms / 1000.0) + phases
-    # derivative in mm per second
-    return amp * (2.0 * math.pi * freqs * np.cos(phase)).sum(axis=1)
+    return (amp * np.sin(phase).sum(axis=1),
+            amp * (2.0 * math.pi * freqs * np.cos(phase)).sum(axis=1))
 
 
 def eye_position(subject: Subject, t_ms: float) -> np.ndarray:
@@ -93,13 +86,13 @@ def eye_position(subject: Subject, t_ms: float) -> np.ndarray:
     bandwidth, so the motion is continuous and reproducible sample for sample.
     """
     walked = np.asarray(subject.velocity_mmps) * (max(t_ms, 0.0) / 1000.0)
-    return subject.position_mm + walked + _jitter(subject, t_ms)
+    return subject.position_mm + walked + _jitter(subject, t_ms)[0]
 
 
 def eye_velocity(subject: Subject, t_ms: float) -> np.ndarray:
     """Instantaneous eye velocity in mm/s (the walk's plus the jitter derivative)."""
     walk = np.asarray(subject.velocity_mmps if t_ms > 0.0 else (0.0, 0.0, 0.0))
-    return walk + _jitter_velocity(subject, t_ms)
+    return walk + _jitter(subject, t_ms)[1]
 
 
 def line_of_sight_mm(eye_pos, rig: RigGeometry) -> float:

@@ -2,14 +2,15 @@
 
 Everything here runs on the sensor's frame grid: device commands go out and
 exposures begin at frame starts.  A frame qualifies only when both devices
-settled before its exposure opened, the image clears the quality gates and,
-for a subject in the gallery, iris detection finds its pupil.  A frame that
-does not qualify says why in ``Event.fail_reason``.  Each target gets one
-mirror + lens command.  If its frame fails, each dwell retry re-commands the
-lens through the next rung of a dynamic focal stack (``FOCAL_STACK_DPT``
-about the setpoint) and exposes once it settles, until the dwell budget runs
-out: a fresh command draws a fresh repeatability offset, where re-exposing
-through the same one would repeat its miss.  A target is a ``Subject``.
+settled before its exposure opened, the image clears the quality gates and
+iris detection finds its pupil.  A frame that does not qualify says why in
+``Event.fail_reason``.  Each target gets one mirror + lens command.  If its
+frame fails, each dwell retry re-commands the lens through the next rung of
+a dynamic focal stack (``FOCAL_STACK_DPT`` about the setpoint) and exposes
+once it settles, until the dwell budget runs out: a fresh command draws a
+fresh repeatability offset, where re-exposing through the same one would
+repeat its miss.  A target is a ``Subject``; every target is enrolled in the
+gallery the capture matches against.
 
 The tracking loop works on detections one frame old, the way an actual
 vision pipeline would: frame k+1 is commanded at frame k from positions
@@ -59,9 +60,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(Event))
 class EventLog:
     def __init__(self):
         self.events: list[Event] = []
-        # (target_id, t_frame_ms, Frame, its detected IrisCode or None without a
-        # gallery template) for every qualified exposure
-        self.kept: list[tuple[str, float, object, IrisCode | None]] = []
+        # (target_id, t_frame_ms, Frame, its detected IrisCode) per qualified exposure
+        self.kept: list[tuple[str, float, object, IrisCode]] = []
 
     def frames(self) -> list[Event]:
         return [e for e in self.events if e.event_type == "frame"]
@@ -117,11 +117,9 @@ def plan_order(rig: CaptureRig, targets: list[Subject],
             refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
                        else rig.lens.params.settle_time)
             costed.append((max(slew, refocus), tgt.subject_id, tgt, (pan, tilt), p))
-        costed.sort(key=lambda item: (item[0], item[1]))
-        _, _, best, best_pose, best_power = costed[0]
+        _, _, best, pose, power = min(costed, key=lambda item: item[:2])
         out.append(best)
         remaining.remove(best)
-        pose, power = best_pose, best_power
     return out
 
 
@@ -135,7 +133,7 @@ def noise_seed_for(seed: int, index: int) -> int:
 
 def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
                    noise_seed: int, log: EventLog,
-                   gallery: dict[str, IrisCode] | None) -> bool:
+                   gallery: dict[str, IrisCode]) -> bool:
     """Render and gate one frame; returns True when it qualified."""
     sid = subject.subject_id
     t_mid = t_frame + rig.sensor.exposure_ms / 2.0
@@ -146,6 +144,7 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
     power = rig.lens.power_at(t_mid)
     eye = eye_position(subject, t_mid)
     vel = eye_velocity(subject, t_mid)
+    frame = None
     try:
         frame = render_eye(
             rig.train, power_dpt=power, pan_deg=pan, tilt_deg=tilt,
@@ -154,13 +153,11 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
             exposure_ms=rig.sensor.exposure_ms, rig=rig.geometry,
         )
     except TargetMissed:
-        log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
-                                power_dpt=power, quality_pass=False,
-                                fail_reason="+".join(reasons + ["target_missed"])))
-        return False
-    reasons += evaluate(frame, rig.thresholds).fail_reasons
+        reasons.append("target_missed")
+    else:
+        reasons += evaluate(frame, rig.thresholds).fail_reasons
     code = hd = matched = None
-    if not reasons and gallery is not None and sid in gallery:
+    if not reasons:
         try:
             code = encode_frame(frame, circles="detect")
         except SegmentationError:  # the gates passed a frame with no pupil to find
@@ -172,16 +169,16 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
     if ok:
         log.kept.append((sid, t_frame, frame, code))
     log.events.append(Event(t_frame, "frame", sid, pan_deg=pan, tilt_deg=tilt,
-                            power_dpt=power, blur_px=frame.blur_px,
-                            px_across_iris=frame.px_across_iris, quality_pass=ok,
+                            power_dpt=power, blur_px=frame and frame.blur_px,
+                            px_across_iris=frame and frame.px_across_iris, quality_pass=ok,
                             hd=hd, matched=matched, fail_reason="+".join(reasons) or None))
     return ok
 
 
 def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
+                     gallery: dict[str, IrisCode],
                      order: str = "given_order",
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
-                     gallery: dict[str, IrisCode] | None = None,
                      noise_seed: int = 0) -> EventLog:
     """Visit each target once: aim, refocus, expose until qualified or budget out.
 
@@ -233,7 +230,7 @@ def tracker_plan(rig: CaptureRig, subject: Subject, n_frames: int, start_frame: 
 
 def track_and_capture(rig: CaptureRig, subject: Subject, *,
                       n_frames: int, start_frame: int,
-                      gallery: dict[str, IrisCode] | None = None,
+                      gallery: dict[str, IrisCode],
                       noise_seed: int = 0) -> EventLog:
     """Expose every frame of ``tracker_plan``, commanded a frame ahead at the predicted eye."""
     log = EventLog()

@@ -6,6 +6,7 @@ from irissim.devices import (
     DEFAULT_CURRENT_GAIN,
     POWER_QUANTUM_DPT,
     LensParams,
+    MirrorParams,
     MirrorRangeError,
     SensorParams,
     SteeringMirror,
@@ -140,26 +141,35 @@ def test_mirror_out_of_range_is_error_not_clamp():
     m.command(180.0, 60.0, t_ms=0.0)
 
 
+# 45 deg is not a multiple of 0.007: that rest pose snaps to 45.003
+@pytest.mark.parametrize("resolution, rest_tilt", [(0.01, 45.0), (0.007, 45.003)])
+def test_mirror_rests_at_pan_0_tilt_45_on_its_grid(resolution, rest_tilt):
+    pan, tilt = SteeringMirror(MirrorParams(resolution_deg=resolution)).pose_at(0.0)
+    assert pan == 0.0
+    assert tilt == round(45.0 / resolution) * resolution
+    assert tilt == pytest.approx(rest_tilt, abs=1e-9)
+
+
 def test_mirror_slew_time_oracle():
     # 60 degrees at 21000 deg/s is 2.857142857... ms
-    m = SteeringMirror(pan_deg=0.0, tilt_deg=0.0)
-    m.command(60.0, 0.0, t_ms=0.0)
+    m = SteeringMirror()  # rests at pan 0, tilt 45
+    m.command(60.0, 45.0, t_ms=0.0)
     assert m.settled_at == pytest.approx(60.0 / 21000.0 * 1000.0, abs=1e-9)
     assert m.settled_at == pytest.approx(2.857142857142857, abs=1e-6)
 
 
 def test_mirror_axes_move_concurrently():
-    m = SteeringMirror(pan_deg=0.0, tilt_deg=0.0)
-    m.command(10.0, 20.0, t_ms=0.0)
+    m = SteeringMirror()  # rests at pan 0, tilt 45
+    m.command(10.0, 25.0, t_ms=0.0)
     # slew is governed by the larger excursion
     assert m.settled_at == pytest.approx(20.0 / 21000.0 * 1000.0)
     pan, tilt = m.pose_at(0.5)
     assert pan == pytest.approx(10.0)  # short axis already done
-    assert 0.0 < tilt < 20.0
+    assert 25.0 < tilt < 45.0
 
 
 def test_mirror_pose_always_on_grid():
-    m = SteeringMirror(pan_deg=0.0, tilt_deg=0.0)
+    m = SteeringMirror()
     m.command(-37.42, 51.13, t_ms=0.0)
     for t in np.linspace(0.0, 3.0, 41):
         pan, tilt = m.pose_at(t)
@@ -168,12 +178,12 @@ def test_mirror_pose_always_on_grid():
 
 
 def test_mirror_retarget_mid_slew():
-    m = SteeringMirror(pan_deg=0.0, tilt_deg=0.0)
-    m.command(60.0, 0.0, t_ms=0.0)
-    m.command(0.0, 0.0, t_ms=1.0)  # turn back halfway through
+    m = SteeringMirror()  # rests at pan 0, tilt 45
+    m.command(60.0, 45.0, t_ms=0.0)
+    m.command(0.0, 45.0, t_ms=1.0)  # turn back halfway through
     # was at 21 deg when re-commanded; needs 1 ms to get home
     assert m.settled_at == pytest.approx(2.0, abs=1e-6)
-    assert m.pose_at(5.0) == (0.0, 0.0)
+    assert m.pose_at(5.0) == (0.0, 45.0)
 
 
 # ---------------------------------------------------------------- sensor

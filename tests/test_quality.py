@@ -36,10 +36,11 @@ def test_in_focus_frame_passes():
 
 def test_resolution_gate_beyond_range():
     # just past the 200 px anchor distance
-    r = evaluate(frame_at(7710.0))
+    f = frame_at(7710.0)
+    r = evaluate(f)
     assert not r.passed
     assert "resolution" in r.fail_reasons
-    assert r.px_across_iris < 200.0
+    assert f.px_across_iris < 200.0
 
 
 def test_resolution_gate_holds_at_anchor():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,11 @@ def enroll_code(train, identity_seed):
     return encode_frame(f)
 
 
+def gallery_for(rig, subjects):
+    """Every subject enrolled under its own identity."""
+    return {s.subject_id: enroll_code(rig.train, s.identity_seed) for s in subjects}
+
+
 # --- planning ----------------------------------------------------------------
 
 
@@ -70,6 +76,20 @@ def test_nearest_transition_minimizes_slew():
     ]
     ordered = plan_order(rig, targets, order="nearest_transition")
     assert [t.subject_id for t in ordered] == ["mid", "right", "left"]
+
+
+@pytest.mark.parametrize("given", list(itertools.permutations("abc")))
+def test_nearest_transition_breaks_a_cost_tie_by_subject_id(given):
+    rig = make_rig()  # mirror rests at pan 0
+    # b and a sit mirrored about the boresight: the same slew away
+    azimuth = {"a": -20.0, "b": 20.0, "c": 40.0}
+    targets = [still_subject(s, 1, 4800.0, azimuth_deg=azimuth[s]) for s in given]
+    rest = rig.mirror.pose_at(0.0)
+    slews = {t.subject_id: rig.mirror.slew_time_ms(*setpoints_for(rig, t.position_mm)[:2],
+                                                   from_pose=rest) for t in targets}
+    assert slews["a"] == slews["b"] < slews["c"]
+    ordered = plan_order(rig, targets, order="nearest_transition")
+    assert [t.subject_id for t in ordered] == ["a", "b", "c"]
 
 
 def test_unknown_order_rejected():
@@ -111,7 +131,7 @@ def test_two_target_sequence_matches_both():
 def test_events_are_time_ordered_on_frame_grid():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, subjects)
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
     times = [e.t_ms for e in log.events]
     assert times == sorted(times)
     for t in times:
@@ -121,7 +141,7 @@ def test_events_are_time_ordered_on_frame_grid():
 def test_one_command_per_target():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, subjects)
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
     commands = [e for e in log.events if e.event_type == "command"]
     assert len(commands) == 2
     assert [e.target_id for e in commands] == ["s1", "s2"]
@@ -130,7 +150,8 @@ def test_one_command_per_target():
 def test_first_frame_waits_for_settling():
     rig = make_rig()
     # off-boresight and off-reference-focus, so both devices must move
-    log = capture_sequence(rig, [still_subject("s", 1, 4380.0, azimuth_deg=10.0)])
+    subjects = [still_subject("s", 1, 4380.0, azimuth_deg=10.0)]
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
     cmd = next(e for e in log.events if e.event_type == "command")
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms - cmd.t_ms >= rig.lens.params.settle_ms
@@ -140,7 +161,8 @@ def test_first_frame_waits_for_settling():
 def test_already_settled_target_captures_immediately():
     # boresight subject at the reference focus: nothing has to move
     rig = make_rig()
-    log = capture_sequence(rig, [still_subject("s", 1, 4800.0)])
+    subjects = [still_subject("s", 1, 4800.0)]
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms == 0.0
     assert frame.quality_pass
@@ -148,7 +170,8 @@ def test_already_settled_target_captures_immediately():
 
 def test_dwell_budget_limits_attempts():
     rig = make_rig(quality={"min_px_across_iris": 10000.0})
-    log = capture_sequence(rig, [still_subject("s", 1, 4800.0)], dwell_budget=5)
+    subjects = [still_subject("s", 1, 4800.0)]
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects), dwell_budget=5)
     frames = log.frames()
     assert len(frames) == 5
     assert not any(e.quality_pass for e in frames)
@@ -156,7 +179,8 @@ def test_dwell_budget_limits_attempts():
 
 def test_dwell_retries_refocus_through_the_focal_stack():
     rig = make_rig(quality={"min_px_across_iris": 10000.0})
-    log = capture_sequence(rig, [still_subject("s", 1, 4380.0, azimuth_deg=10.0)],
+    subjects = [still_subject("s", 1, 4380.0, azimuth_deg=10.0)]
+    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects),
                            dwell_budget=7)
     commands = [e for e in log.events if e.event_type == "command"]
     frames = log.frames()
@@ -224,6 +248,27 @@ def test_fail_reasons_name_every_cause_in_order(monkeypatch):
 
     monkeypatch.setattr(scheduler, "encode_frame", no_pupil)
     assert reasons(60 * PERIOD) == "segmentation"
+
+
+def test_target_missed_frame_row_leaves_every_capture_cell_empty(tmp_path):
+    rig = make_rig()
+    subject = still_subject("s", 5001, 4800.0)
+    rig.mirror.command(20.0, 20.0, 0.0)  # settled long before the frame, far off the eye
+    log = EventLog()
+    assert not _attempt_frame(rig, subject, 10 * PERIOD, 0, log, gallery_for(rig, [subject]))
+    (event,) = log.events
+    assert event.quality_pass is False
+    assert event.fail_reason == "target_missed"
+    assert (event.pan_deg, event.tilt_deg) == (20.0, 20.0)
+    assert event.power_dpt is not None
+    assert log.kept == []
+    rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
+    write_result(ExperimentResult("log", CSV_COLUMNS, rows, summary=[]), tmp_path)
+    header, row = (line.split(",") for line in
+                   (tmp_path / "log.csv").read_text().strip().splitlines())
+    cells = dict(zip(header, row))
+    assert cells["quality_pass"] == "0"
+    assert [cells[c] for c in ("blur_px", "px_across_iris", "hd", "matched")] == [""] * 4
 
 
 def test_impostor_gallery_does_not_match():
