@@ -22,10 +22,13 @@ repeat exposure of one geometry from a single render of that window.
 
 The exposure stage adds Gaussian read noise from the frame's noise seed to
 the tight-crop box, clips and quantizes, once per call, in one box-sized
-buffer.  On a tight crop the box is the whole canvas.  A larger canvas, such
-as the 640x480 frame, is the clean sclera grey (``SCLERA_GREY``) outside the
-window and noise-free outside the box: nothing downstream reads beyond the
-iris.
+buffer.  The noise is the first box-size normals of the seed's stream
+(``read_noise``).  Every sweep cell of repeat r exposes with that repeat's
+seed, so the streams of the last few seeds are held and each exposure slices
+its normals from them, drawing only what a larger box adds.  On a tight crop
+the box is the whole canvas.  A larger canvas, such as the 640x480 frame, is
+the clean sclera grey (``SCLERA_GREY``) outside the window and noise-free
+outside the box: nothing downstream reads beyond the iris.
 """
 
 from __future__ import annotations
@@ -211,11 +214,8 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     y0, y1 = _span(cy, half, height)
     x0, x1 = _span(cx, half, width)
     box = window[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start]
-    rng = np.random.default_rng((int(noise_seed), 0x4652414D))
-    # rng.normal(0, s, shape) is 0 + s * z, so scaling z in place and adding
-    # the box to it gives the same sums without two box-sized temporaries
-    noise = rng.standard_normal(box.shape)
-    noise *= READ_NOISE_GREY
+    # rng.normal(0, s, shape) is 0 + s * z, so s * z + box gives the same sums
+    noise = read_noise(noise_seed, box.size).reshape(box.shape) * READ_NOISE_GREY
     noise += box
     noisy = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
     if noisy.shape == (height, width):  # a tight crop: the box is the canvas
@@ -310,7 +310,9 @@ def _polar_map(width: int, height: int, cx: float, cy: float, r_p: float, r_i: f
     rr = np.hypot(dy, dx)
 
     ann = (rr >= r_p) & (rr < r_i)
-    theta = np.arctan2(dy[ann], dx[ann]) % (2 * np.pi)
+    theta = np.arctan2(dy[ann], dx[ann])
+    # arctan2 is in [-pi, pi], where "% 2pi" adds 2pi to exactly the negatives
+    theta[theta < 0] += 2 * np.pi
     radial = (rr[ann] - r_p) / (r_i - r_p)
     nr, na = SHEET_RADIAL, SHEET_ANGULAR
     ri_idx = np.clip((radial * nr).astype(int), 0, nr - 1)
@@ -322,6 +324,44 @@ def _polar_map(width: int, height: int, cx: float, cy: float, r_p: float, r_i: f
     for a in (ann, index, pupil, lid):
         a.flags.writeable = False
     return slice(y0, y1), slice(x0, x1), ann, index, pupil, lid
+
+
+# streams held: every sweep cell of repeat r exposes with that repeat's noise
+# seed, so the canonical 5 repeats of a cell all find their stream
+_NOISE_STREAMS = 5
+
+
+def read_noise(noise_seed: int, n: int) -> np.ndarray:
+    """The first ``n`` standard normals of the noise seed's read-noise stream.
+
+    Flat float64 and read-only, equal to
+    ``np.random.default_rng((noise_seed, 0x4652414D)).standard_normal(n)``:
+    the generator fills sequentially, so a stream drawn for a smaller box
+    is the prefix of one drawn for a larger box.
+    """
+    return _noise_stream(int(noise_seed)).take(n)
+
+
+class _NoiseStream:
+    """One seed's generator and the prefix of its normals drawn so far."""
+
+    def __init__(self, noise_seed: int):
+        self.rng = np.random.default_rng((noise_seed, 0x4652414D))
+        self.drawn = np.empty(0)
+        self.drawn.flags.writeable = False
+
+    def take(self, n: int) -> np.ndarray:
+        if n > self.drawn.size:
+            self.drawn = np.concatenate(
+                (self.drawn, self.rng.standard_normal(n - self.drawn.size)))
+            self.drawn.flags.writeable = False
+        return self.drawn[:n]
+
+
+# keyed on a Python int: read_noise converts, so np.int64(5) and 5 share one
+@functools.lru_cache(maxsize=_NOISE_STREAMS)
+def _noise_stream(noise_seed: int) -> _NoiseStream:
+    return _NoiseStream(noise_seed)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

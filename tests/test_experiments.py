@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irissim import calibration, config, experiments, optics, scheduler
+from irissim import calibration, config, experiments, optics, renderer, scheduler
 from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
 
 
@@ -363,6 +363,27 @@ def small_hd():
     cfg["experiment"].update(span_near_mm=300.0, span_far_mm=300.0,
                              repeats=2, impostor_pairs=3)
     return experiments.run_hd_curve(cfg)
+
+
+def _written_bytes(result, out_dir):
+    experiments.write_result(result, out_dir)
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_sweep_outputs_do_not_depend_on_the_noise_streams_held(tmp_path,
+                                                               small_extension_cfg):
+    # the three runs share repeat noise seeds, so each one starts on streams
+    # the one before it drew, over other box sizes
+    hd_cfg = config.default_config("hd_curve")
+    hd_cfg["experiment"].update(span_near_mm=300.0, span_far_mm=300.0,
+                                repeats=3, impostor_pairs=3)
+    runs = [(experiments.run_dof_extension, small_extension_cfg),
+            (experiments.run_hd_curve, hd_cfg),
+            (experiments.run_dof_extension, small_extension_cfg)]
+    warm = [_written_bytes(run(cfg), tmp_path / f"warm{i}") for i, (run, cfg) in enumerate(runs)]
+    for i, (run, cfg) in enumerate(runs):
+        renderer._noise_stream.cache_clear()
+        assert _written_bytes(run(cfg), tmp_path / f"cold{i}") == warm[i]
 
 
 def test_hd_curve_self_match_is_tight(small_hd):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
@@ -292,6 +292,28 @@ def test_draw_eye_equals_the_full_grid_reference(height, width, fx, fy, r_i, see
     assert np.array_equal(_draw_eye(*args), _mgrid_eye(*args))
 
 
+# integer centres put annulus pixels exactly on the negative x axis (theta
+# = pi); a centre an ulp or two past an integer row puts pixels right of it
+# at a tiny negative theta, which wraps onto 2 pi (sheet column 0) or, two
+# ulps up and nearer the pupil, just short of it (the last column)
+@pytest.mark.parametrize("cx, cy", [(120.0, 110.0), (121.0, 97.0), (90.0, 140.0),
+                                    (120.0, 110.0 + math.ulp(110.0)),
+                                    (97.0, 121.0 + math.ulp(121.0)),
+                                    (120.0, 110.0 + 2 * math.ulp(110.0))])
+def test_draw_eye_wraps_the_angle_like_the_reference_at_integer_centres(cx, cy):
+    args = (4000, 240, 250, cx, cy, 36.0, 90.0)
+    assert np.array_equal(_draw_eye(*args), _mgrid_eye(*args))
+    rows, cols, ann, index, *_ = renderer._polar_map(*args[1:])
+    yy, xx = np.ogrid[rows, cols]
+    dy, dx = np.broadcast_arrays(yy - cy, xx - cx)
+    theta = np.arctan2(dy[ann], dx[ann])
+    if cy.is_integer():
+        assert np.any(theta == np.pi)
+    else:
+        wraps = (theta < 0) & (theta + 2 * np.pi == 2 * np.pi)
+        assert np.any(wraps) and np.all(index[wraps] % texture.SHEET_ANGULAR == 0)
+
+
 def test_polar_map_is_a_read_only_one_entry_cache():
     assert renderer._polar_map.cache_info().maxsize == 1
     geometry = (312, 300, 150.4, 160.7, 48.0, 120.0)
@@ -475,6 +497,58 @@ def test_tight_crop_exposure_equals_the_whole_canvas_reference(d, off_x, off_y, 
         eye_velocity_mmps=(speed * math.cos(angle), 0.0, speed * math.sin(angle)))
     assume(max(map(abs, frame.offset_px)) < 1.0)
     assert np.array_equal(frame.image, _parent_exposure(*args, nseed))
+
+
+@pytest.mark.parametrize("distances", [(6500.0, 3600.0), (3600.0, 6500.0)])
+def test_warm_stream_exposures_equal_the_whole_canvas_reference(distances):
+    # one noise seed on a small and a large tight crop: the second exposure
+    # slices (or extends) the stream the first one drew
+    renderer._noise_stream.cache_clear()
+    sizes = []
+    for d in distances:
+        eye = (0.0, d - 200.0, 0.0)
+        pan, tilt = aim_angles(eye)
+        frame, args = _render_recording_geometry(
+            train=TRAIN, power_dpt=tunable_power_for_focus(TRAIN, d) + 0.15,
+            pan_deg=pan, tilt_deg=tilt, eye_pos_mm=eye, identity_seed=4000,
+            noise_seed=77, k_ast=0.2, base_canvas=(0, 0))
+        sizes.append(frame.image.size)
+        assert np.array_equal(frame.image, _parent_exposure(*args, 77))
+    assert sizes[0] != sizes[1]
+    info = renderer._noise_stream.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# requests of up to 8 seeds against a bound of 5: misses, evictions, prefixes
+# and extensions of a held stream
+noise_requests = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3000)),
+                          min_size=1, max_size=30)
+
+
+@settings(max_examples=60)
+@given(requests=noise_requests)
+@example(requests=[(3, 10), (3, 4), (3, 2500), (3, 2500), (3, 0)])
+def test_read_noise_equals_a_fresh_draw(requests):
+    renderer._noise_stream.cache_clear()
+    for seed, n in requests:
+        z = renderer.read_noise(seed, n)
+        fresh = np.random.default_rng((seed, 0x4652414D)).standard_normal(n)
+        assert z.dtype == np.float64 and z.shape == (n,)
+        assert np.array_equal(z, fresh)
+        assert not z.flags.writeable
+        assert renderer._noise_stream.cache_info().currsize <= renderer._NOISE_STREAMS
+
+
+def test_read_noise_holds_a_bounded_stream_per_python_int_seed():
+    # every sweep cell exposes its repeats back to back, one stream each
+    for kind in ("dof_extension", "hd_curve"):
+        assert renderer._NOISE_STREAMS >= config.default_config(kind)["experiment"]["repeats"]
+    assert renderer._noise_stream.cache_info().maxsize == renderer._NOISE_STREAMS
+    renderer._noise_stream.cache_clear()
+    z = renderer.read_noise(np.int64(5), 100)
+    assert np.shares_memory(z, renderer.read_noise(5, 50))
+    info = renderer._noise_stream.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_optics_stages_see_only_the_iris_window(monkeypatch):
