@@ -77,8 +77,9 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
         if s["f_zoom_mm"] == optics.OpticalTrain().f_zoom_mm:
             for d, total in zip(s["distances_mm"], s["totals_mm"]):
                 if d == 5000.0:
-                    expect(abs(total - 91.0) <= 1.0,
-                           f"dof at 5 m is {total:.6g} mm, want 91 +/- 1")
+                    anchor = calibration.DOF_ANCHOR_MM
+                    expect(abs(total - anchor) <= 1.0,
+                           f"dof at 5 m is {total:.6g} mm, want {anchor:.6g} +/- 1")
                 expect(total < 110.0, f"dof at {d:.6g} mm is {total:.6g}, want < 110")
         expect(s["increasing"], "dof not strictly increasing with distance")
 

@@ -319,7 +319,7 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
     exp = cfg["experiment"]
     kind = exp["kind"]
     leg = calibration.PROBE_RIG.lens_height_mm
-    power_range = rig.lens.params.power_range
+    lens = rig.lens.params
     if kind == "dof_table":
         for d in exp["distances_mm"]:
             _check_sight(f"dof_table distance {d:.6g} mm", d, rig.train)
@@ -335,8 +335,7 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
         positions = hd_positions(exp)
         # the disk grows away from focus reach, so the grid's ends bound it
         for end, d in (("nearest", positions[0]), ("farthest", positions[-1])):
-            _check_sight(f"hd_curve {end} position {d:.6g} mm", d, train, leg=leg,
-                         power_range=power_range)
+            _check_sight(f"hd_curve {end} position {d:.6g} mm", d, train, leg=leg, lens=lens)
     elif kind == "multiperson":
         seen = set()
         for subject in multiperson_cast(cfg, rig):
@@ -363,12 +362,12 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
                 raise ConfigError(f"subject {sid!r} over its jitter envelope: {err}") from err
             d = line_of_sight_mm(subject.position_mm, rig.geometry)  # enrolled standing
             _check_sight(f"subject {sid!r} at {d:.6g} mm line of sight", d, rig.train,
-                         power_range=power_range, enrolment=True)
+                         lens=lens, enrolment=True)
     elif kind == "iom":
         enrolment, walkers = iom_cast(cfg, rig)
         d = line_of_sight_mm(enrolment.position_mm, rig.geometry)
         _check_sight(f"iom enrolment at {d:.6g} mm line of sight", d, rig.train,
-                     power_range=power_range, enrolment=True)
+                     lens=lens, enrolment=True)
         for variant, walker in walkers:
             plan = tracker_plan(rig, walker, exp["n_frames"], exp["start_frame"])
             for frame, (_, t_mid, eye) in enumerate(plan, exp["start_frame"]):
@@ -379,38 +378,35 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
                 except ValueError as err:
                     raise ConfigError(f"{where}: {err}") from err
                 d = line_of_sight_mm(eye_position(walker, t_mid), rig.geometry)
-                _check_sight(f"{where} ({d:.6g} mm line of sight)", d, rig.train,
-                             power_range=power_range)
+                _check_sight(f"{where} ({d:.6g} mm line of sight)", d, rig.train, lens=lens)
 
 
 def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
-                 power_range: tuple[float, float] | None = None,
-                 enrolment: bool = False) -> None:
+                 lens: LensParams | None = None, enrolment: bool = False) -> None:
     """``where``, ``d`` mm down the line of sight, is beyond the zoom focal length and ``leg``.
 
-    Given a lens ``power_range``, an enrolment lies within focus reach and
-    spans ``iriscode.MIN_PX_TO_DETECT``, and the clamped lens's defocus disk
-    fits the frame: a wider one holds no image and its render grows with its
-    square.
+    Given the ``lens``, an enrolment lies within focus reach and spans
+    ``iriscode.MIN_PX_TO_DETECT``, and the defocus disk of the power
+    ``lens.clamp`` holds fits the frame: a wider one holds no image and its
+    render grows with its square.
     """
     f = train.f_zoom_mm
     if d <= f:
         raise ConfigError(f"{where} is inside the zoom focal length {f:.6g} mm")
     if d <= leg:
         raise ConfigError(f"{where} is not beyond the probe's {leg:.6g} mm mirror-to-lens leg")
-    if power_range is None:
+    if lens is None:
         return
-    lo, hi = power_range
     power = optics.tunable_power_for_focus(train, d)
-    if enrolment and not lo <= power <= hi:
+    if enrolment and lens.clamp(power) != power:
+        lo, hi = lens.power_range
         raise ConfigError(f"{where} needs {power:.4g} dpt, outside the lens range "
                           f"[{lo:.6g}, {hi:.6g}] dpt")
     px = optics.pixels_across_iris(train, d)
     if enrolment and px < iriscode.MIN_PX_TO_DETECT:
         raise ConfigError(f"{where} images {px:.6g} px across the iris, fewer than the "
                           f"{iriscode.MIN_PX_TO_DETECT:.6g} px iris detection needs")
-    power = optics.drive_power_for_focus(train, d, power_range)
-    blur = optics.blur_on_sensor_mm(train, power, d) / optics.PIXEL_PITCH_MM
+    blur = optics.blur_on_sensor_mm(train, lens.clamp(power), d) / optics.PIXEL_PITCH_MM
     if blur > BASE_WIDTH:
         raise ConfigError(
             f"{where} is so far out of focus reach that its "
@@ -441,12 +437,19 @@ def iom_cast(cfg: dict, rig: CaptureRig) -> tuple[Subject, list[tuple[str, Subje
     return enrolment, walkers
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # Python's json reads NaN and Infinity, and 1e400 as inf
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path) -> dict:
     """The JSON document at ``path``, not yet validated."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {err}") from err
 
 

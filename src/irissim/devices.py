@@ -36,6 +36,8 @@ MIRROR_REST_DEG = (0.0, 45.0)  # pan, tilt before the first command: aimed level
 
 @dataclass(frozen=True)
 class LensParams:
+    """The tunable lens's settings; ``clamp`` is the one place a power is held to its range."""
+
     power_range: tuple[float, float] = (-10.0, 10.0)  # hardware envelope, bounds the config
     response_ms: float = 5.0
     settle_ms: float = 25.0
@@ -62,15 +64,22 @@ class LensParams:
     def settle_time(self) -> float:
         return self.settle_filtered_ms if self.mode == "filtered" else self.settle_ms
 
+    def clamp(self, power_dpt: float) -> float:
+        """``power_dpt`` held to the power range; out of focus reach, the limit on its side."""
+        lo, hi = self.power_range
+        return min(max(power_dpt, lo), hi)
+
 
 class TunableLens:
     """Liquid lens with clamped + quantized setpoints and a settling transient.
 
-    Commands take effect after ``response_ms``, ring as a damped cosine until
-    ``settle_ms`` (halved with a low-pass filtered drive), then hold at the
-    target plus a per-command repeatability offset drawn once from the seeded
-    stream.  A command issued mid-settle restarts the clock from the value the
-    lens had at that instant; the latest command always wins.
+    A setpoint is clamped by ``LensParams.clamp``, the one lens clamp, and
+    snapped to the drive current's step.  Commands take effect after
+    ``response_ms``, ring as a damped cosine until ``settle_ms`` (halved with a
+    low-pass filtered drive), then hold at the target plus a per-command
+    repeatability offset drawn once from the seeded stream.  A command issued
+    mid-settle restarts the clock from the value the lens had at that instant;
+    the latest command always wins.
     """
 
     def __init__(self, params: LensParams = LensParams(), seed: int = 0):
@@ -82,9 +91,7 @@ class TunableLens:
         self._eps = 0.0
 
     def quantize(self, power: float) -> float:
-        lo, hi = self.params.power_range
-        power = min(max(power, lo), hi)
-        return round(power / POWER_QUANTUM_DPT) * POWER_QUANTUM_DPT
+        return round(self.params.clamp(power) / POWER_QUANTUM_DPT) * POWER_QUANTUM_DPT
 
     def command(self, power_dpt: float, t_ms: float) -> float:
         """Issue a setpoint; returns the clamped + quantized target."""

@@ -84,7 +84,7 @@ def _map_units(fn, units, parallel: bool):
 def _probe(cfg: dict, base: float, d: float, identity_seed: int, noise_index: int):
     """One sweep render: the train re-zoomed for ``base``, driven to focus at ``d``."""
     train = config.base_train(cfg, base)
-    power = optics.drive_power_for_focus(train, d, config.lens_params(cfg).power_range)
+    power = config.lens_params(cfg).clamp(optics.tunable_power_for_focus(train, d))
     return calibration.probe_frame(train, d, power, identity_seed=identity_seed,
                                    noise_seed=noise_seed_for(cfg["seed"], noise_index))
 

@@ -234,7 +234,7 @@ def tunable_power_for_focus(train: OpticalTrain, d_target: float) -> float:
     is 0 exactly at the train's reference distance, positive nearer, and
     strictly decreasing in d_target.  No lens range applies here: the
     result may be a power no membrane reaches.  Code that drives a lens
-    goes through drive_power_for_focus.
+    clamps it with ``devices.LensParams.clamp``, the one lens clamp.
     """
     if d_target <= train.f_zoom_mm:
         raise ValueError(
@@ -242,18 +242,6 @@ def tunable_power_for_focus(train: OpticalTrain, d_target: float) -> float:
         )
     w = _intermediate_w(train, d_target)
     return 1000.0 * (1.0 / train.sensor_back_mm - 1.0 / w)
-
-
-def drive_power_for_focus(train: OpticalTrain, d_target: float,
-                          power_range: tuple[float, float]) -> float:
-    """Tunable-lens power for d_target, clamped to the lens' power_range.
-
-    This is the one place a lens range is applied to a focus solve.  A
-    subject out of reach gets the limit on its side of the range; the
-    frame then fails its quality gates, which is the honest outcome.
-    """
-    lo, hi = power_range
-    return min(max(tunable_power_for_focus(train, d_target), lo), hi)
 
 
 def focus_distance_for_power(train: OpticalTrain, power_dpt: float) -> float:

@@ -42,6 +42,7 @@ class Event:
     target_id: str
     pan_deg: float | None = None
     tilt_deg: float | None = None
+    # a command row's setpoint as requested; a frame row's power the lens held
     power_dpt: float | None = None
     blur_px: float | None = None
     px_across_iris: float | None = None
@@ -84,12 +85,11 @@ class CaptureRig:
 def setpoints_for(rig: CaptureRig, eye) -> tuple[float, float, float]:
     """Mirror angles and lens power that aim and focus on an eye position.
 
-    Out-of-reach distances clamp to the lens' power range.
+    Out-of-reach distances clamp to the lens' power range (``LensParams.clamp``).
     """
     pan, tilt = aim_angles(eye)
     d = line_of_sight_mm(eye, rig.geometry)
-    power = optics.drive_power_for_focus(rig.train, d, rig.lens.params.power_range)
-    return pan, tilt, power
+    return pan, tilt, rig.lens.params.clamp(optics.tunable_power_for_focus(rig.train, d))
 
 
 def plan_order(rig: CaptureRig, targets: list[Subject],
@@ -239,7 +239,7 @@ def track_and_capture(rig: CaptureRig, subject: Subject, *,
         t_cmd = t_frame - rig.sensor.frame_period_ms
         pan, tilt, power = setpoints_for(rig, eye_pred)
         rig.mirror.command(pan, tilt, t_cmd)
-        power = rig.lens.command(power, t_cmd)
+        rig.lens.command(power, t_cmd)
         log.events.append(Event(t_cmd, "command", subject.subject_id,
                                 pan_deg=pan, tilt_deg=tilt, power_dpt=power))
         _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i),

@@ -172,6 +172,15 @@ def _digests(result, out_dir):
             for name in (f"{result.name}.csv", "summary.txt")}
 
 
+def test_canonical_dof_table_bytes_are_pinned(tmp_path):
+    # the one canonical output no other pin covers; it reads optics alone
+    res = experiments.run_dof_table(config.default_config("dof_table"))
+    assert _digests(res, tmp_path) == {
+        "dof_table.csv": "2abee805c7dd1c5db9ce7dd9286f64587822a49a4f51d7d6a0bdf385a31b6843",
+        "summary.txt": "dea67d20802ff104bd2dcf7eed3c256f3c0681dcd60af46243f52c59cc84526d",
+    }
+
+
 def test_canonical_multiperson_bytes_are_pinned(multiperson_pair, tmp_path):
     # No perfbench workload runs multiperson, so its canonical output is pinned
     # here.

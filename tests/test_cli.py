@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -118,15 +119,36 @@ def test_kind_only_multiperson_config_runs(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
 
 
-def _exits_2_naming(tmp_path, capsys, command, cfg, words):
+def _exits_2_naming(tmp_path, capsys, command, cfg, words, flags=()):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "out"), *flags]) == 2
     err = capsys.readouterr().err
     for word in words:
         assert word in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("command, section, flags", [
+    # a NaN settle time ended in "cannot convert float NaN to integer"
+    ("multiperson", lambda v: {"lens": {"settle_ms": v}}, ()),
+    # a NaN floor switched the sharpness gate off, and the check passed
+    ("multiperson", lambda v: {"quality": {"sharpness_min": v}}, ("--check",)),
+    # a NaN distance wrote a nan row, and the summary quoted the other row alone
+    ("dof-table", lambda v: {"experiment": {"kind": "dof_table", "distances_mm": [5000.0, v]}},
+     ()),
+    # a NaN blur tolerance ran to exit 0
+    ("multiperson", lambda v: {"train": {"coc_mm": v}}, ()),
+], ids=["lens.settle_ms", "quality.sharpness_min", "dof_table.distances_mm", "train.coc_mm"])
+def test_non_finite_number_in_a_config_exits_2(tmp_path, capsys, command, section, flags,
+                                               value):
+    # json.dumps writes the value as NaN, Infinity or -Infinity: Python's json
+    # reads those back, but JSON has no such numbers
+    cfg = {"version": 1, "experiment": {"kind": command.replace("-", "_")}, **section(value)}
+    _exits_2_naming(tmp_path, capsys, command, cfg,
+                    (f"{json.dumps(value)} is not a finite number",), flags)
 
 
 def test_hd_curve_reaching_past_the_zoom_focal_length_exits_2(tmp_path, capsys):

@@ -167,6 +167,22 @@ def test_load_config_rejects_bad_json(tmp_path):
         config.load_config(path)
 
 
+def test_load_config_rejects_a_number_past_the_float_range(tmp_path):
+    # Python's json reads 1e400 as inf
+    path = tmp_path / "run.json"
+    path.write_text('{"version": 1, "experiment": {"kind": "dof_table", '
+                    '"distances_mm": [5000, 1e400]}}')
+    with pytest.raises(ConfigError, match="1e400 is not a finite number"):
+        config.load_config(path)
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="cannot read"):
+        config.load_config(path)
+
+
 def test_train_rebase_keeps_fractional_separation():
     cfg = config.default_config("dof_extension")
     train = config.base_train(cfg, 3000.0)

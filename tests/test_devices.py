@@ -28,6 +28,18 @@ def test_current_gain_anchor():
     assert d_after - 5000.0 == pytest.approx(10.0, rel=0.02)
 
 
+def test_lens_clamp_holds_the_membrane_limits():
+    train = optics.OpticalTrain()
+    lens = LensParams()
+    lo, hi = lens.power_range
+    near_reach = optics.focus_distance_for_power(train, hi)
+    far_reach = optics.focus_distance_for_power(train, lo)
+    assert lens.clamp(optics.tunable_power_for_focus(train, near_reach - 100.0)) == hi
+    assert lens.clamp(optics.tunable_power_for_focus(train, far_reach + 100.0)) == lo
+    exact = lens.clamp(optics.tunable_power_for_focus(train, 6000.0))
+    assert exact == pytest.approx(optics.tunable_power_for_focus(train, 6000.0))
+
+
 def test_lens_command_clamps_and_quantizes():
     lens = TunableLens(seed=1)
     q = POWER_QUANTUM_DPT

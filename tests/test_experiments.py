@@ -29,17 +29,6 @@ def test_dof_table_monotone(table):
     assert max(totals) < 110.0
 
 
-def test_drive_power_clamps_at_membrane_limits():
-    train = optics.OpticalTrain()
-    lo, hi = -10.0, 10.0
-    near_reach = optics.focus_distance_for_power(train, hi)
-    far_reach = optics.focus_distance_for_power(train, lo)
-    assert optics.drive_power_for_focus(train, near_reach - 100.0, (lo, hi)) == hi
-    assert optics.drive_power_for_focus(train, far_reach + 100.0, (lo, hi)) == lo
-    exact = optics.drive_power_for_focus(train, 6000.0, (lo, hi))
-    assert exact == pytest.approx(optics.tunable_power_for_focus(train, 6000.0))
-
-
 def test_extension_drive_stays_inside_the_lens_range():
     cfg = config.default_config("dof_extension")
     cfg["experiment"].update(base_distances_mm=[5000.0], grid_mm=400.0, repeats=1)

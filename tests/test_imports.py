@@ -1,6 +1,6 @@
 """Every name a package or test module imports is read somewhere in that module,
-every function and class it defines is used somewhere in the package or its
-tests, and importing the command line leaves out the slow scipy modules."""
+every function and class the package defines is used somewhere in the package,
+and importing the command line leaves out the slow scipy modules."""
 
 import ast
 import os
@@ -52,17 +52,23 @@ def used_names(source: str) -> set[str]:
     return used
 
 
+# Used by tests alone: acceptance criterion 3 checks depth_of_field's limits
+# against these two closed forms as independent oracles.
+TEST_ORACLES = ("optics.blur_circle_diameter", "optics.hyperfocal_distance")
+
+
 @pytest.fixture(scope="module")
 def names_in_use() -> set[str]:
-    paths = MODULES + sorted(TESTS.glob("*.py"))
-    return set().union(*(used_names(p.read_text()) for p in paths))
+    return set().union(*(used_names(p.read_text()) for p in MODULES))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_function_and_class_is_used(path, names_in_use):
     defined = [node.name for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert [name for name in defined if name not in names_in_use] == []
+    unused = [name for name in defined
+              if name not in names_in_use and f"{path.stem}.{name}" not in TEST_ORACLES]
+    assert unused == []
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():

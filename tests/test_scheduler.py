@@ -337,6 +337,23 @@ def test_tracker_extrapolates_detections_one_frame_old():
         assert np.array_equal(pred, p1 + (p1 - p0) / (t1 - t0) * (t_mid - t1))
 
 
+def test_tracking_command_rows_log_the_requested_setpoint():
+    walk = Subject("w", 6001, (0.0, 3800.0, 0.0), velocity_mmps=(0.0, -1000.0, 0.0),
+                   jitter_sigma_mm=0.0)
+    rig = walking_rig()
+    plan = list(tracker_plan(rig, walk, n_frames=3, start_frame=16))
+    log = track_and_capture(rig, walk, n_frames=3, start_frame=16,
+                            gallery={"w": enroll_code(rig.train, 6001)}, noise_seed=11)
+    commands = [e for e in log.events if e.event_type == "command"]
+    requested = [setpoints_for(rig, eye)[2] for _, _, eye in plan]
+    assert [e.power_dpt for e in commands] == requested
+    # a frame row records the power the lens held: its quantized target plus
+    # the command's repeatability offset
+    for command, frame in zip(commands, log.frames()):
+        held = frame.power_dpt - rig.lens.quantize(command.power_dpt)
+        assert abs(held) <= rig.lens.params.repeatability_dpt
+
+
 def test_walking_subject_qualifies_frames():
     walk = Subject("w", 6001, (0.0, 3800.0, 0.0), velocity_mmps=(0.0, -1000.0, 0.0),
                    jitter_sigma_mm=0.0)
