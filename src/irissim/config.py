@@ -19,12 +19,13 @@ field names: ``train`` -> OpticalTrain, ``lens`` -> LensParams, ``mirror``
 dataclass fields (``_section``), and each range key is bounded by its
 field's default range, the hardware envelope.  An omitted key or range end
 takes the dataclass default, so every device default and envelope is
-written once, in its dataclass.  ``rig_from_config`` is the one place a rig
-is built.
+written once, in its dataclass.  ``rig_from_config`` is the one place the
+sections become objects.
 Each zoom or focus value has one key: dof_table's zoom is
-``train.f_zoom_mm``, and the sweeps (dof_extension, hd_curve) re-zoom and
-re-focus the train for each base (``base_train``), so they reject
-``train.f_zoom_mm`` and ``train.d_ref_mm``.
+``train.f_zoom_mm``, and the sweeps (dof_extension, hd_curve) build each
+base's rig with the train re-zoomed and re-focused for that base
+(``rig_from_config(cfg, base_mm)``), so they reject ``train.f_zoom_mm`` and
+``train.d_ref_mm``.
 
 Validation fills ``seed`` and every omitted ``experiment`` key from the
 canonical scenario, then bounds the worst-case renders a config queues
@@ -120,7 +121,9 @@ def _section(cls, **overrides) -> dict:
 
 
 _SUBJECT = _obj({
-    "subject_id": {"type": "string", "minLength": 1},
+    # a subject id names its dumped frame files; Python's $ also matches
+    # before a final newline, which the lookahead refuses
+    "subject_id": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$(?!\n)"},
     "identity_seed": _SEED,
     "distance_mm": _POS,
     "height_mm": _POS,
@@ -215,7 +218,7 @@ def validate_config(cfg: dict) -> dict:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
     kind = cfg["experiment"]["kind"]
-    if kind in ("dof_extension", "hd_curve"):  # base_train sets both per base
+    if kind in ("dof_extension", "hd_curve"):  # rig_from_config sets both per base
         for key in ("f_zoom_mm", "d_ref_mm"):
             if key in cfg.get("train", {}):
                 raise ConfigError(f"train.{key} is set: {kind} re-zooms and "
@@ -326,12 +329,12 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
     elif kind == "dof_extension":
         for base in exp["base_distances_mm"]:
             try:
-                train = base_train(cfg, base)
+                train = rig_from_config(cfg, base).train
             except ValueError as err:
                 raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
             _check_sight(f"dof_extension base {base:.6g} mm", base, train, leg=leg)
     elif kind == "hd_curve":
-        train = base_train(cfg, exp["base_mm"])
+        train = rig_from_config(cfg, exp["base_mm"]).train
         positions = hd_positions(exp)
         # the disk grows away from focus reach, so the grid's ends bound it
         for end, d in (("nearest", positions[0]), ("farthest", positions[-1])):
@@ -453,20 +456,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
 
 
-def train_from_config(cfg: dict) -> OpticalTrain:
-    return OpticalTrain(**cfg.get("train", {}))
-
-
-def base_train(cfg: dict, base_mm: float) -> OpticalTrain:
-    """Re-zoomed train for a sweep based at ``base_mm``, magnification held.
-
-    The sweeps set the zoom and the base focus themselves, so validation
-    rejects a ``train`` section that sets either.
-    """
-    return OpticalTrain(f_zoom_mm=optics.zoom_focal_for_distance(base_mm),
-                        d_ref_mm=base_mm, **cfg.get("train", {}))
-
-
 def hd_positions(exp: dict) -> list[float]:
     """The hd_curve focus grid, nearest first, with the base on a grid point."""
     n_near, n_far = _hd_steps(exp)
@@ -486,22 +475,23 @@ def _with_ranges(cls, section: dict):
     return cls(**kwargs)
 
 
-def lens_params(cfg: dict) -> LensParams:
-    return _with_ranges(LensParams, cfg.get("lens", {}))
+def rig_from_config(cfg: dict, base_mm: float | None = None) -> CaptureRig:
+    """A new capture rig: optics, devices, geometry and gates from the config.
 
-
-def quality_thresholds(cfg: dict) -> QualityThresholds:
-    return QualityThresholds(**cfg.get("quality", {}))
-
-
-def rig_from_config(cfg: dict) -> CaptureRig:
-    """A new capture rig: optics, devices, geometry and gates from the config."""
-    return CaptureRig(train=train_from_config(cfg),
+    Given ``base_mm``, the rig of a sweep based there: its train is
+    re-zoomed for the base, magnification held, and focused there.  The
+    sweeps set the zoom and the base focus themselves, so validation rejects
+    a ``train`` section that sets either.
+    """
+    rezoom = {} if base_mm is None else {
+        "f_zoom_mm": optics.zoom_focal_for_distance(base_mm), "d_ref_mm": base_mm}
+    return CaptureRig(train=OpticalTrain(**rezoom, **cfg.get("train", {})),
                       geometry=RigGeometry(**cfg.get("rig", {})),
-                      lens=TunableLens(lens_params(cfg), seed=cfg["seed"]),
+                      lens=TunableLens(_with_ranges(LensParams, cfg.get("lens", {})),
+                                       seed=cfg["seed"]),
                       mirror=SteeringMirror(_with_ranges(MirrorParams, cfg.get("mirror", {}))),
                       sensor=SensorParams(**cfg.get("sensor", {})),
-                      thresholds=quality_thresholds(cfg))
+                      thresholds=QualityThresholds(**cfg.get("quality", {})))
 
 
 def default_config(kind: str) -> dict:

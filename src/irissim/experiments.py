@@ -81,11 +81,10 @@ def _map_units(fn, units, parallel: bool):
     return [fn(u) for u in units]
 
 
-def _probe(cfg: dict, base: float, d: float, identity_seed: int, noise_index: int):
-    """One sweep render: the train re-zoomed for ``base``, driven to focus at ``d``."""
-    train = config.base_train(cfg, base)
-    power = config.lens_params(cfg).clamp(optics.tunable_power_for_focus(train, d))
-    return calibration.probe_frame(train, d, power, identity_seed=identity_seed,
+def _probe(cfg: dict, rig: CaptureRig, d: float, identity_seed: int, noise_index: int):
+    """One sweep render: the base rig's train, driven to focus at ``d`` within its lens range."""
+    power = rig.lens.params.clamp(optics.tunable_power_for_focus(rig.train, d))
+    return calibration.probe_frame(rig.train, d, power, identity_seed=identity_seed,
                                    noise_seed=noise_seed_for(cfg["seed"], noise_index))
 
 
@@ -94,7 +93,7 @@ def _probe(cfg: dict, base: float, d: float, identity_seed: int, noise_index: in
 def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
     exp = cfg["experiment"]
     distances = exp["distances_mm"]
-    train = config.train_from_config(cfg)
+    train = config.rig_from_config(cfg).train
     f = train.f_zoom_mm
 
     rows = []
@@ -123,10 +122,11 @@ def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
 # ------------------------------------------------------------ dof_extension
 
-def _extension_cell(cfg, base, d, repeat):
-    frame = _probe(cfg, base, d, cfg["experiment"]["identity_seed"], repeat)
-    report = quality.evaluate(frame, config.quality_thresholds(cfg))
-    row = (base, repeat, d, frame.power_dpt, frame.blur_px, frame.astig_sigma_px,
+def _extension_cell(cfg, rig, d, repeat):
+    """One repeat's cell at ``d`` on the walk of ``rig``'s base: (passed, row)."""
+    frame = _probe(cfg, rig, d, cfg["experiment"]["identity_seed"], repeat)
+    report = quality.evaluate(frame, rig.thresholds)
+    row = (rig.train.d_ref_mm, repeat, d, frame.power_dpt, frame.blur_px, frame.astig_sigma_px,
            frame.px_across_iris, report.sharpness, report.passed)
     return report.passed, row
 
@@ -150,6 +150,7 @@ def _extension_side(args):
     """
     cfg, base, sign = args
     exp = cfg["experiment"]
+    rig = config.rig_from_config(cfg, base)
     n, position = config.side_walk(base, exp["grid_mm"], sign)
     repeats = range(exp["repeats"])
     lo, hi = [-1 for _ in repeats], [n for _ in repeats]
@@ -158,7 +159,7 @@ def _extension_side(args):
                     for r in repeats if hi[r] - lo[r] > 1}:
         for r in sorted(picks, key=lambda r: (picks[r], r)):
             k = picks[r]
-            ok, rows[r][k] = _extension_cell(cfg, base, position(k), r)
+            ok, rows[r][k] = _extension_cell(cfg, rig, position(k), r)
             if ok:
                 lo[r] = k
             else:
@@ -249,10 +250,11 @@ def _hd_unit(args):
     """Every repeat at one position, back to back: (position, repeat, hd) rows."""
     cfg, position, template_bytes = args
     exp = cfg["experiment"]
+    rig = config.rig_from_config(cfg, exp["base_mm"])
     template = iriscode.from_bytes(template_bytes)
     cells = []
     for repeat in range(exp["repeats"]):
-        frame = _probe(cfg, exp["base_mm"], position, exp["identity_seed"], repeat)
+        frame = _probe(cfg, rig, position, exp["identity_seed"], repeat)
         code = iriscode.encode_frame(frame, circles="truth")
         cells.append((position, repeat, iriscode.hamming_distance(code, template)))
     return cells
@@ -262,7 +264,8 @@ def _impostor_unit(args):
     """HD between two in-focus eyes with unrelated identity seeds."""
     cfg, k = args
     base = cfg["experiment"]["base_mm"]
-    codes = [iriscode.encode_frame(_probe(cfg, base, base, identity, 2 * k + side),
+    rig = config.rig_from_config(cfg, base)
+    codes = [iriscode.encode_frame(_probe(cfg, rig, base, identity, 2 * k + side),
                                    circles="truth")
              for side, identity in enumerate((1000 + k, 2000 + k))]
     return iriscode.hamming_distance(codes[0], codes[1])
@@ -274,8 +277,9 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     repeats = exp["repeats"]
 
     positions = config.hd_positions(exp)
+    rig = config.rig_from_config(cfg, base)
     template = iriscode.to_bytes(iriscode.encode_frame(
-        _probe(cfg, base, base, exp["identity_seed"], 999_983), circles="truth"))
+        _probe(cfg, rig, base, exp["identity_seed"], 999_983), circles="truth"))
     units = _map_units(_hd_unit, [(cfg, p, template) for p in positions], parallel)
     rows = [cell for unit in units for cell in unit]
     mean_hd = {p: float(np.mean([hd for *_, hd in unit])) for p, unit in zip(positions, units)}
@@ -292,7 +296,7 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     stats = {
         "base_mm": base,
-        "train": config.base_train(cfg, base),
+        "train": rig.train,
         "positions": positions,
         "mean_hd": mean_hd,
         "self_match": mean_hd[base],

@@ -99,6 +99,17 @@ def test_duplicate_subject_ids_exit_2(tmp_path, capsys):
     assert "'seated' appears more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subject_id", ["../../escaped", "a/b", "a\n", ""])
+def test_subject_id_unsafe_in_a_file_name_exits_2(tmp_path, capsys, subject_id):
+    # --dump-frames names each frame file after its subject id
+    cfg = config.default_config("multiperson")
+    cfg["experiment"]["subjects"][1]["subject_id"] = subject_id
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ["config invalid at experiment/subjects/1/subject_id"],
+                    flags=["--dump-frames"])
+    assert not list(tmp_path.rglob("*.pgm"))
+
+
 @pytest.mark.parametrize("distance_mm", [1500.0, 12000.0])
 def test_subject_beyond_focus_reach_exits_2(tmp_path, capsys, distance_mm):
     cfg = config.default_config("multiperson")
@@ -279,7 +290,7 @@ def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
     cfg = config.validate_config({"version": 1,
                                   "experiment": {"kind": "hd_curve", "base_mm": 3000.0,
                                                  "span_near_mm": 1000.0}})
-    stats = {"base_mm": 3000.0, "train": config.base_train(cfg, 3000.0),
+    stats = {"base_mm": 3000.0, "train": config.rig_from_config(cfg, 3000.0).train,
              "positions": [3000.0], "mean_hd": {3000.0: 0.0}, "self_match": 0.0,
              "span_mm": span_mm, "impostor_n": 0}
     result = experiments.ExperimentResult(name="hd_curve", header=(), rows=[],

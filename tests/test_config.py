@@ -133,7 +133,7 @@ def test_every_device_field_is_set_by_a_schema_key():
 def test_default_train_is_the_reference_train():
     # one formula for the default lens separation
     cfg = config.validate_config({"version": 1, "experiment": {"kind": "dof_table"}})
-    assert config.train_from_config(cfg) == optics.OpticalTrain()
+    assert config.rig_from_config(cfg).train == optics.OpticalTrain()
 
 
 def test_a_missing_range_end_takes_the_dataclass_default():
@@ -185,12 +185,12 @@ def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
 
 def test_train_rebase_keeps_fractional_separation():
     cfg = config.default_config("dof_extension")
-    train = config.base_train(cfg, 3000.0)
+    train = config.rig_from_config(cfg, 3000.0).train
     assert train.f_zoom_mm == pytest.approx(210.0)
     assert train.d_ref_mm == 3000.0
     assert train.d_ot_mm == pytest.approx(0.895 * train.image_distance_ref_mm)
     cfg["train"] = {"d_ot_mm": 100.0}
-    assert config.base_train(cfg, 3000.0).d_ot_mm == 100.0
+    assert config.rig_from_config(cfg, 3000.0).train.d_ot_mm == 100.0
 
 
 def test_subject_entries_require_all_fields():

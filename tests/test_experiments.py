@@ -38,6 +38,45 @@ def test_extension_drive_stays_inside_the_lens_range():
     assert all(-5.0 <= p <= 5.0 for p in powers)
 
 
+def test_hd_curve_drive_stays_inside_the_lens_range(monkeypatch):
+    # the 5 m train needs about +6.1 dpt at 3.5 m and -7.7 dpt at 7.5 m
+    cfg = config.default_config("hd_curve")
+    cfg["experiment"].update(span_near_mm=1500.0, span_far_mm=2500.0, grid_mm=500.0,
+                             repeats=1, impostor_pairs=1)
+    cfg["lens"] = {"power_min_dpt": -5.0, "power_max_dpt": 5.0}
+    cfg = config.validate_config(cfg)
+    calls = _count_renders(monkeypatch)
+    experiments.run_hd_curve(cfg)
+    powers = [c["power_dpt"] for c in calls]
+    assert len(powers) == 9 + 1 + 2
+    assert all(-5.0 <= p <= 5.0 for p in powers)
+    assert min(powers) == -5.0 and max(powers) == 5.0
+
+
+@pytest.mark.parametrize("kind, experiment, units", [
+    ("dof_extension", {"base_distances_mm": [3000.0, 5000.0], "grid_mm": 400.0,
+                       "repeats": 2}, [3000.0, 3000.0, 5000.0, 5000.0]),
+    # the template, three positions and two impostor pairs
+    ("hd_curve", {"grid_mm": 1000.0, "span_near_mm": 1000.0, "span_far_mm": 1000.0,
+                  "repeats": 2, "impostor_pairs": 2}, 6 * [5000.0]),
+])
+def test_each_sweep_unit_builds_its_base_rig_once(monkeypatch, kind, experiment, units):
+    cfg = config.default_config(kind)
+    cfg["experiment"].update(experiment)
+    cfg = config.validate_config(cfg)
+    bases = []
+
+    def rig_from_config(cfg, base_mm=None, _real=config.rig_from_config):
+        bases.append(base_mm)
+        return _real(cfg, base_mm)
+
+    monkeypatch.setattr(config, "rig_from_config", rig_from_config)
+    calls = _count_renders(monkeypatch)
+    experiments.run_experiment(cfg)
+    assert sorted(bases) == units
+    assert len(calls) > len(units)
+
+
 def test_extension_scan_stops_before_the_probe_leg():
     # with a 10 mm lens separation the 400 mm train is valid and its gate
     # passes down to the 200 mm mirror-to-lens leg, where the eye would sit
@@ -57,10 +96,11 @@ def test_extension_scan_stops_before_the_probe_leg():
                               "rear ≥ 0.8 m, total ≥ 0.95 m")
 
 
-def _linear_scan(cfg, base, repeat):
-    """Reference: one (base, repeat) scanned alone, front then rear."""
+def _linear_scan(cfg, rig, repeat):
+    """Reference: one (base, repeat) scanned alone on the base's rig, front then rear."""
     grid = cfg["experiment"]["grid_mm"]
-    ok0, row0 = experiments._extension_cell(cfg, base, base, repeat)
+    base = rig.train.d_ref_mm
+    ok0, row0 = experiments._extension_cell(cfg, rig, base, repeat)
     rows = [row0]
     extent = {-1.0: 0.0, 1.0: 0.0}
     cut = set()
@@ -72,7 +112,7 @@ def _linear_scan(cfg, base, repeat):
                 if d < 0.3 * base or d > 3.0 * base or d <= PROBE_RIG.lens_height_mm:
                     cut.add(side)
                     break
-                ok, row = experiments._extension_cell(cfg, base, d, repeat)
+                ok, row = experiments._extension_cell(cfg, rig, d, repeat)
                 rows.append(row)
                 if not ok:
                     break
@@ -87,8 +127,9 @@ def _assert_search_equals_linear_scan(cfg):
     exp = cfg["experiment"]
     res = experiments.run_dof_extension(cfg)
     guard_cut = []
+    rigs = {base: config.rig_from_config(cfg, base) for base in exp["base_distances_mm"]}
     for base in exp["base_distances_mm"]:
-        scans = [_linear_scan(cfg, base, r) for r in range(exp["repeats"])]
+        scans = [_linear_scan(cfg, rigs[base], r) for r in range(exp["repeats"])]
         assert res.stats[base]["front_mm"] == float(np.mean([s[0] for s in scans]))
         assert res.stats[base]["rear_mm"] == float(np.mean([s[1] for s in scans]))
         cut = set().union(*(s[2] for s in scans))
@@ -97,7 +138,7 @@ def _assert_search_equals_linear_scan(cfg):
     # each row is its cell's, grouped by base then repeat, in position order
     for row in res.rows:
         base, repeat, d = row[:3]
-        assert row == experiments._extension_cell(cfg, base, d, repeat)[1]
+        assert row == experiments._extension_cell(cfg, rigs[base], d, repeat)[1]
     keys = [(exp["base_distances_mm"].index(row[0]), row[1], row[2]) for row in res.rows]
     assert keys == sorted(set(keys))
 
@@ -151,13 +192,13 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
     edges = {}
     calls = []
 
-    def fake_cell(cfg, base, d, repeat):
+    def fake_cell(cfg, rig, d, repeat):
         k = int(d)
         calls.append((repeat, k))
         return k < edges[repeat], (repeat, k)
 
     monkeypatch.setattr(experiments, "_extension_cell", fake_cell)
-    cfg = {"experiment": {"grid_mm": 10.0, "repeats": 3}}
+    cfg = {"seed": 0, "experiment": {"grid_mm": 10.0, "repeats": 3}}
     for n in range(1, 72):
         monkeypatch.setattr(config, "side_walk", lambda base, grid, sign, n=n: (n, float))
         bound = config.walk_renders(n)
@@ -165,7 +206,7 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
         for edge in range(n + 1):
             edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1)})
             calls.clear()
-            rows, extent, cut = experiments._extension_side((cfg, 0.0, 1.0))
+            rows, extent, cut = experiments._extension_side((cfg, 5000.0, 1.0))
             scans = [_linear_edge(n, edges[r]) for r in range(3)]
             assert extent == [10.0 * last for last, _ in scans]
             assert cut == any(c for _, c in scans)
