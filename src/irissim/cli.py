@@ -109,7 +109,7 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
                      for a, b in zip(seq, seq[1:])), default=0.0)
         expect(worst <= 0.02,
                f"hd backslides {worst:.4g} between adjacent points, want <= 0.02")
-        near, far = experiments.analytic_extension_limits(s["train"])
+        near, far = experiments.analytic_extension_limits(s["rig"])
         expect(s["span_mm"] >= far - near,
                f"hd dof {s['span_mm']:.6g} mm below the gate dof {far - near:.6g} mm")
         if s["impostor_n"]:

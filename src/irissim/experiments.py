@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, config, iriscode, optics, quality
-from .devices import LensParams
 from .renderer import DEFAULT_K_AST, render_eye, write_pgm
 from .scene import Subject, eye_position
 from .scheduler import CSV_COLUMNS, CaptureRig, capture_sequence, noise_seed_for, \
@@ -210,19 +209,21 @@ def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     )
 
 
-def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]:
+def analytic_extension_limits(rig: CaptureRig) -> tuple[float, float]:
     """Model-predicted pass interval around the base focus, no rendering.
 
     Near limit: drive-power astigmatism alone exhausts the sharpness budget.
     The budget scales with imaged iris size (the gate normalizes its band to
     the iris diameter), anchored at the calibration point.  Far limit: the
-    resolution gate crosses min_px_across_iris; under the constant-
-    magnification zoom pairing this always binds before the membrane runs
-    out of negative reach.  Both are roots of monotone optics expressions,
-    which is what makes this an independent oracle for the rendered sweep.
-    Gates, astigmatism and lens range are the package defaults.
+    resolution gate crosses min_px_across_iris.  Both are roots of monotone
+    optics expressions, which is what makes this an independent oracle for
+    the rendered sweep.  A limit the lens's power range cannot focus is cut
+    to the range's reach on its side.  The train, lens range and resolution
+    gate are the rig's; astigmatism and its budget are the package's.
     """
-    min_px = quality.QualityThresholds().min_px_across_iris
+    train = rig.train
+    min_px = rig.thresholds.min_px_across_iris
+    power_min, power_max = rig.lens.params.power_range
     ref = optics.OpticalTrain()
     p_anchor = optics.tunable_power_for_focus(ref, calibration.ASTIG_ANCHOR_DISTANCE)
     sigma_anchor = DEFAULT_K_AST * p_anchor ** 2
@@ -233,15 +234,15 @@ def analytic_extension_limits(train: optics.OpticalTrain) -> tuple[float, float]
         budget = sigma_anchor * optics.pixels_across_iris(train, d) / px_anchor
         return DEFAULT_K_AST * max(0.0, p) ** 2 - budget
 
-    near_reach = optics.focus_distance_for_power(train, LensParams().power_range[1])
-    near = optics.bisect_root(astig_margin, near_reach * (1.0 + 1e-9),
-                              train.d_ref_mm)
+    near_reach = optics.focus_distance_for_power(train, power_max) * (1.0 + 1e-9)
+    near = (near_reach if astig_margin(near_reach) <= 0.0
+            else optics.bisect_root(astig_margin, near_reach, train.d_ref_mm))
 
     def px_margin(d: float) -> float:
         return optics.pixels_across_iris(train, d) - min_px
 
     far = optics.bisect_root(px_margin, train.d_ref_mm, 10.0 * train.d_ref_mm)
-    return near, far
+    return near, min(far, optics.focus_distance_for_power(train, power_min))
 
 
 # ----------------------------------------------------------------- hd_curve
@@ -296,7 +297,7 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
 
     stats = {
         "base_mm": base,
-        "train": rig.train,
+        "rig": rig,
         "positions": positions,
         "mean_hd": mean_hd,
         "self_match": mean_hd[base],

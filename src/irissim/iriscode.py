@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy.ndimage import gaussian_filter1d
 
-from .renderer import Frame
+from .renderer import Frame, gaussian_filter
 
 SHEET_ROWS = 16
 SHEET_COLS = 256
@@ -100,7 +99,7 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
     x = np.clip((cx + radii[:, None] * _RING_COS).astype(int), 0, w - 1)
     y = np.clip((cy + radii[:, None] * _RING_SIN).astype(int), 0, h - 1)
     profile = image[y, x].astype(float).mean(axis=1)  # one ring per radius
-    profile = gaussian_filter1d(profile, 2.0, mode="nearest")
+    profile = gaussian_filter(profile, 2.0)
     grad = np.gradient(profile)
     k = int(np.argmax(grad))
     # parabolic refinement of the gradient peak

@@ -19,9 +19,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .renderer import Frame, TRANSMISSION
+from .renderer import Frame, TRANSMISSION, gaussian_filter
 
 REF_IRIS_PX = 239.0  # iris diameter at which the band sigmas are quoted
 _BAND_SIGMA_FINE = 1.0
@@ -98,8 +97,8 @@ def sharpness_score(image: np.ndarray, cx: float, cy: float,
     grow = int(_TRUNCATE * coarse + 0.5) + 1
     top, left = max(rows.start - grow, 0), max(cols.start - grow, 0)
     im = image[top:rows.stop + grow, left:cols.stop + grow].astype(float)
-    band = (gaussian_filter(im, fine, mode="nearest", truncate=_TRUNCATE)
-            - gaussian_filter(im, coarse, mode="nearest", truncate=_TRUNCATE))
+    band = (gaussian_filter(im, fine, truncate=_TRUNCATE)
+            - gaussian_filter(im, coarse, truncate=_TRUNCATE))
     box = (slice(rows.start - top, rows.stop - top),
            slice(cols.start - left, cols.stop - left))
     return float(np.var(band[box][mask]) / (np.var(im[box][mask]) + 1e-12))

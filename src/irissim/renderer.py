@@ -34,12 +34,14 @@ outside the box: nothing downstream reads beyond the iris.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import fft
-from scipy.ndimage import gaussian_filter
 
 from . import optics
 from .optics import OpticalTrain
@@ -61,6 +63,43 @@ DEFAULT_K_AST = 0.1908002
 BASE_WIDTH = 640
 BASE_HEIGHT = 480
 _MARGIN = 1.3  # tight-crop (and noise box) half side per iris radius
+
+
+def _scipy_root() -> Path:
+    """The installed scipy's directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed")
+    return Path(spec.origin).parent
+
+
+def _scipy_core(name: str):
+    """scipy's compiled module ``name``, loaded from its file under scipy's directory.
+
+    Only the module's own file is loaded: its packages (``scipy.fft``,
+    ``scipy.ndimage``) cost most of a cold start and are never called here.
+    The module is registered under its own name, so a later import of the
+    public package in the same process reuses it.  A missing file fails the
+    import: nothing falls back to other code.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = _scipy_root().joinpath(*name.split(".")[1:])
+    path = next((p for p in (stem.with_name(stem.name + suffix)
+                             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+                 if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's compiled module {name} is missing: "
+                          f"no {stem.name}*.so in {stem.parent}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_pocketfft = _scipy_core("scipy.fft._pocketfft.pypocketfft")
+_nd_image = _scipy_core("scipy.ndimage._nd_image")
 
 
 class TargetMissed(Exception):
@@ -118,20 +157,65 @@ def line_kernel(length_px: float, direction: tuple[float, float]) -> np.ndarray:
     return k / k.sum()
 
 
+def _zero_padded(a: np.ndarray, shape: list[int]) -> np.ndarray:
+    out = np.zeros(shape, a.dtype)
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
+
+
 def fftconvolve(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """``scipy.signal.fftconvolve(img, kernel, mode="same")``, bit for bit.
 
     ``img`` is real 2-D with no side of 1 (``_convolve_same`` pads it by
     n // 2 all round) and ``kernel`` is odd n x n with n >= 3, so scipy
-    transforms both axes: these are its pocketfft calls at its fast lengths,
-    without the cost of importing ``scipy.signal``.
+    transforms both axes.  These are the pocketfft calls it makes: both
+    inputs zero-padded to ``good_size(s + n - 1, True)`` per axis, a forward
+    ``r2c`` over axes (0, 1) of each (norm code 0, no scaling), then one
+    ``c2r`` of the product (norm code 2, scaled by 1/size) back to the padded
+    width, on one worker.
     """
     n = kernel.shape[0]
-    shape = [fft.next_fast_len(s + n - 1, True) for s in img.shape]
-    full = fft.irfftn(fft.rfftn(img, shape) * fft.rfftn(kernel, shape), shape)
+    shape = [_pocketfft.good_size(s + n - 1, True) for s in img.shape]
+    spectra = [_pocketfft.r2c(_zero_padded(a, shape), (0, 1), True, 0, None, 1)
+               for a in (img, kernel)]
+    full = _pocketfft.c2r(spectra[0] * spectra[1], (0, 1), shape[1], False, 2, None, 1)
     c = n // 2
     h, w = img.shape
     return full[c:c + h, c:c + w]
+
+
+def gaussian_filter(img: np.ndarray, sigma, truncate: float = 4.0) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(img, sigma, mode="nearest", truncate=truncate)``.
+
+    Bit for bit: axis by axis, one ``correlate1d`` with the reversed
+    normalised Gaussian of radius ``int(truncate * sigma + 0.5)``, in mode
+    code 0 (nearest), the first axis into a new array and each later axis in
+    place; an axis whose sigma is at most 1e-15 is skipped.  ``sigma`` is a
+    scalar or one value per axis.
+    """
+    img = np.asarray(img)
+    sigmas = np.broadcast_to(np.asarray(sigma, dtype=float), (img.ndim,))
+    out = np.zeros(img.shape, img.dtype)
+    src = img
+    for axis, sd in enumerate(sigmas.tolist()):
+        if sd > 1e-15:
+            _nd_image.correlate1d(src, _gaussian_weights(sd, truncate), axis, out,
+                                  0, 0.0, 0)
+            src = out
+    if src is img:
+        out[...] = img
+    return out
+
+
+def _gaussian_weights(sd: float, truncate: float) -> np.ndarray:
+    """scipy's ``_gaussian_kernel1d`` for order 0, reversed into a new array."""
+    radius = int(truncate * sd + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sd * sd) * x ** 2)
+    # correlate1d reads the weights forwards from the first one, ignoring
+    # strides: a reversed view's first weight is its base's last, so it would
+    # read past the end
+    return (phi / phi.sum())[::-1].copy()
 
 
 def _convolve_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -265,7 +349,7 @@ def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: flo
     if disk is not None:
         optics_window = _convolve_same(optics_window, disk)
     if sigma:
-        optics_window = gaussian_filter(optics_window, sigma=sigma, mode="nearest")
+        optics_window = gaussian_filter(optics_window, sigma)
     if line is not None:
         optics_window = _convolve_same(optics_window, line)
     img[y0:y1, x0:x1] = optics_window

@@ -262,8 +262,10 @@ def test_c09_determinism_and_parallel_equivalence(multiperson_pair, iom, tmp_pat
 
 def test_c10_analytic_limits_match_dense_sweep(extension):
     res, _ = extension
-    grid = config.default_config("dof_extension")["experiment"]["grid_mm"]
-    near_pred, far_pred = experiments.analytic_extension_limits(optics.OpticalTrain())
+    cfg = config.default_config("dof_extension")
+    grid = cfg["experiment"]["grid_mm"]
+    near_pred, far_pred = experiments.analytic_extension_limits(
+        config.rig_from_config(cfg, 5000.0))
     s = res.stats[5000.0]
     near_sweep = 5000.0 - s["front_mm"]
     far_sweep = 5000.0 + s["rear_mm"]

@@ -283,21 +283,36 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("span_mm, ok", [(2100.0, True), (2000.0, False)])
-def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
-    # the 3 m train's gate passes 2560 .. 4620 mm; the 5 m train's spans 3900 mm
-    # (the canonical 2.4 m near span would end at 600 mm, in a 1709 px disk)
-    cfg = config.validate_config({"version": 1,
-                                  "experiment": {"kind": "hd_curve", "base_mm": 3000.0,
-                                                 "span_near_mm": 1000.0}})
-    stats = {"base_mm": 3000.0, "train": config.rig_from_config(cfg, 3000.0).train,
-             "positions": [3000.0], "mean_hd": {3000.0: 0.0}, "self_match": 0.0,
+def _hd_check(cfg, base_mm, span_mm):
+    """The hd_curve --check failures of a curve spanning ``span_mm`` at ``base_mm``."""
+    stats = {"base_mm": base_mm, "rig": config.rig_from_config(cfg, base_mm),
+             "positions": [base_mm], "mean_hd": {base_mm: 0.0}, "self_match": 0.0,
              "span_mm": span_mm, "impostor_n": 0}
     result = experiments.ExperimentResult(name="hd_curve", header=(), rows=[],
                                           summary=[], stats=stats)
-    failures = cli._check_failures("hd_curve", result)
-    assert failures == ([] if ok else
-                        ["hd dof 2000 mm below the gate dof 2059.84 mm"])
+    return cli._check_failures("hd_curve", result)
+
+
+@pytest.mark.parametrize("span_mm, ok", [(2100.0, True), (2000.0, False)])
+def test_hd_check_takes_the_gate_dof_of_the_swept_train(span_mm, ok):
+    # the 3.4 m train's gate passes 2837 mm to the -10 dpt reach, 4872 mm (its
+    # resolution gate alone would pass to 5236 mm); the 5 m train's spans 3900 mm
+    # (the canonical 2.4 m near span would end at 1000 mm, in a 994 px disk)
+    cfg = config.validate_config({"version": 1,
+                                  "experiment": {"kind": "hd_curve", "base_mm": 3400.0,
+                                                 "span_near_mm": 1000.0}})
+    assert _hd_check(cfg, 3400.0, span_mm) == (
+        [] if ok else ["hd dof 2000 mm below the gate dof 2035.22 mm"])
+
+
+@pytest.mark.parametrize("span_mm, ok", [(2900.0, True), (2700.0, False)])
+def test_hd_check_takes_the_gate_dof_of_the_rigs_lens_range(span_mm, ok):
+    # a +-5 dpt lens focuses 3746 .. 6529 mm from the 5 m base: the gate passes
+    # 3800 .. 6529 mm, not the +-10 dpt lens's 3800 .. 7700 mm
+    cfg = config.validate_config({"version": 1, "experiment": {"kind": "hd_curve"},
+                                  "lens": {"power_min_dpt": -5.0, "power_max_dpt": 5.0}})
+    assert _hd_check(cfg, 5000.0, span_mm) == (
+        [] if ok else ["hd dof 2700 mm below the gate dof 2729.19 mm"])
 
 
 def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsys):

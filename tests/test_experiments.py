@@ -354,11 +354,46 @@ def test_config_runs_or_fails_validation(experiment, sections):
         assert len(result.rows) == 2 * experiment["n_frames"]
 
 
+def _hd_rig(**sections):
+    # unvalidated: a narrow lens range leaves the canonical span out of focus reach
+    cfg = config.default_config("hd_curve") | sections
+    return config.rig_from_config(cfg, cfg["experiment"]["base_mm"])
+
+
 def test_analytic_limits_sit_on_their_anchors():
-    train = optics.OpticalTrain()
-    near, far = experiments.analytic_extension_limits(train)
+    rig = _hd_rig()
+    assert rig.train == optics.OpticalTrain()
+    near, far = experiments.analytic_extension_limits(rig)
     assert near == pytest.approx(ASTIG_ANCHOR_DISTANCE, abs=1e-3)
-    assert optics.pixels_across_iris(train, far) == pytest.approx(200.0, abs=1e-6)
+    assert optics.pixels_across_iris(rig.train, far) == pytest.approx(200.0, abs=1e-6)
+
+
+def test_analytic_near_limit_moves_with_the_lens_power_max():
+    # from 4.76 dpt, the power that focuses the 3.8 m anchor, astigmatism binds
+    # first; a lens that cannot reach it stops the near limit at its reach
+    nears = []
+    for power_max in (1.0, 2.0, 3.0, 3.5):
+        rig = _hd_rig(lens={"power_max_dpt": power_max})
+        near, _ = experiments.analytic_extension_limits(rig)
+        reach = optics.focus_distance_for_power(rig.train, power_max)
+        assert near == pytest.approx(reach, rel=1e-8)
+        nears.append(near)
+    assert nears == sorted(nears, reverse=True)
+    assert nears[-1] > ASTIG_ANCHOR_DISTANCE
+    for power_max in (5.0, 10.0):
+        near, _ = experiments.analytic_extension_limits(_hd_rig(lens={"power_max_dpt": power_max}))
+        assert near == pytest.approx(ASTIG_ANCHOR_DISTANCE, abs=1e-3)
+
+
+def test_analytic_limits_take_the_rigs_resolution_gate_and_power_min():
+    _, far = experiments.analytic_extension_limits(_hd_rig())
+    rig = _hd_rig(lens={"power_min_dpt": -5.0})
+    _, far_reach = experiments.analytic_extension_limits(rig)
+    assert far_reach == optics.focus_distance_for_power(rig.train, -5.0) < far
+    rig = _hd_rig(quality={"min_px_across_iris": 220.0})
+    _, far_220 = experiments.analytic_extension_limits(rig)
+    assert optics.pixels_across_iris(rig.train, far_220) == pytest.approx(220.0, abs=1e-6)
+    assert far_220 < far
 
 
 @pytest.fixture(scope="module")

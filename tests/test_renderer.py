@@ -1,11 +1,13 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, gaussian_filter1d
 from scipy import signal
 
 from irissim import config, experiments, optics, renderer, texture
@@ -73,6 +75,55 @@ def test_convolve_same_equals_scipy_signal_exactly(kernel, height, width, seed):
     p = kernel.shape[0] // 2
     expected = signal.fftconvolve(np.pad(img, p, mode="edge"), kernel, mode="same")[p:-p, p:-p]
     assert np.array_equal(renderer._convolve_same(img, kernel), expected)
+
+
+sigmas = st.floats(0.05, 12.0)
+# sides from 1 up: at the larger sigmas many images are smaller than the kernel
+images = st.builds(lambda h, w, seed: np.random.default_rng(seed).random((h, w)) * 255.0,
+                   st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100)
+@given(img=images, sigma=sigmas)
+def test_gaussian_filter_equals_scipy_exactly_with_one_sigma(img, sigma):
+    expected = gaussian_filter(img, sigma, mode="nearest", truncate=4.0)
+    assert np.array_equal(renderer.gaussian_filter(img, sigma), expected)
+
+
+@settings(max_examples=100)
+@given(img=images, sigma=st.one_of(st.tuples(sigmas, sigmas),
+                                   sigmas.map(lambda s: (s, 0.3 * s))))
+def test_gaussian_filter_equals_scipy_exactly_per_axis(img, sigma):
+    # (s, 0.3 s) is the renderer's astigmatism
+    expected = gaussian_filter(img, sigma, mode="nearest", truncate=4.0)
+    assert np.array_equal(renderer.gaussian_filter(img, sigma), expected)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 120), sigma=sigmas, seed=st.integers(0, 2**32 - 1))
+def test_gaussian_filter_equals_scipy_exactly_in_1d(n, sigma, seed):
+    profile = np.random.default_rng(seed).random(n)
+    expected = gaussian_filter1d(profile, sigma, mode="nearest")
+    assert np.array_equal(renderer.gaussian_filter(profile, sigma), expected)
+
+
+def test_gaussian_filter_skips_an_axis_of_negligible_sigma():
+    img = np.random.default_rng(0).random((30, 40))
+    for sigma in ((0.0, 2.0), (2.0, 1e-16), 0.0):
+        expected = gaussian_filter(img, sigma, mode="nearest")
+        assert np.array_equal(renderer.gaussian_filter(img, sigma), expected)
+    assert renderer.gaussian_filter(img, 0.0) is not img
+
+
+@pytest.mark.parametrize("name", ["scipy.fft._pocketfft.pypocketfft",
+                                  "scipy.ndimage._nd_image"])
+def test_missing_scipy_core_fails_the_import(name, tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(renderer, "_scipy_root", lambda: tmp_path)
+    stem = name.rsplit(".", 1)[1]
+    with pytest.raises(ImportError, match=re.escape(f"{stem}*.so")):
+        renderer._scipy_core(name)
+    assert name not in sys.modules
 
 
 def test_reference_frame_geometry():
