@@ -39,11 +39,9 @@ a bad config.  It also builds the train of every sweep base and reads the
 plans the runners follow: the side walks (``side_walk``), the hd_curve grid
 (``hd_positions``), the multiperson cast and the iom enrolment and walkers
 (``multiperson_cast``, ``iom_cast``; a walker walks at constant velocity
-from t = 0) with the tracker's frames (``scheduler.tracker_plan``).  Every
-aim the tracker commands must lie in the mirror's range, and every planned
-sight passes one predicate, ``_check_sight``.  A multiperson subject's
-command times depend on how its dwell goes, so the box of +/-4 sigma around
-its standing eye bounds its sights and aims, and ids must be unique.
+from t = 0).  Every sight passes one predicate, ``_check_sight``, and every
+subject's sights and aims one box check over all its motion can reach,
+``_check_reach``.  Subject ids must be unique.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ import math
 from collections.abc import Callable
 
 import jsonschema
+import numpy as np
 
 from . import calibration, iriscode, optics
 from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
@@ -63,7 +62,7 @@ from .quality import QualityThresholds
 from .renderer import BASE_WIDTH
 from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, eye_position, \
     line_of_sight_mm, subject_at
-from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig, setpoints_for, tracker_plan
+from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
 # worst-case renders one config may queue; the canonical dof_extension
@@ -346,42 +345,50 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             if sid in seen:
                 raise ConfigError(f"subject id {sid!r} appears more than once")
             seen.add(sid)
-            # Over the box, pan (the azimuth) peaks at a horizontal corner; tilt
-            # (45 deg plus half the elevation) at the top or bottom and the
-            # nearest or farthest range.
-            reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
-            xs, ys, zs = ((c - reach, c + reach) for c in subject.position_mm)
-            near = math.hypot(max(xs[0], 0.0, -xs[1]), max(ys[0], 0.0, -ys[1]))
-            far = max(math.hypot(a, b) for a in xs for b in ys)
-            d = line_of_sight_mm((0.0, near, max(zs[0], 0.0, -zs[1])), rig.geometry)
-            _check_sight(f"subject {sid!r} at its nearest ({d:.6g} mm line of sight)", d,
-                         rig.train)
-            try:
-                pans = [aim_angles((a, b, subject.position_mm[2]))[0] for a in xs for b in ys]
-                tilts = [aim_angles((0.0, h, c))[1] for h in (near, far) for c in zs]
-                rig.mirror.check_range(min(pans), min(tilts))
-                rig.mirror.check_range(max(pans), max(tilts))
-            except ValueError as err:
-                raise ConfigError(f"subject {sid!r} over its jitter envelope: {err}") from err
             d = line_of_sight_mm(subject.position_mm, rig.geometry)  # enrolled standing
             _check_sight(f"subject {sid!r} at {d:.6g} mm line of sight", d, rig.train,
                          lens=lens, enrolment=True)
+            _check_reach(f"subject {sid!r}", rig, subject, [0.0])  # it stands: t = 0 is any t
     elif kind == "iom":
         enrolment, walkers = iom_cast(cfg, rig)
         d = line_of_sight_mm(enrolment.position_mm, rig.geometry)
         _check_sight(f"iom enrolment at {d:.6g} mm line of sight", d, rig.train,
                      lens=lens, enrolment=True)
+        # A frame sees the linear walk w at mid-exposure plus a jitter j, |j| <= R per axis.
+        # The tracker aims at p1 + a (p1 - p0) from the eyes at the two frame starts before,
+        # a = (P + e/2)/P, period P, exposure e: w + (1 + a) j1 - a j0, (1 + 2a) R = (3 + e/P) R.
+        period, half = rig.sensor.frame_period_ms, rig.sensor.exposure_ms / 2.0
+        times = [(exp["start_frame"] + k) * period + half for k in (0, exp["n_frames"] - 1)]
         for variant, walker in walkers:
-            plan = tracker_plan(rig, walker, exp["n_frames"], exp["start_frame"])
-            for frame, (_, t_mid, eye) in enumerate(plan, exp["start_frame"]):
-                where = f"iom {variant} walker at frame {frame}"
-                try:  # the aim and focus commanded at the predicted eye
-                    pan, tilt, _ = setpoints_for(rig, eye)
-                    rig.mirror.check_range(pan, tilt)
-                except ValueError as err:
-                    raise ConfigError(f"{where}: {err}") from err
-                d = line_of_sight_mm(eye_position(walker, t_mid), rig.geometry)
-                _check_sight(f"{where} ({d:.6g} mm line of sight)", d, rig.train, lens=lens)
+            _check_reach(f"iom {variant} walker", rig, walker, times, 3.0 + 2.0 * half / period)
+
+
+def _check_reach(who: str, rig: CaptureRig, subject: Subject, times: list,
+                 widen: float = 1.0) -> None:
+    """Every eye within R = ``JITTER_REACH_SIGMAS`` sigma per axis of the walk between
+    ``times`` can be imaged, and every aim within ``widen`` R of it is in range: over a
+    box, the nearest and farthest sights bound the defocus disk; a horizontal corner,
+    or +-180 deg where the box meets the -y half-axis, the pan (azimuth); and the top
+    or bottom at the nearest or farthest range the tilt.
+    """
+    walk = dataclasses.replace(subject, jitter_sigma_mm=0.0)
+    lo, hi = (f([eye_position(walk, t) for t in times], axis=0) for f in (np.min, np.max))
+    reach = JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
+    (near, far), aim_ranges = ((np.clip(0.0, lo - r, hi + r), np.maximum(r - lo, hi + r))
+                               for r in (reach, widen * reach))
+    for end, eye in (("nearest", near), ("farthest", far)):
+        d = line_of_sight_mm(eye, rig.geometry)
+        _check_sight(f"{who} at its {end} ({d:.6g} mm line of sight)", d, rig.train,
+                     lens=rig.lens.params)
+    xs, ys, zs = zip(lo - widen * reach, hi + widen * reach)
+    try:
+        pans = [aim_angles((a, b, 0.0))[0] for a in xs for b in ys]
+        pans += [-180.0, 180.0] if xs[0] <= 0.0 <= xs[1] and ys[0] < 0.0 else []
+        tilts = [aim_angles((0.0, math.hypot(*e[:2]), c))[1] for e in aim_ranges for c in zs]
+        rig.mirror.check_range(min(pans), min(tilts))
+        rig.mirror.check_range(max(pans), max(tilts))
+    except ValueError as err:
+        raise ConfigError(f"{who} over its motion envelope: {err}") from err
 
 
 def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,

@@ -241,8 +241,11 @@ def analytic_extension_limits(rig: CaptureRig) -> tuple[float, float]:
     def px_margin(d: float) -> float:
         return optics.pixels_across_iris(train, d) - min_px
 
-    far = optics.bisect_root(px_margin, train.d_ref_mm, 10.0 * train.d_ref_mm)
-    return near, min(far, optics.focus_distance_for_power(train, power_min))
+    far_reach = optics.focus_distance_for_power(train, power_min)
+    lo = hi = min(train.d_ref_mm, far_reach)  # doubled to bracket the root; 0 px at inf
+    while hi < far_reach and px_margin(hi) >= 0.0:
+        lo, hi = hi, min(2.0 * hi, far_reach)
+    return near, optics.bisect_root(px_margin, lo, hi) if px_margin(hi) < 0.0 < hi - lo else hi
 
 
 # ----------------------------------------------------------------- hd_curve

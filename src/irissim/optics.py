@@ -288,10 +288,9 @@ def effective_focal_length(train: OpticalTrain, power_dpt: float = 0.0) -> float
     )
 
 
-def field_of_view_deg(train: OpticalTrain, power_dpt: float = 0.0) -> float:
-    """Full horizontal field of view in degrees."""
-    f_eff = effective_focal_length(train, power_dpt)
-    return 2.0 * math.degrees(math.atan(SENSOR_WIDTH_MM / (2.0 * f_eff)))
+def field_of_view_deg(train: OpticalTrain) -> float:
+    """Full horizontal field of view in degrees, at zero tunable power."""
+    return 2.0 * math.degrees(math.atan(SENSOR_WIDTH_MM / (2.0 * effective_focal_length(train))))
 
 
 def capture_volume_m3(train: OpticalTrain, d: float) -> float:

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renderer import Frame, TRANSMISSION, gaussian_filter
+from .renderer import Frame, TRANSMISSION, _span, gaussian_filter, gaussian_reach
 
 REF_IRIS_PX = 239.0  # iris diameter at which the band sigmas are quoted
 _BAND_SIGMA_FINE = 1.0
 _BAND_SIGMA_COARSE = 3.5
-_TRUNCATE = 4.0  # gaussian_filter's reach in sigmas
 
 # calibrated: the score of the calibration eye defocused by exactly one
 # blur-circle limit; frames below this are outside usable depth of field
@@ -67,10 +66,7 @@ def _annulus(shape, cx, cy, r_p, r_i):
     """
     if not np.isfinite((cx, cy, r_p, r_i)).all():
         return None  # no rendered frame has such a geometry
-    reach = r_i * 0.95 + 1.0
-    y0, x0 = max(int(cy - reach), 0), max(int(cx - reach), 0)
-    y1 = min(int(cy + reach) + 1, shape[0])
-    x1 = min(int(cx + reach) + 1, shape[1])
+    (y0, y1), (x0, x1) = (_span(c, r_i * 0.95 + 1.0, n) for c, n in zip((cy, cx), shape))
     yy, xx = np.ogrid[y0:y1, x0:x1]
     rr = np.hypot(yy - cy, xx - cx)
     # keep clear of the pupil edge and the lid band
@@ -93,14 +89,12 @@ def sharpness_score(image: np.ndarray, cx: float, cy: float,
     (rows, cols), mask = ann
     scale = (2.0 * r_i) / REF_IRIS_PX
     fine, coarse = _BAND_SIGMA_FINE * scale, _BAND_SIGMA_COARSE * scale
-    # a filtered pixel reads inputs within int(truncate * sigma + 0.5) only
-    grow = int(_TRUNCATE * coarse + 0.5) + 1
+    # a filtered pixel reads inputs within gaussian_reach only
+    grow = gaussian_reach(coarse) + 1
     top, left = max(rows.start - grow, 0), max(cols.start - grow, 0)
     im = image[top:rows.stop + grow, left:cols.stop + grow].astype(float)
-    band = (gaussian_filter(im, fine, truncate=_TRUNCATE)
-            - gaussian_filter(im, coarse, truncate=_TRUNCATE))
-    box = (slice(rows.start - top, rows.stop - top),
-           slice(cols.start - left, cols.stop - left))
+    band = gaussian_filter(im, fine) - gaussian_filter(im, coarse)
+    box = (slice(rows.start - top, rows.stop - top), slice(cols.start - left, cols.stop - left))
     return float(np.var(band[box][mask]) / (np.var(im[box][mask]) + 1e-12))
 
 

@@ -184,32 +184,30 @@ def fftconvolve(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return full[c:c + h, c:c + w]
 
 
-def gaussian_filter(img: np.ndarray, sigma, truncate: float = 4.0) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(img, sigma, mode="nearest", truncate=truncate)``.
+def gaussian_reach(sd: float) -> int:
+    """The radius in pixels of ``gaussian_filter``'s Gaussian: scipy's at truncate 4."""
+    return int(4.0 * sd + 0.5)
+
+
+def gaussian_filter(img: np.ndarray, sigma) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(img, sigma, mode="nearest")``.
 
     Bit for bit: axis by axis, one ``correlate1d`` with the reversed
-    normalised Gaussian of radius ``int(truncate * sigma + 0.5)``, in mode
-    code 0 (nearest), the first axis into a new array and each later axis in
-    place; an axis whose sigma is at most 1e-15 is skipped.  ``sigma`` is a
-    scalar or one value per axis.
+    normalised Gaussian of radius ``gaussian_reach(sigma)``, in mode code 0
+    (nearest), in place on a copy of ``img``; an axis whose sigma is at most
+    1e-15 is skipped.  ``sigma`` is a scalar or one value per axis.
     """
-    img = np.asarray(img)
-    sigmas = np.broadcast_to(np.asarray(sigma, dtype=float), (img.ndim,))
-    out = np.zeros(img.shape, img.dtype)
-    src = img
+    out = np.array(img)
+    sigmas = np.broadcast_to(np.asarray(sigma, dtype=float), (out.ndim,))
     for axis, sd in enumerate(sigmas.tolist()):
         if sd > 1e-15:
-            _nd_image.correlate1d(src, _gaussian_weights(sd, truncate), axis, out,
-                                  0, 0.0, 0)
-            src = out
-    if src is img:
-        out[...] = img
+            _nd_image.correlate1d(out, _gaussian_weights(sd), axis, out, 0, 0.0, 0)
     return out
 
 
-def _gaussian_weights(sd: float, truncate: float) -> np.ndarray:
+def _gaussian_weights(sd: float) -> np.ndarray:
     """scipy's ``_gaussian_kernel1d`` for order 0, reversed into a new array."""
-    radius = int(truncate * sd + 0.5)
+    radius = gaussian_reach(sd)
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sd * sd) * x ** 2)
     # correlate1d reads the weights forwards from the first one, ignoring
@@ -333,11 +331,10 @@ def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: flo
     sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
     # Outside the iris disk's box the eye is flat sclera, which every stage
     # leaves flat, so the stages run on that box grown by their summed reach
-    # (a kernel's half width; gaussian_filter truncates at 4 sigma).  The
+    # (a kernel's half width, or the Gaussian's ``gaussian_reach``).  The
     # window also covers the tight-crop box the exposure adds noise to.
     reach = sum(k.shape[0] // 2 for k in (disk, line) if k is not None)
-    ry, rx = (int(4.0 * s + 0.5) for s in sigma) if sigma else (0, 0)
-    oy, ox = r_i + reach + ry, r_i + reach + rx
+    oy, ox = (r_i + reach + gaussian_reach(s) for s in sigma or (0.0, 0.0))
     half = math.ceil(_MARGIN * r_i)
     rows = slice(*_span(cy, max(half, oy), height))
     cols = slice(*_span(cx, max(half, ox), width))

@@ -214,7 +214,7 @@ def test_subject_jittering_out_of_the_mirror_tilt_range_exits_2(tmp_path, capsys
     cfg["seed"] = 3
     cfg["experiment"]["subjects"][0].update(distance_mm=3000.0, height_mm=3052.0)
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
-                    ("'seated'", "jitter envelope", "tilt"))
+                    ("'seated' over its motion envelope", "tilt 60.135"))
 
 
 def test_scan_cut_by_its_guard_fails_the_check(tmp_path, capsys):
@@ -315,6 +315,19 @@ def test_hd_check_takes_the_gate_dof_of_the_rigs_lens_range(span_mm, ok):
         [] if ok else ["hd dof 2700 mm below the gate dof 2729.19 mm"])
 
 
+@pytest.mark.parametrize("min_px", [1.0, 10000.0])
+def test_hd_check_with_a_resolution_gate_open_past_the_far_reach_or_shut_at_the_base(
+        tmp_path, min_px):
+    # 1 px: the gate still passes at the -10 dpt reach; 10000 px: it fails at the base
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "version": 1, "quality": {"min_px_across_iris": min_px},
+        "experiment": {"kind": "hd_curve", "grid_mm": 1000, "span_near_mm": 1000,
+                       "span_far_mm": 1000, "repeats": 1, "impostor_pairs": 0}}))
+    assert cli.main(["hd-curve", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--check"]) in (0, 3)
+
+
 def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsys):
     # the 91 mm and 110 mm anchors describe the 350 mm lens's table
     path = tmp_path / "cfg.json"
@@ -364,17 +377,23 @@ def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch
 
 
 @pytest.mark.parametrize("experiment, rig, words", [
-    # the walk would cross the mirror within the window, but nearer than 1.1 m
-    # the clamped lens already blurs the eye wider than the frame
-    ({"n_frames": 101}, {}, ("frame 89", "wider than the 640 px frame")),
-    # 4 mm from the mirror, the eye's jitter tilts the aim out of range
-    ({"n_frames": 2, "start_y_mm": 530.0}, {}, ("frame 16", "tilt")),
+    # each walk crosses the mirror within its window, so the jitter box around
+    # it reaches the mirror centre, a 200 mm line of sight
+    ({"n_frames": 101}, {}, ("jitter walker at its nearest (200 mm line of sight)",
+                             "inside the zoom focal length 210 mm")),
+    ({"n_frames": 2, "start_y_mm": 530.0}, {},
+     ("jitter walker at its nearest (200 mm line of sight)",
+      "inside the zoom focal length 210 mm")),
     ({"n_frames": 2, "start_y_mm": 545.0}, {},
-     ("frame 16", "223.056 mm line of sight", "wider than the 640 px frame")),
+     ("jitter walker at its nearest (200 mm line of sight)",
+      "inside the zoom focal length 210 mm")),
     # a mirror 980 mm below the eye needs over 60 deg of tilt inside 1.7 m
     ({"n_frames": 3, "start_y_mm": 2250.0}, {"mirror_height_mm": 600.0},
-     ("jitter walker at frame 17", "tilt")),
-    ({"n_frames": 80}, {}, ("out of focus reach", "wider than the 640 px frame")),
+     ("jitter walker over its motion envelope", "tilt 61.05")),
+    # nearer than 1.1 m the lens, clamped at +10 dpt, blurs the eye wider
+    # than the frame
+    ({"n_frames": 80}, {}, ("jitter walker at its nearest (871.746 mm line of sight)",
+                            "out of focus reach", "wider than the 640 px frame")),
 ])
 def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, words):
     cfg = config.default_config("iom")

@@ -1,17 +1,21 @@
+import collections
 import copy
 import dataclasses
 import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from irissim import config, optics
+from irissim import config, optics, scheduler
 from irissim.config import ConfigError
-from irissim.devices import LensParams, MirrorParams, SensorParams
+from irissim.devices import LensParams, MirrorParams, SensorParams, SteeringMirror
 from irissim.optics import OpticalTrain
 from irissim.quality import QualityThresholds
-from irissim.scene import RigGeometry
+from irissim.scene import JITTER_REACH_SIGMAS, RigGeometry, eye_position, line_of_sight_mm
 
 # every key the schema allows in the device sections, each off its default
 FULL_DEVICES = {
@@ -211,3 +215,107 @@ def test_side_walk_counts_a_fine_grid_without_listing_it():
     cfg = {"version": 1, "experiment": {"kind": "dof_extension", "grid_mm": 5e-324}}
     with pytest.raises(ConfigError, match="queues up to inf renders"):
         config.validate_config(cfg)
+
+
+def _replay_walkers(cfg: dict) -> None:
+    """The frame-by-frame check of both iom walkers: every aim the tracker
+    commands in the mirror's range, every sight through ``_check_sight``."""
+    rig = config.rig_from_config(cfg)
+    exp = cfg["experiment"]
+    for variant, walker in config.iom_cast(cfg, rig)[1]:
+        plan = scheduler.tracker_plan(rig, walker, exp["n_frames"], exp["start_frame"])
+        for frame, (_, t_mid, eye) in enumerate(plan, exp["start_frame"]):
+            where = f"iom {variant} walker at frame {frame}"
+            pan, tilt, _ = scheduler.setpoints_for(rig, eye)
+            rig.mirror.check_range(pan, tilt)
+            d = line_of_sight_mm(eye_position(walker, t_mid), rig.geometry)
+            config._check_sight(where, d, rig.train, lens=rig.lens.params)
+
+
+_WALKS = st.fixed_dictionaries({
+    # starts from 900 to 1300 mm put the last frames about where the lens,
+    # clamped at +10 dpt, blurs the eye as wide as the frame
+    "speed_mmps": st.floats(50.0, 3000.0),
+    "start_y_mm": st.one_of(st.floats(300.0, 6000.0), st.floats(900.0, 1300.0)),
+    # without jitter the sight box is the walk itself, which the frames sample
+    "jitter_sigma_mm": st.just(0.0) | st.floats(0.0, 20.0), "n_frames": st.integers(1, 20),
+    "motion_seed": st.integers(0, 1000)})
+_RIGS = st.fixed_dictionaries({"mirror_height_mm": st.floats(300.0, 2000.0)})
+_FRAME_RATES = st.floats(10.0, 120.0)
+
+
+def _walk_config(walk: dict, rig: dict, frame_rate_hz: float) -> dict:
+    cfg = config.default_config("iom")
+    cfg["experiment"].update(walk)
+    cfg["rig"].update(rig)
+    cfg["sensor"] = {"frame_rate_hz": frame_rate_hz}
+    return cfg
+
+
+@settings(max_examples=150)
+@given(walk=_WALKS, rig=_RIGS, frame_rate_hz=_FRAME_RATES)
+# frame 17's 642 px disk is 2 px too wide: a sight box short by a few mm passes it
+@example(walk={"speed_mmps": 453.0, "start_y_mm": 986.0, "jitter_sigma_mm": 0.0,
+               "n_frames": 2, "motion_seed": 0},
+         rig={"mirror_height_mm": 1127.0}, frame_rate_hz=39.0)
+def test_iom_walker_the_envelope_accepts_passes_the_frame_replay(walk, rig, frame_rate_hz):
+    cfg = _walk_config(walk, rig, frame_rate_hz)
+    try:
+        config.validate_config(cfg)
+    except ConfigError:
+        event("exits 2")
+        return
+    event("validates")
+    _replay_walkers(cfg)
+
+
+@settings(max_examples=150)
+@given(walk=_WALKS, rig=_RIGS, frame_rate_hz=_FRAME_RATES)
+def test_every_tracker_prediction_lies_in_the_aim_box(walk, rig, frame_rate_hz):
+    cfg = _walk_config(walk, rig, frame_rate_hz)
+    envelopes = {}
+    with pytest.MonkeyPatch.context() as mp:  # the times and widening validation checks
+        mp.setattr(config, "_check_reach", lambda who, _, subject, times, widen=1.0:
+                   envelopes.update({who: (times, widen)}))
+        config.validate_config(cfg)
+    capture_rig = config.rig_from_config(cfg)
+    exp = cfg["experiment"]
+    for variant, walker in config.iom_cast(cfg, capture_rig)[1]:
+        times, widen = envelopes[f"iom {variant} walker"]
+        walk = dataclasses.replace(walker, jitter_sigma_mm=0.0)
+        ends = [eye_position(walk, t) for t in times]
+        lo, hi = np.min(ends, axis=0), np.max(ends, axis=0)
+        reach = JITTER_REACH_SIGMAS * walker.jitter_sigma_mm
+        aim_reach = widen * reach
+        # up to rounding: the plan extrapolates the walk, the envelope evaluates it
+        slack = 1e-6
+        for _, t_mid, predicted in scheduler.tracker_plan(capture_rig, walker, exp["n_frames"],
+                                                          exp["start_frame"]):
+            for eye, r in ((eye_position(walker, t_mid), reach), (predicted, aim_reach)):
+                assert np.all((lo - r - slack <= eye) & (eye <= hi + r + slack))
+
+
+def test_iom_validation_cost_does_not_grow_with_the_frame_count(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scheduler, "tracker_plan", counted("plan", scheduler.tracker_plan))
+    monkeypatch.setattr(config, "_check_sight", counted("sight", config._check_sight))
+    monkeypatch.setattr(SteeringMirror, "check_range",
+                        counted("aim", SteeringMirror.check_range))
+    assert not hasattr(config, "tracker_plan")
+    counts = []
+    for n_frames in (15, 49_000):
+        calls.clear()
+        cfg = config.default_config("iom")
+        cfg["experiment"].update(n_frames=n_frames, speed_mmps=1.0)
+        config.validate_config(cfg)
+        counts.append(dict(calls))
+    # the enrolment, then each walker's nearest and farthest sight and its
+    # lowest and highest aim
+    assert counts == [{"sight": 5, "aim": 4}] * 2

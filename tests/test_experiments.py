@@ -396,6 +396,14 @@ def test_analytic_limits_take_the_rigs_resolution_gate_and_power_min():
     assert far_220 < far
 
 
+def test_analytic_far_limit_with_an_infinite_power_min_reach():
+    # a 10 mm lens separation lets -10 dpt focus past infinity
+    rig = _hd_rig(train={"d_ot_mm": 10.0})
+    assert optics.focus_distance_for_power(rig.train, -10.0) == math.inf
+    _, far = experiments.analytic_extension_limits(rig)
+    assert optics.pixels_across_iris(rig.train, far) == pytest.approx(200.0, abs=1e-6)
+
+
 @pytest.fixture(scope="module")
 def small_extension_cfg():
     cfg = config.default_config("dof_extension")
@@ -491,8 +499,8 @@ def test_iom_summary_names_the_walking_speed():
 def test_frame_with_no_pupil_to_find_does_not_qualify():
     # the gates pass everything, but at 2.2 m the clamped lens blurs the
     # walker's eye by 150 px, and iris detection finds no pupil
-    cfg = {"version": 1, "quality": _PASS_ALL, "rig": {"mirror_height_mm": 500.0},
-           "experiment": {"kind": "iom", "n_frames": 1, "start_y_mm": 3656.0,
+    cfg = {"version": 1, "quality": _PASS_ALL, "rig": {"mirror_height_mm": 700.0},
+           "experiment": {"kind": "iom", "n_frames": 1, "start_y_mm": 3756.0,
                           "speed_mmps": 3315.0}}
     res = experiments.run_iom(config.validate_config(cfg))
     assert [row[7] for row in res.rows] == [False, False]

@@ -285,10 +285,10 @@ def test_fov_anchors():
     assert optics.field_of_view_deg(t350) == pytest.approx(3.63, abs=0.01)
 
 
-def test_fov_widens_with_positive_power():
-    # added convergence shortens the effective focal length
+def test_positive_power_shortens_the_effective_focal_length():
+    # added convergence; the field of view is quoted at zero power
     t = optics.OpticalTrain()
-    assert optics.field_of_view_deg(t, 5.0) > optics.field_of_view_deg(t, 0.0)
+    assert optics.effective_focal_length(t, 5.0) < optics.effective_focal_length(t, 0.0)
 
 
 def test_aperture_within_clear_opening():
