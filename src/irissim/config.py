@@ -27,11 +27,18 @@ base's rig with the train re-zoomed and re-focused for that base
 (``rig_from_config(cfg, base_mm)``), so they reject ``train.f_zoom_mm`` and
 ``train.d_ref_mm``.
 
-Validation fills ``seed`` and every omitted ``experiment`` key from the
-canonical scenario, then bounds the worst-case renders a config queues
-(``queued_renders``, at most ``MAX_RENDERS``).  The device sections fall
+Validation first walks the config against ``SCHEMA`` with
+``_schema_errors``, a walker over the keywords the schema uses.  It keeps
+jsonschema's semantics (a bool is not a number, 1.0 is an integer, a
+pattern is a search) and its pick of the error to report, without importing
+it: jsonschema is only the tests' oracle.  The experiment section is walked
+against its kind's schema alone, so an error there names the bad key.
+Validation then fills ``seed`` and every omitted ``experiment`` key from the
+canonical scenario, bounds the worst-case renders a config queues
+(``queued_renders``, at most ``MAX_RENDERS``) and makes every ``experiment``
+integer an int, so a count of 3.0 runs as 3 does.  The device sections fall
 back to the dataclass defaults, not to the canonical scenario's overrides
-(for example its mirror height).  Validation then builds the rig once, so
+(for example its mirror height).  Validation last builds the rig once, so
 the dataclasses' own checks (ordered ranges, an exposure inside one frame,
 a lens separation inside the focal length, a finite frame period, snap grid
 and full-range slew, a repeatability no wider than the power range) reject
@@ -50,9 +57,10 @@ import copy
 import dataclasses
 import json
 import math
+import numbers
+import re
 from collections.abc import Callable
 
-import jsonschema
 import numpy as np
 
 from . import calibration, iriscode, optics
@@ -203,19 +211,102 @@ SCHEMA = _obj({
     "rig": _section(RigGeometry),
     "quality": _section(QualityThresholds, brightness_lo=_NONNEG),
 }, required=["version", "experiment"])
-_SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is(value, kind: str) -> bool:
+    """JSON Schema's types: a bool is not a number, and 1.0 is an integer."""
+    if kind in _TYPES:
+        return isinstance(value, _TYPES[kind])
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return kind == "number" or isinstance(value, int) or \
+        isinstance(value, float) and value.is_integer()
+
+
+def _equal(value, const) -> bool:
+    """JSON Schema's equality of scalars: True is not 1, but 1.0 is."""
+    return value == const and isinstance(value, bool) == isinstance(const, bool)
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Each way ``value`` breaks ``schema``: (rank path, path, message).
+
+    Walks the keywords ``SCHEMA`` uses, with jsonschema's semantics and
+    wording.  ``SCHEMA``'s one ``oneOf``, over the experiment kinds, walks
+    only the branch whose ``kind`` const the value names, and yields that
+    branch's best error ranked at the ``oneOf``'s own path, where jsonschema
+    reports the ``oneOf``.
+    """
+    if "type" in schema and not _is(value, schema["type"]):
+        yield path, path, f"{value!r} is not of type {schema['type']!r}"
+        return  # every other keyword beside a type applies to that type alone
+    for key, arg in schema.items():
+        if key == "const" and not _equal(value, arg):
+            yield path, path, f"{arg!r} was expected"
+        elif key == "enum" and not any(_equal(value, each) for each in arg):
+            yield path, path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and value < arg:
+            yield path, path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum" and value > arg:
+            yield path, path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "exclusiveMinimum" and value <= arg:
+            yield path, path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "pattern" and not re.search(arg, value):
+            yield path, path, f"{value!r} does not match {arg!r}"
+        elif key == "minItems" and len(value) < arg:
+            yield path, path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "items":
+            for index, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (index,))
+        elif key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            extras = sorted((k for k in value if k not in schema["properties"]), key=str)
+            if extras:
+                yield path, path, ("Additional properties are not allowed ("
+                                   f"{', '.join(map(repr, extras))} "
+                                   f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "required":
+            for name in arg:
+                if name not in value:
+                    yield path, path, f"{name!r} is a required property"
+        elif key == "oneOf":
+            branches = {sub["properties"]["kind"]["const"]: sub for sub in arg}
+            kind = value.get("kind") if isinstance(value, dict) else None
+            # a kind may be unhashable: only a string can name a branch
+            branch = branches[kind] if isinstance(kind, str) and kind in branches else {
+                "type": "object", "required": ["kind"],
+                "properties": {"kind": {"enum": list(branches)}}}
+            if best := _best(_schema_errors(value, branch, path)):
+                yield path, *best
+
+
+def _best(errors) -> tuple | None:
+    """jsonschema's ``best_match`` over ``_schema_errors``: (path, message), or None.
+
+    The shallowest error wins, then the greatest path, then the first found.
+    """
+    best = max(errors, key=lambda e: (-len(e[0]), e[0]), default=None)
+    return best and best[1:]
 
 
 def validate_config(cfg: dict) -> dict:
     """Schema plus the cross-field checks a JSON schema cannot express.
 
     Fills ``seed`` and the omitted ``experiment`` keys in place from the
-    canonical scenario of the experiment's kind, and returns ``cfg``.
+    canonical scenario of the experiment's kind, and returns ``cfg`` with
+    every ``experiment`` integer an int.
     """
-    err = jsonschema.exceptions.best_match(_SCHEMA_VALIDATOR.iter_errors(cfg))
+    err = _best(_schema_errors(cfg, SCHEMA))
     if err is not None:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {err.message}") from err
+        path, message = err
+        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: "
+                          f"{message}")
     kind = cfg["experiment"]["kind"]
     if kind in ("dof_extension", "hd_curve"):  # rig_from_config sets both per base
         for key in ("f_zoom_mm", "d_ref_mm"):
@@ -224,12 +315,18 @@ def validate_config(cfg: dict) -> dict:
                                   f"re-focuses the train for each base itself")
     canonical = default_config(kind)
     cfg.setdefault("seed", canonical["seed"])
+    exp = cfg["experiment"]
     for key, value in canonical["experiment"].items():
-        cfg["experiment"].setdefault(key, value)
-    renders = queued_renders(cfg["experiment"])
+        exp.setdefault(key, value)
+    renders = queued_renders(exp)
     if renders > MAX_RENDERS:
         raise ConfigError(f"{kind} queues up to {renders:.0f} renders, more than the "
                           f"{MAX_RENDERS} allowed; coarsen grid_mm or lower the counts")
+    # the schema takes 3.0 as an integer, and the runners count with it; made an int
+    # only once bounded, as float arithmetic saturates at inf where a huge int overflows
+    for key, (schema, _) in _EXPERIMENTS[kind].items():
+        if schema.get("type") == "integer":
+            exp[key] = int(exp[key])
     try:
         rig = rig_from_config(cfg)
         _check_experiment(cfg, rig)

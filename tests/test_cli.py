@@ -448,3 +448,37 @@ def test_multiperson_enrolment_too_small_to_detect_exits_2(tmp_path, capsys):
     cfg["experiment"]["subjects"][0].update(distance_mm=20000.0)
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     ("subject 'seated'", "px across the iris", "fewer than the 24 px"))
+
+
+@pytest.mark.parametrize("command, experiment, key, value", [
+    ("iom", {}, "n_frames", 3),
+    ("iom", {"n_frames": 2}, "start_frame", 3),
+    ("dof-extension", {"base_distances_mm": [5000.0], "grid_mm": 200.0}, "repeats", 2),
+    ("hd-curve", {"grid_mm": 1000.0, "impostor_pairs": 1}, "repeats", 1),
+    ("hd-curve", {"grid_mm": 1000.0, "repeats": 1}, "impostor_pairs", 1),
+    ("multiperson", {}, "dwell_budget", 2),
+])
+def test_integral_float_count_runs_as_its_int_twin(tmp_path, command, experiment, key, value):
+    # the schema takes 3.0 as an integer; the runners once ended in "'float' object
+    # cannot be interpreted as an integer"
+    outs = []
+    for twin in (value, float(value)):
+        cfg = {"version": 1, "experiment": {"kind": command.replace("-", "_"),
+                                            **experiment, key: twin}}
+        path, out = tmp_path / f"{twin!r}.json", tmp_path / f"{twin!r}"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("experiment, words", [
+    # an unhashable kind cannot key a table lookup
+    *(({"kind": kind}, f"config invalid at experiment/kind: {kind!r} is not one of "
+                       "['dof_table'") for kind in ({}, [], None, 1, "dof-table")),
+    ({"kind": "iom", "n_frames": 2.5},
+     "config invalid at experiment/n_frames: 2.5 is not of type 'integer'"),
+], ids=repr)
+def test_bad_experiment_section_exits_2_naming_the_key(tmp_path, capsys, experiment, words):
+    cfg = {"version": 1, "experiment": experiment}
+    _exits_2_naming(tmp_path, capsys, "iom", cfg, [words])

@@ -37,6 +37,85 @@ def test_schema_is_a_valid_json_schema():
     jsonschema.validators.validator_for(config.SCHEMA).check_schema(config.SCHEMA)
 
 
+# jsonschema is the oracle of the schema walker validation runs
+ORACLE = jsonschema.validators.validator_for(config.SCHEMA)(config.SCHEMA)
+# wrong types, bools and integral floats for numbers, out-of-range values, bad subject ids
+JUNK = (None, True, False, "x", "", "a/b", "a\n", [], {}, [1.0], {"kind": "iom"},
+        -1, 0, 1, 1.0, 2.5, 3.0, -1e9, 1e9)
+ADDED_KEYS = ("extra", "kind", "seed", "version", "repeats", "subject_id", "f_zoom_mm")
+
+
+def _locations(node, path=()):
+    """The path of the root and of every section, key and item under it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _mutated(cfg, draw):
+    """``cfg`` with one location replaced, a key added to it or it removed."""
+    path = draw(st.sampled_from(list(_locations(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else cfg
+    how = draw(st.sampled_from(("replace", "add", "remove")))
+    if how == "add" and isinstance(target, dict):
+        target[draw(st.sampled_from(ADDED_KEYS))] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    elif how == "remove" and path:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    else:
+        return copy.deepcopy(draw(st.sampled_from(JUNK)))
+    return cfg
+
+
+def _agrees_with_jsonschema(cfg) -> bool:
+    """Whether jsonschema accepts ``cfg``; ``validate_config`` rejects its schema
+    exactly when jsonschema does.
+
+    Outside the experiment section it names jsonschema's path; inside,
+    jsonschema names the oneOf and the walker a key of the kind's branch.
+    """
+    best = jsonschema.exceptions.best_match(ORACLE.iter_errors(cfg))
+    try:
+        config.validate_config(copy.deepcopy(cfg))
+        message = None
+    except ConfigError as err:
+        message = str(err)
+    if best is None:
+        assert message is None or not message.startswith("config invalid at")
+        return True
+    path = [str(p) for p in best.absolute_path]
+    where = "experiment" if path[:1] == ["experiment"] else f"{'/'.join(path) or '<root>'}:"
+    assert message is not None and message.startswith(f"config invalid at {where}")
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(config._EXPERIMENTS)),
+       sections=st.lists(st.sampled_from(list(FULL_DEVICES)), unique=True),
+       data=st.data())
+def test_schema_walker_rejects_exactly_what_jsonschema_rejects(kind, sections, data):
+    cfg = config.default_config(kind) | copy.deepcopy({s: FULL_DEVICES[s] for s in sections})
+    for _ in range(data.draw(st.integers(1, 3))):
+        cfg = _mutated(cfg, data.draw)
+    event("jsonschema accepts" if _agrees_with_jsonschema(cfg) else "jsonschema rejects")
+
+
+@pytest.mark.parametrize("edge, valid", [
+    ({"version": 1.0, "seed": 2.0}, True),  # 1.0 is an integer
+    ({"seed": True}, False), ({"lens": {"settle_ms": False}}, False),  # a bool is no number
+    ({"experiment": {"kind": {}}}, False), ({"experiment": {"kind": []}}, False),
+    ({"experiment": {"kind": None}}, False), ({"experiment": {"n_frames": 2}}, False),
+], ids=repr)
+def test_schema_walker_keeps_jsonschemas_edges(edge, valid):
+    assert _agrees_with_jsonschema(config.default_config("iom") | edge) == valid
+
+
 @pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
 def test_default_configs_validate(kind):
     cfg = config.default_config(kind)

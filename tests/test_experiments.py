@@ -268,6 +268,11 @@ def _gallop(n):
     return sorted({0, n - 1} | {2 ** j for j in range(n.bit_length()) if 2 ** j < n})
 
 
+def _counts(lo, hi):
+    """Whole numbers, some written as floats: the schema takes 3.0 as an integer."""
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
 _EXPERIMENTS = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("dof_table"),
@@ -275,12 +280,12 @@ _EXPERIMENTS = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("dof_extension"),
         "base_distances_mm": st.lists(st.floats(150.0, 1000.0), min_size=1, max_size=2),
-        "grid_mm": st.floats(250.0, 800.0), "repeats": st.integers(1, 2)}),
+        "grid_mm": st.floats(250.0, 800.0), "repeats": _counts(1, 2)}),
     st.fixed_dictionaries({
         "kind": st.just("hd_curve"), "base_mm": st.floats(1000.0, 6000.0),
         "grid_mm": st.floats(500.0, 2000.0), "span_near_mm": st.floats(1.0, 2000.0),
-        "span_far_mm": st.floats(1.0, 3000.0), "repeats": st.integers(1, 2),
-        "impostor_pairs": st.integers(0, 1)}),
+        "span_far_mm": st.floats(1.0, 3000.0), "repeats": _counts(1, 2),
+        "impostor_pairs": _counts(0, 1)}),
     st.fixed_dictionaries({
         "kind": st.just("multiperson"),
         "subjects": st.tuples(st.floats(500.0, 12000.0), st.floats(500.0, 12000.0),
@@ -288,9 +293,9 @@ _EXPERIMENTS = st.one_of(
             {"subject_id": "a", "identity_seed": 1, "distance_mm": t[0], "height_mm": t[2]},
             {"subject_id": "b", "identity_seed": 2, "distance_mm": t[1],
              "height_mm": 1700.0}]),
-        "dwell_budget": st.integers(1, 2)}),
+        "dwell_budget": _counts(1, 2)}),
     st.fixed_dictionaries({
-        "kind": st.just("iom"), "n_frames": st.integers(1, 2),
+        "kind": st.just("iom"), "n_frames": _counts(1, 2), "start_frame": _counts(2, 16),
         "start_y_mm": st.floats(200.0, 5000.0), "speed_mmps": st.floats(100.0, 4000.0),
         "jitter_sigma_mm": st.floats(0.0, 10.0)}),
 )
@@ -330,7 +335,10 @@ def test_config_runs_or_fails_validation(experiment, sections):
         event(f"{experiment['kind']} exits 2")
         return
     event(f"{experiment['kind']} runs")
-    queued = config.queued_renders(cfg["experiment"])
+    experiment = cfg["experiment"]  # validated: every count an int
+    counts = ("repeats", "impostor_pairs", "dwell_budget", "n_frames", "start_frame")
+    assert all(type(experiment[key]) is int for key in counts if key in experiment)
+    queued = config.queued_renders(experiment)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_renders(mp)
         result = experiments.run_experiment(cfg)
@@ -339,7 +347,8 @@ def test_config_runs_or_fails_validation(experiment, sections):
         walks = {base: [_brute_force_walk(base, experiment["grid_mm"], sign)
                         for sign in (-1.0, 1.0)]
                  for base in experiment["base_distances_mm"]}
-        lengths = [len(walk) for pair in walks.values() for walk in pair]
+        # a base listed twice is searched twice
+        lengths = [len(walk) for base in experiment["base_distances_mm"] for walk in walks[base]]
         assert queued == experiment["repeats"] * sum(
             min(n, 2 * math.ceil(math.log2(n)) + 2) for n in lengths)
         if all(row[-1] for row in result.rows):

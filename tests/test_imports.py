@@ -1,6 +1,7 @@
 """Every name a package or test module imports is read somewhere in that module,
 every function and class the package defines is used somewhere in the package,
-and importing the command line leaves out every scipy package."""
+and importing the command line leaves out every scipy package, jsonschema and the
+process pool."""
 
 import ast
 import os
@@ -93,12 +94,29 @@ print("ok")
 """
 
 
-def test_cli_import_leaves_out_every_scipy_package():
-    # a fresh interpreter: other tests import scipy's packages into this one
-    probe = ("import sys, irissim.cli; "
-             f"print(sorted(set({SCIPY_PACKAGES!r}) & set(sys.modules)))\n"
-             + PUBLIC_SCIPY_PROBE)
+def _fresh(probe: str) -> list[str]:
+    """The words ``probe`` prints in a fresh interpreter: other tests import
+    scipy's packages, jsonschema and the process pool into this one."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["[]", "ok"]
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_out_every_scipy_package():
+    probe = ("import sys, irissim.cli; "
+             f"print(sorted(set({SCIPY_PACKAGES!r}) & set(sys.modules)))\n"
+             + PUBLIC_SCIPY_PROBE)
+    assert _fresh(probe) == ["[]", "ok"]
+
+
+# a serial run needs none of these: jsonschema is the test oracle of the schema
+# walker, and the process pool is imported when a --parallel run starts one
+SERIAL_RUN_LEAVES_OUT = ("jsonschema", "concurrent.futures.process", "multiprocessing")
+
+
+def test_cli_import_and_validation_leave_out_jsonschema_and_the_pool():
+    probe = ("import sys, irissim.cli; from irissim import config; "
+             "config.validate_config(config.default_config('iom')); "
+             f"print(sorted(set({SERIAL_RUN_LEAVES_OUT!r}) & set(sys.modules)))")
+    assert _fresh(probe) == ["[]"]
