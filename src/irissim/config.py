@@ -74,7 +74,7 @@ from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
 # worst-case renders one config may queue; the canonical dof_extension
-# queues at most 580
+# queues at most 565
 MAX_RENDERS = 100_000
 # a dof_extension side is a runaway scan once it leaves these multiples of
 # its base without its gate failing
@@ -393,16 +393,17 @@ def queued_renders(exp: dict) -> float:
     """Worst-case renders a config queues.
 
     dof_extension: every repeat searches both side walks of every base, each
-    for at most ``walk_renders`` cells, the base cell in both.  hd_curve:
-    every position and repeat, the template and two eyes per impostor pair.
+    for at most ``walk_renders`` cells, and renders the base cell, which both
+    walks count, once.  hd_curve: every position and repeat, the template
+    and two eyes per impostor pair.
     multiperson: one enrolment and the whole dwell budget per subject.  iom:
     both variants' frames and one enrolment.  dof_table renders nothing.
     """
     kind = exp["kind"]
     if kind == "dof_extension":
-        return exp["repeats"] * sum(walk_renders(side_walk(base, exp["grid_mm"], sign)[0])
-                                    for base in exp["base_distances_mm"]
-                                    for sign in (-1.0, 1.0))
+        return exp["repeats"] * sum(
+            sum(walk_renders(side_walk(base, exp["grid_mm"], sign)[0]) for sign in (-1.0, 1.0)) - 1
+            for base in exp["base_distances_mm"])
     if kind == "hd_curve":
         n_near, n_far = _hd_steps(exp)
         return (n_near + n_far + 1) * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
@@ -551,11 +552,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    value = int(text)  # the checks and the counts do float arithmetic with it
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is past the "
+                         f"float range") from None
+    return value
+
+
 def load_config(path) -> dict:
     """The JSON document at ``path``, not yet validated."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
+                             parse_constant=_finite_float)
     except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {err}") from err
 

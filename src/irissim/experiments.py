@@ -10,9 +10,9 @@ Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  A
 dof_extension unit is one (base, side): all repeats search its walk outward
 from the base cell, cell 0, in lockstep, each for its own gate's edge (a
-gallop, then a bisection), so a (base, repeat)'s rows in position order are
-the front walk's probed cells reversed and then the rear walk's past the
-base cell.  An hd_curve unit is one position's repeats.
+gallop, then a bisection).  Only the front walk renders the base cell, so a
+(base, repeat)'s rows in position order are the front walk's probed cells
+reversed and then the rear walk's.  An hd_curve unit is one position's repeats.
 """
 
 from __future__ import annotations
@@ -135,25 +135,27 @@ def _extension_side(args):
     """Search one (base, side) walk outward from focus, all repeats in lockstep.
 
     The cells are ``config.side_walk``'s, cell 0 the base cell itself.  Each
-    repeat brackets its gate's edge between ``lo``, the last cell that passed
-    (-1 before the base cell), and ``hi``, the first that failed (n before
-    any): it gallops through cells 0, 1, 2, 4, ... up to cell n - 1 and, once
-    a cell fails, bisects down to adjacent cells (``config.walk_probe``).
+    repeat brackets its gate's edge between ``lo``, the last cell that passed,
+    and ``hi``, the first that failed (n before any): it gallops through
+    cells 0, 1, 2, 4, ... up to cell n - 1 and, once a cell fails, bisects
+    down to adjacent cells (``config.walk_probe``).  Only the front walk
+    probes the base cell (``lo`` starts at -1); the rear walk starts at
+    ``lo`` 0, as if it had passed, and ``run_dof_extension`` drops the rear
+    walk of a repeat whose base cell failed at the front.
     Where the gate passes and then fails along the walk, ``lo`` is the last
     cell a cell-by-cell scan would pass.  In each round every open repeat
     picks its next cell, the round visits those cells in walk order, and the
     repeats that picked one cell are evaluated back to back, so they share one
     clean image.  A repeat still passing at cell n - 1 found no limit: its
-    extent is only a lower bound, and the side is cut.  Returns each repeat's
-    rows (the cells it probed, in walk order), each repeat's extent (``lo``
-    grid steps) and whether the side is cut.
+    extent is only a lower bound.  Returns each repeat's rows (the cells it
+    probed, in walk order), each repeat's ``lo`` and n.
     """
     cfg, base, sign = args
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg, base)
     n, position = config.side_walk(base, exp["grid_mm"], sign)
     repeats = range(exp["repeats"])
-    lo, hi = [-1 for _ in repeats], [n for _ in repeats]
+    lo, hi = [-1 if sign < 0 else 0 for _ in repeats], [n for _ in repeats]
     rows = [{} for _ in repeats]
     while picks := {r: config.walk_probe(lo[r], hi[r], n)
                     for r in repeats if hi[r] - lo[r] > 1}:
@@ -164,9 +166,7 @@ def _extension_side(args):
                 lo[r] = k
             else:
                 hi[r] = k
-    extent = [max(k, 0) * exp["grid_mm"] for k in lo]
-    cut = n - 1 in lo
-    return [[cells[k] for k in sorted(cells)] for cells in rows], extent, cut
+    return [[cells[k] for k in sorted(cells)] for cells in rows], lo, n
 
 
 def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
@@ -178,15 +178,19 @@ def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
     rows = []
     summary = []
     stats = {"guard_cut": []}
-    for base, (front_rows, front_ext, front_cut), (rear_rows, rear_ext, rear_cut) in zip(
+    for base, (front_rows, front_lo, front_n), (rear_rows, rear_lo, rear_n) in zip(
             bases, results[0::2], results[1::2]):
-        for f_rows, r_rows in zip(front_rows, rear_rows):  # both walks start at the base
-            rows += f_rows[::-1] + r_rows[1:]
-        front = float(np.mean(front_ext))
-        rear = float(np.mean(rear_ext))
+        # a repeat whose base cell failed has no rear walk: its rows go, its extent is 0
+        rear_lo = [r if f >= 0 else -1 for f, r in zip(front_lo, rear_lo)]
+        for f_rows, r_rows, r in zip(front_rows, rear_rows, rear_lo):
+            rows += f_rows[::-1] + (r_rows if r >= 0 else [])
+        front, rear = (float(np.mean([max(k, 0) * exp["grid_mm"] for k in lo]))
+                       for lo in (front_lo, rear_lo))
         total = front + rear
         stats[base] = {"front_mm": front, "rear_mm": rear, "total_mm": total}
-        cut = [side for side, c in (("front", front_cut), ("rear", rear_cut)) if c]
+        # a repeat still passing at a walk's last cell found no limit on that side
+        cut = [side for side, lo, n in (("front", front_lo, front_n), ("rear", rear_lo, rear_n))
+               if n - 1 in lo]
         stats["guard_cut"] += [(base, side) for side in cut]
         # a side the guard cut, and a total over it, is only a lower bound
         ge = {side: "≥ " if side in cut else "" for side in ("front", "rear")}

@@ -8,7 +8,9 @@ roll between captures.
 
 Every code has one shape, so the sheet's sampling grid, the lid columns,
 the filter gain and the shift index are fixed at import; each call does
-only its per-frame work, on whole arrays.
+only its per-frame work, on whole arrays.  Detection thresholds the frame
+once and lists the pupil's pixels from the box of rows and columns that
+hold dark ones, not from the whole frame.
 """
 
 from __future__ import annotations
@@ -83,13 +85,23 @@ def detect_circles(image: np.ndarray) -> tuple[float, float, float, float]:
 
     Pupil: centroid and area of the dark blob.  Limbus: the radius where
     the ring-averaged brightness climbs fastest from iris to sclera,
-    sampled over the lower sector so the lid cannot vote.
+    sampled over the lower sector so the lid cannot vote.  The dark pixels
+    are listed from the box that holds them, the rows with any and then,
+    within those, the columns with any: the same indices, in the same
+    order, as a scan of the whole frame.
     """
     dark = image < 40
-    n_dark = int(dark.sum())
+    rows = np.flatnonzero(dark.any(axis=1))
+    if rows.size == 0:
+        raise SegmentationError("no pupil-dark region found")
+    slab = dark[rows[0]:rows[-1] + 1]
+    cols = np.flatnonzero(slab.any(axis=0))
+    ys, xs = np.nonzero(slab[:, cols[0]:cols[-1] + 1])
+    n_dark = ys.size
     if n_dark < 50:
         raise SegmentationError("no pupil-dark region found")
-    ys, xs = np.nonzero(dark)
+    ys += rows[0]
+    xs += cols[0]
     cx = float(xs.mean())
     cy = float(ys.mean())
     r_p = float(np.sqrt(n_dark / np.pi))

@@ -190,6 +190,19 @@ def test_canonical_multiperson_bytes_are_pinned(multiperson_pair, tmp_path):
     }
 
 
+def test_retry_seed_multiperson_bytes_are_pinned(tmp_path):
+    # Seed 4 misses the seated subject's sharpness gate twice, so the lens steps
+    # through the focal stack and detection runs on retried frames: 4 frames.
+    cfg = config.default_config("multiperson")
+    cfg["seed"] = 4
+    res = experiments.run_multiperson(cfg)
+    assert [e[1] for e in res.rows].count("frame") == 4
+    assert _digests(res, tmp_path) == {
+        "multiperson.csv": "e57140ccdbfc74cdcc6c2c28e1fb8b36e5b12097158ab2dc2e232f4af4fb67a8",
+        "summary.txt": "190e75a109df0892442e18fc4bb4ddb713f854cb6b40647d605b68235e66e570",
+    }
+
+
 def test_canonical_hd_curve_bytes_are_pinned(hd_curve, tmp_path):
     # perfbench checks a run only against its own first pass, so the canonical
     # curve, whose every point goes through the iris-code stage, is pinned here.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -173,22 +174,23 @@ def test_search_past_the_edge_or_from_a_failing_base_equals_the_linear_scan(
     _assert_search_equals_linear_scan(config.validate_config(cfg))
 
 
-def _linear_edge(n, edge):
-    """Reference: scan cells 0 .. n - 1 until one fails (cell k passes iff k < edge).
+def _linear_edge(n, edge, start):
+    """Reference: scan cells start .. n - 1 until one fails (cell k passes iff k < edge).
 
-    Returns the last passing cell (0 when the base cell fails) and whether
-    every cell passed.
+    Returns the last passing cell, ``start - 1`` when the first scanned cell fails.
     """
-    last = 0
-    for k in range(n):
+    last = start - 1
+    for k in range(start, n):
         if not k < edge:
-            return last, False
+            break
         last = k
-    return last, True
+    return last
 
 
 def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
     # No rendering: cell k of every walk passes iff k is below its repeat's edge.
+    # The front walk probes the base cell, cell 0; the rear walk takes it as
+    # passed and scans from cell 1.
     edges = {}
     calls = []
 
@@ -199,20 +201,20 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
 
     monkeypatch.setattr(experiments, "_extension_cell", fake_cell)
     cfg = {"seed": 0, "experiment": {"grid_mm": 10.0, "repeats": 3}}
-    for n in range(1, 72):
-        monkeypatch.setattr(config, "side_walk", lambda base, grid, sign, n=n: (n, float))
+    for n, (sign, start) in itertools.product(range(1, 72), [(-1.0, 0), (1.0, 1)]):
+        monkeypatch.setattr(config, "side_walk", lambda base, grid, s, n=n: (n, float))
         bound = config.walk_renders(n)
         assert bound == min(n, 2 * math.ceil(math.log2(n)) + 2)
         for edge in range(n + 1):
             edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1)})
             calls.clear()
-            rows, extent, cut = experiments._extension_side((cfg, 5000.0, 1.0))
-            scans = [_linear_edge(n, edges[r]) for r in range(3)]
-            assert extent == [10.0 * last for last, _ in scans]
-            assert cut == any(c for _, c in scans)
+            rows, lo, walk_n = experiments._extension_side((cfg, 5000.0, sign))
+            assert walk_n == n
+            assert lo == [_linear_edge(n, edges[r], start) for r in range(3)]
             for r in range(3):
                 probed = [k for rr, k in calls if rr == r]
-                assert len(probed) <= bound
+                assert len(probed) <= bound - start
+                assert (0 in probed) == (start == 0)
                 assert rows[r] == [(r, k) for k in sorted(set(probed))]
                 assert len(set(probed)) == len(probed)
 
@@ -234,7 +236,7 @@ _PASS_ALL = {"sharpness_min": 1e-9, "min_px_across_iris": 1.0}
 def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
     # every cell passes, so each repeat's search gallops both sides out to the
     # guard (0.3x and 3x the base): cells 0, 1, 2 of the 3-cell front walk and
-    # 0, 1, 2, 4, 8 of the 9-cell rear walk
+    # 1, 2, 4, 8 of the 9-cell rear walk
     cfg = config.default_config("dof_extension")
     cfg["experiment"].update(base_distances_mm=[1000.0], grid_mm=250.0, repeats=2)
     cfg["quality"] = _PASS_ALL
@@ -243,12 +245,13 @@ def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
     res = experiments.run_dof_extension(cfg)
     distances = [c["eye_pos_mm"][1] + PROBE_RIG.lens_height_mm for c in calls]
     assert res.stats["guard_cut"] == [(1000.0, "front"), (1000.0, "rear")]
-    # both side walks render the base cell of each repeat, as their step 0
-    assert distances.count(1000.0) == 2 * 2
-    assert sorted(distances) == sorted(2 * [500.0, 750.0, 1000.0, 1000.0, 1250.0,
+    # only the front walk renders the base cell of each repeat, as its step 0
+    assert distances.count(1000.0) == 2
+    assert sorted(distances) == sorted(2 * [500.0, 750.0, 1000.0, 1250.0,
                                             1500.0, 2000.0, 3000.0])
-    # on walks this short the worst case, min(n, 2 ceil(log2 n) + 2), is every cell
-    assert len(distances) == 16 < config.queued_renders(cfg["experiment"]) == 2 * (3 + 9)
+    # on walks this short the worst case, min(n, 2 ceil(log2 n) + 2), is every
+    # cell, the base cell counted once
+    assert len(distances) == 14 < config.queued_renders(cfg["experiment"]) == 2 * (3 + 9 - 1)
 
 
 def _brute_force_walk(base, grid, sign):
@@ -347,10 +350,11 @@ def test_config_runs_or_fails_validation(experiment, sections):
         walks = {base: [_brute_force_walk(base, experiment["grid_mm"], sign)
                         for sign in (-1.0, 1.0)]
                  for base in experiment["base_distances_mm"]}
-        # a base listed twice is searched twice
+        # a base listed twice is searched twice; each base cell is rendered once
         lengths = [len(walk) for base in experiment["base_distances_mm"] for walk in walks[base]]
-        assert queued == experiment["repeats"] * sum(
+        assert queued == experiment["repeats"] * (sum(
             min(n, 2 * math.ceil(math.log2(n)) + 2) for n in lengths)
+            - len(experiment["base_distances_mm"]))
         if all(row[-1] for row in result.rows):
             # no gate failed: each search galloped through cells 0, 1, 2, 4, ...
             # and ended on each walk's last cell

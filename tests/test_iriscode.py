@@ -108,9 +108,12 @@ def test_detect_circles_match_ground_truth():
 
 
 def _loop_detect_circles(image):
-    """Reference: the limbus profile sampled one radius at a time."""
+    """Reference: the whole frame scanned for dark pixels, the limbus profile
+    sampled one radius at a time."""
     dark = image < 40
     n_dark = int(dark.sum())
+    if n_dark < 50:
+        raise SegmentationError("no pupil-dark region found")
     ys, xs = np.nonzero(dark)
     cx, cy = float(xs.mean()), float(ys.mean())
     r_p = float(np.sqrt(n_dark / np.pi))
@@ -141,6 +144,45 @@ def test_detect_circles_equals_the_per_radius_reference(d_los, power_offset):
     image = frame_at(d_los, 7000, 13, power=power).image
     assert image.shape == (480, 640)
     assert detect_circles(image) == _loop_detect_circles(image)
+
+
+@st.composite
+def _dark_frames(draw):
+    """A uint8 frame of bright noise with dark pixels: one blob, two disjoint
+    blobs (one in each half), or exactly 0, 49 or 50 scattered ones."""
+    h, w = draw(st.integers(8, 96)), draw(st.integers(8, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    image = rng.integers(40, 256, (h, w), dtype=np.uint8)
+    layout = draw(st.sampled_from(["blob", "two blobs", "count"]))
+    if layout == "count":
+        n = draw(st.sampled_from([0, 49, 50]))
+        image.flat[rng.choice(h * w, n, replace=False)] = rng.integers(0, 40, n)
+        return image
+    halves = [(0, w)] if layout == "blob" else [(0, w // 2), (w // 2 + 1, w)]
+    for left, right in halves:
+        # each end lies on the frame's edge, or anywhere inside
+        y0, y1 = sorted(draw(st.sampled_from([0, h]) | st.integers(0, h)) for _ in range(2))
+        x0, x1 = sorted(draw(st.sampled_from([left, right]) | st.integers(left, right))
+                        for _ in range(2))
+        image[y0:y1, x0:x1] = rng.integers(0, 40, (y1 - y0, x1 - x0))
+    return image
+
+
+@settings(max_examples=200)
+@given(image=_dark_frames())
+# a 10x10 blob in each corner of a 640x480 frame
+@example(image=np.pad(np.zeros((10, 10), np.uint8), ((0, 470), (0, 630)), constant_values=200))
+@example(image=np.pad(np.zeros((10, 10), np.uint8), ((470, 0), (630, 0)), constant_values=200))
+@example(image=np.pad(np.zeros((10, 10), np.uint8), ((0, 470), (630, 0)), constant_values=200))
+@example(image=np.pad(np.zeros((10, 10), np.uint8), ((470, 0), (0, 630)), constant_values=200))
+def test_dark_box_scan_equals_the_whole_frame_scan(image):
+    try:
+        expected = _loop_detect_circles(image)
+    except SegmentationError:
+        with pytest.raises(SegmentationError):
+            detect_circles(image)
+        return
+    assert detect_circles(image) == expected
 
 
 def test_detect_mode_encoding_still_matches():
