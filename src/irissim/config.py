@@ -31,8 +31,10 @@ Validation first walks the config against ``SCHEMA`` with
 ``_schema_errors``, a walker over the keywords the schema uses.  It keeps
 jsonschema's semantics (a bool is not a number, 1.0 is an integer, a
 pattern is a search) and its pick of the error to report, without importing
-it: jsonschema is only the tests' oracle.  The experiment section is walked
-against its kind's schema alone, so an error there names the bad key.
+it: jsonschema is only the tests' oracle.  Its one rule of its own: NaN, an
+infinity or an int past the float range fails at its key, from a file or code.
+The experiment section is walked against its kind's schema alone, so an
+error there names the bad key.
 Validation then fills ``seed`` and every omitted ``experiment`` key from the
 canonical scenario, bounds the worst-case renders a config queues
 (``queued_renders``, at most ``MAX_RENDERS``) and makes every ``experiment``
@@ -59,6 +61,7 @@ import json
 import math
 import numbers
 import re
+import sys
 from collections.abc import Callable
 
 import numpy as np
@@ -68,8 +71,8 @@ from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, Tun
 from .optics import OpticalTrain
 from .quality import QualityThresholds
 from .renderer import BASE_WIDTH
-from .scene import JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, eye_position, \
-    line_of_sight_mm, subject_at
+from .scene import JITTER_BANDWIDTH_HZ, JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
+    eye_position, line_of_sight_mm, subject_at
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
 
 SCHEMA_VERSION = 1
@@ -235,14 +238,21 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     """Each way ``value`` breaks ``schema``: (rank path, path, message).
 
     Walks the keywords ``SCHEMA`` uses, with jsonschema's semantics and
-    wording.  ``SCHEMA``'s one ``oneOf``, over the experiment kinds, walks
-    only the branch whose ``kind`` const the value names, and yields that
-    branch's best error ranked at the ``oneOf``'s own path, where jsonschema
-    reports the ``oneOf``.
+    wording, and one rule of its own: a number holds a finite float.
+    ``SCHEMA``'s one ``oneOf``, over the experiment kinds, walks only the
+    branch whose ``kind`` const the value names, and yields that branch's
+    best error ranked at the ``oneOf``'s own path, where jsonschema reports
+    the ``oneOf``.
     """
     if "type" in schema and not _is(value, schema["type"]):
         yield path, path, f"{value!r} is not of type {schema['type']!r}"
         return  # every other keyword beside a type applies to that type alone
+    if schema.get("type") in ("number", "integer") and not abs(value) <= sys.float_info.max:
+        # NaN passes every bound; str() refuses an int past 4300 digits, so none is printed
+        yield path, path, (f"{json.dumps(value)} is not a finite number"
+                           if isinstance(value, float) else
+                           f"an integer of {value.bit_length()} bits is past the float range")
+        return
     for key, arg in schema.items():
         if key == "const" and not _equal(value, arg):
             yield path, path, f"{arg!r} was expected"
@@ -322,8 +332,8 @@ def validate_config(cfg: dict) -> dict:
     if renders > MAX_RENDERS:
         raise ConfigError(f"{kind} queues up to {renders:.0f} renders, more than the "
                           f"{MAX_RENDERS} allowed; coarsen grid_mm or lower the counts")
-    # the schema takes 3.0 as an integer, and the runners count with it; made an int
-    # only once bounded, as float arithmetic saturates at inf where a huge int overflows
+    # the schema takes 3.0 as an integer, and the runners count with it; made an int only
+    # once bounded, as a float count of 1e308 queues inf renders, its int a count past floats
     for key, (schema, _) in _EXPERIMENTS[kind].items():
         if schema.get("type") == "integer":
             exp[key] = int(exp[key])
@@ -454,11 +464,17 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
                      lens=lens, enrolment=True)
         # A frame sees the linear walk w at mid-exposure plus a jitter j, |j| <= R per axis.
         # The tracker aims at p1 + a (p1 - p0) from the eyes at the two frame starts before,
-        # a = (P + e/2)/P, period P, exposure e: w + (1 + a) j1 - a j0, (1 + 2a) R = (3 + e/P) R.
+        # a = (P + e/2)/P, period P, exposure e: w + j1 + a (j1 - j0).  Each jitter term's
+        # frequency is at most f = JITTER_BANDWIDTH_HZ and their amplitudes sum to R, so
+        # |j1 - j0| <= 2 pi f P R, and the aim is within (1 + 2 pi f (P + e/2)) R of w.
         period, half = rig.sensor.frame_period_ms, rig.sensor.exposure_ms / 2.0
         times = [(exp["start_frame"] + k) * period + half for k in (0, exp["n_frames"] - 1)]
+        if not math.isfinite(times[-1]):
+            raise ConfigError(f"iom walker window from frame {exp['start_frame']:.6g} "
+                              f"ends at no finite time")
+        widen = 1.0 + 2.0 * math.pi * JITTER_BANDWIDTH_HZ * (period + half) / 1000.0
         for variant, walker in walkers:
-            _check_reach(f"iom {variant} walker", rig, walker, times, 3.0 + 2.0 * half / period)
+            _check_reach(f"iom {variant} walker", rig, walker, times, widen)
 
 
 def _check_reach(who: str, rig: CaptureRig, subject: Subject, times: list,
@@ -545,29 +561,11 @@ def iom_cast(cfg: dict, rig: CaptureRig) -> tuple[Subject, list[tuple[str, Subje
     return enrolment, walkers
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)  # Python's json reads NaN and Infinity, and 1e400 as inf
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
-def _float_range_int(text: str) -> int:
-    value = int(text)  # the checks and the counts do float arithmetic with it
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is past the "
-                         f"float range") from None
-    return value
-
-
 def load_config(path) -> dict:
     """The JSON document at ``path``, not yet validated."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int,
-                             parse_constant=_finite_float)
+            return json.load(fh)
     except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {err}") from err
 

@@ -162,24 +162,24 @@ def test_non_finite_number_in_a_config_exits_2(tmp_path, capsys, command, sectio
                     (f"{json.dumps(value)} is not a finite number",), flags)
 
 
-@pytest.mark.parametrize("command, experiment", [
-    ("iom", {"n_frames": 10 ** 310}),
-    ("multiperson", {"dwell_budget": 10 ** 310}),
-    ("hd-curve", {"impostor_pairs": 10 ** 310}),
-    ("dof-extension", {"repeats": 10 ** 310}),
-    ("hd-curve", {"span_near_mm": 10 ** 310}),
-    ("dof-extension", {"grid_mm": 10 ** 310}),
-    ("dof-table", {"distances_mm": [5000.0, 10 ** 310]}),
+@pytest.mark.parametrize("command, experiment, key", [
+    ("iom", {"n_frames": 10 ** 310}, "n_frames"),
+    ("multiperson", {"dwell_budget": 10 ** 310}, "dwell_budget"),
+    ("hd-curve", {"impostor_pairs": 10 ** 310}, "impostor_pairs"),
+    ("dof-extension", {"repeats": 10 ** 310}, "repeats"),
+    ("hd-curve", {"span_near_mm": 10 ** 310}, "span_near_mm"),
+    ("dof-extension", {"grid_mm": 10 ** 310}, "grid_mm"),
+    ("dof-table", {"distances_mm": [5000.0, 10 ** 310]}, "distances_mm/1"),
 ], ids=["iom.n_frames", "multiperson.dwell_budget", "hd_curve.impostor_pairs",
         "dof_extension.repeats", "hd_curve.span_near_mm", "dof_extension.grid_mm",
         "dof_table.distances_mm"])
-def test_integer_past_the_float_range_exits_2_naming_the_file(tmp_path, capsys, command,
-                                                               experiment):
+def test_integer_past_the_float_range_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                              experiment, key):
     # each ended in "OverflowError: int too large to convert to float"
     cfg = {"version": 1, "experiment": {"kind": command.replace("-", "_"), **experiment}}
     _exits_2_naming(tmp_path, capsys, command, cfg,
-                    (f"cannot read config {tmp_path / 'cfg.json'}",
-                     "an integer of 311 digits is past the float range"))
+                    (f"config invalid at experiment/{key}: an integer of 1030 bits is past "
+                     "the float range",))
 
 
 def test_hd_curve_reaching_past_the_zoom_focal_length_exits_2(tmp_path, capsys):
@@ -303,6 +303,13 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_past_the_float_range_exits_2(tmp_path, capsys):
+    # a 400-digit seed passed validation
+    assert cli.main(["iom", "--seed", "1" + "0" * 399, "--out", str(tmp_path / "out")]) == 2
+    assert "config invalid at seed: an integer of 1326 bits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _hd_check(cfg, base_mm, span_mm):
     """The hd_curve --check failures of a curve spanning ``span_mm`` at ``base_mm``."""
     stats = {"base_mm": base_mm, "rig": config.rig_from_config(cfg, base_mm),
@@ -410,11 +417,14 @@ def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch
       "inside the zoom focal length 210 mm")),
     # a mirror 980 mm below the eye needs over 60 deg of tilt inside 1.7 m
     ({"n_frames": 3, "start_y_mm": 2250.0}, {"mirror_height_mm": 600.0},
-     ("jitter walker over its motion envelope", "tilt 61.05")),
+     ("jitter walker over its motion envelope", "tilt 60.64")),
     # nearer than 1.1 m the lens, clamped at +10 dpt, blurs the eye wider
     # than the frame
     ({"n_frames": 80}, {}, ("jitter walker at its nearest (871.746 mm line of sight)",
                             "out of focus reach", "wider than the 640 px frame")),
+    # the frame times overflowed to inf, and the walk turned NaN with a RuntimeWarning
+    ({"start_frame": 1.7e308}, {}, ("iom walker window from frame 1.7e+308",
+                                    "ends at no finite time")),
 ])
 def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, words):
     cfg = config.default_config("iom")

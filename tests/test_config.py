@@ -75,7 +75,11 @@ def _mutated(cfg, draw):
 
 def _agrees_with_jsonschema(cfg) -> bool:
     """Whether jsonschema accepts ``cfg``; ``validate_config`` rejects its schema
-    exactly when jsonschema does.
+    exactly when jsonschema does, given that every number in ``cfg`` holds a
+    finite float.  The walker's one departure: it rejects NaN, which
+    jsonschema accepts for every number, and an infinity or an int past the
+    float range, which jsonschema accepts within their bounds
+    (``test_walker_rejects_the_numbers_jsonschema_takes``).
 
     Outside the experiment section it names jsonschema's path; inside,
     jsonschema names the oneOf and the walker a key of the kind's branch.
@@ -114,6 +118,43 @@ def test_schema_walker_rejects_exactly_what_jsonschema_rejects(kind, sections, d
 ], ids=repr)
 def test_schema_walker_keeps_jsonschemas_edges(edge, valid):
     assert _agrees_with_jsonschema(config.default_config("iom") | edge) == valid
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 310], ids=str)
+def test_walker_rejects_the_numbers_jsonschema_takes(value):
+    # the walker's one departure from jsonschema: a number must hold a finite float,
+    # where jsonschema takes NaN anywhere and inf or a huge int above a minimum
+    cfg = config.default_config("iom") | {"lens": {"settle_ms": value}}
+    assert ORACLE.is_valid(cfg)
+    with pytest.raises(ConfigError, match="^config invalid at lens/settle_ms: "):
+        config.validate_config(cfg)
+
+
+def _numeric_leaves():
+    """(kind, path) of every number in each canonical config with every device key."""
+    for kind in config._EXPERIMENTS:
+        cfg = config.default_config(kind) | FULL_DEVICES
+        for path in _locations(cfg):
+            leaf = cfg
+            for key in path:
+                leaf = leaf[key]
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+                yield kind, path
+
+
+@pytest.mark.parametrize("kind, path", list(_numeric_leaves()),
+                         ids=lambda p: p if isinstance(p, str) else "/".join(map(str, p)))
+def test_every_number_without_a_finite_float_fails_validation_naming_its_key(kind, path):
+    # a NaN switched a gate off, an inf or a huge int ended in OverflowError or TypeError
+    for value in (math.nan, math.inf, -math.inf, 10 ** 310, 10 ** 5000):
+        cfg = copy.deepcopy(config.default_config(kind) | FULL_DEVICES)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            config.validate_config(cfg)
+        assert str(err.value).startswith(f"config invalid at {'/'.join(map(str, path))}: ")
 
 
 @pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
@@ -251,12 +292,14 @@ def test_load_config_rejects_bad_json(tmp_path):
 
 
 def test_load_config_rejects_a_number_past_the_float_range(tmp_path):
-    # Python's json reads 1e400 as inf
+    # Python's json reads 1e400 as inf; the file reads, and validation rejects it
     path = tmp_path / "run.json"
     path.write_text('{"version": 1, "experiment": {"kind": "dof_table", '
                     '"distances_mm": [5000, 1e400]}}')
-    with pytest.raises(ConfigError, match="1e400 is not a finite number"):
-        config.load_config(path)
+    cfg = config.load_config(path)
+    with pytest.raises(ConfigError, match="^config invalid at experiment/distances_mm/1: "
+                                          "Infinity is not a finite number"):
+        config.validate_config(cfg)
 
 
 def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
