@@ -245,19 +245,19 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     the ``oneOf``.
     """
     if "type" in schema and not _is(value, schema["type"]):
-        yield path, path, f"{value!r} is not of type {schema['type']!r}"
+        yield path, path, f"{_repr(value)} is not of type {schema['type']!r}"
         return  # every other keyword beside a type applies to that type alone
     if schema.get("type") in ("number", "integer") and not abs(value) <= sys.float_info.max:
-        # NaN passes every bound; str() refuses an int past 4300 digits, so none is printed
+        # NaN passes every bound
         yield path, path, (f"{json.dumps(value)} is not a finite number"
                            if isinstance(value, float) else
-                           f"an integer of {value.bit_length()} bits is past the float range")
+                           f"{_repr(value)} is past the float range")
         return
     for key, arg in schema.items():
         if key == "const" and not _equal(value, arg):
             yield path, path, f"{arg!r} was expected"
         elif key == "enum" and not any(_equal(value, each) for each in arg):
-            yield path, path, f"{value!r} is not one of {arg!r}"
+            yield path, path, f"{_repr(value)} is not one of {arg!r}"
         elif key == "minimum" and value < arg:
             yield path, path, f"{value!r} is less than the minimum of {arg!r}"
         elif key == "maximum" and value > arg:
@@ -267,7 +267,8 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
         elif key == "pattern" and not re.search(arg, value):
             yield path, path, f"{value!r} does not match {arg!r}"
         elif key == "minItems" and len(value) < arg:
-            yield path, path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            yield path, path, (f"{_repr(value)} "
+                               f"{'should be non-empty' if arg == 1 else 'is too short'}")
         elif key == "items":
             for index, item in enumerate(value):
                 yield from _schema_errors(item, arg, path + (index,))
@@ -276,10 +277,11 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
                 if name in value:
                     yield from _schema_errors(value[name], sub, path + (name,))
         elif key == "additionalProperties":
-            extras = sorted((k for k in value if k not in schema["properties"]), key=str)
+            extras = sorted((k for k in value if k not in schema["properties"]),
+                            key=lambda k: k if isinstance(k, str) else _repr(k))
             if extras:
                 yield path, path, ("Additional properties are not allowed ("
-                                   f"{', '.join(map(repr, extras))} "
+                                   f"{', '.join(map(_repr, extras))} "
                                    f"{'was' if len(extras) == 1 else 'were'} unexpected)")
         elif key == "required":
             for name in arg:
@@ -294,6 +296,25 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
                 "properties": {"kind": {"enum": list(branches)}}}
             if best := _best(_schema_errors(value, branch, path)):
                 yield path, *best
+
+
+def _repr(value) -> str:
+    """``repr(value)``, with each int past the float range in it named by its bit length.
+
+    str() refuses an int past 4300 digits, so no such int is ever printed.
+    """
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(_repr, value))
+        return (f"[{items}]" if isinstance(value, list)
+                else f"({items}{',' * (len(value) == 1)})")
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:  # such an int inside a value of no JSON shape, a set say
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def _best(errors) -> tuple | None:
@@ -453,12 +474,14 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             if sid in seen:
                 raise ConfigError(f"subject id {sid!r} appears more than once")
             seen.add(sid)
+            _check_floats(f"subject {sid!r}", subject, [0.0])
             d = line_of_sight_mm(subject.position_mm, rig.geometry)  # enrolled standing
             _check_sight(f"subject {sid!r} at {d:.6g} mm line of sight", d, rig.train,
                          lens=lens, enrolment=True)
             _check_reach(f"subject {sid!r}", rig, subject, [0.0])  # it stands: t = 0 is any t
     elif kind == "iom":
         enrolment, walkers = iom_cast(cfg, rig)
+        _check_floats("iom enrolment", enrolment, [0.0])
         d = line_of_sight_mm(enrolment.position_mm, rig.geometry)
         _check_sight(f"iom enrolment at {d:.6g} mm line of sight", d, rig.train,
                      lens=lens, enrolment=True)
@@ -474,7 +497,23 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
                               f"ends at no finite time")
         widen = 1.0 + 2.0 * math.pi * JITTER_BANDWIDTH_HZ * (period + half) / 1000.0
         for variant, walker in walkers:
+            _check_floats(f"iom {variant} walker", walker, times, widen)
             _check_reach(f"iom {variant} walker", rig, walker, times, widen)
+
+
+def _check_floats(who: str, subject: Subject, times: list, widen: float = 1.0) -> None:
+    """Every eye within ``widen`` R of the walk between ``times``, R as in
+    ``_check_reach``, holds coordinates whose squares sum to a finite float.
+
+    Checked in plain floats: numpy, squaring an eye for its line of sight or
+    scaling the walk's velocity, overflows with a warning.  The walk is linear,
+    so its extremes lie at the ends of ``times``.
+    """
+    pad = widen * JITTER_REACH_SIGMAS * subject.jitter_sigma_mm
+    extent = [float(max(abs(p + v * (max(t, 0.0) / 1000.0)) for t in times)) + pad
+              for p, v in zip(subject.position_mm, subject.velocity_mmps)]
+    if not math.isfinite(sum(c * c for c in extent)):
+        raise ConfigError(f"{who} strays too far for its distance to be squared in a float")
 
 
 def _check_reach(who: str, rig: CaptureRig, subject: Subject, times: list,
@@ -546,12 +585,13 @@ def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:
 
 
 def iom_cast(cfg: dict, rig: CaptureRig) -> tuple[Subject, list[tuple[str, Subject]]]:
-    """The walker enrolled where the train is focused, and each variant's walk."""
+    """The walker enrolled where the train is focused, and each variant's walk,
+    whose subject id is the variant."""
     exp = cfg["experiment"]
     enrolment = subject_at("walker", exp["identity_seed"],
                            rig.train.d_ref_mm - rig.geometry.lens_height_mm,
                            exp["height_mm"], rig.geometry)
-    walkers = [(variant, subject_at("walker", exp["identity_seed"], exp["start_y_mm"],
+    walkers = [(variant, subject_at(variant, exp["identity_seed"], exp["start_y_mm"],
                                     exp["height_mm"], rig.geometry,
                                     velocity_mmps=(0.0, -exp["speed_mmps"], 0.0),
                                     jitter_sigma_mm=exp[key],

@@ -409,30 +409,33 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     enroll_rig = config.rig_from_config(cfg)
     period = enroll_rig.sensor.frame_period_ms
 
+    # each walker's subject id is its variant, under which the gallery enrols it
     enrolment, walkers = config.iom_cast(cfg, enroll_rig)
-    gallery = {"walker": _enroll_code(enroll_rig, enrolment, 7_000_777)}
+    gallery = dict.fromkeys((variant for variant, _ in walkers),
+                            _enroll_code(enroll_rig, enrolment, 7_000_777))
+    # one fresh rig per variant, both walkers exposed on one frame clock
+    log = track_and_capture([(config.rig_from_config(cfg), subject) for _, subject in walkers],
+                            n_frames=exp["n_frames"], start_frame=exp["start_frame"],
+                            gallery=gallery, noise_seed=cfg["seed"])
 
     rows = []
     frames = []
     stats: dict = {"variants": {}}
     summary = []
     for variant, subject in walkers:
-        rig = config.rig_from_config(cfg)
-        log = track_and_capture(rig, subject, n_frames=exp["n_frames"],
-                                start_frame=exp["start_frame"], gallery=gallery,
-                                noise_seed=cfg["seed"])
+        own = [e for e in log.frames() if e.target_id == variant]
         ranges = []
-        for i, e in enumerate(log.frames()):
-            t_mid = e.t_ms + rig.sensor.exposure_ms / 2.0
+        for i, e in enumerate(own):
+            t_mid = e.t_ms + enroll_rig.sensor.exposure_ms / 2.0
             rng_mm = float(np.linalg.norm(eye_position(subject, t_mid)))
             if e.quality_pass:
                 ranges.append(rng_mm)
             rows.append((variant, exp["start_frame"] + i, e.t_ms, rng_mm,
                          *(getattr(e, c) for c in IOM_FRAME_COLUMNS)))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
-                      for _, t, fr, _ in log.kept)
-        n_ok = len(log.qualified())
-        n_match = sum(1 for e in log.qualified() if e.matched)
+                      for tid, t, fr, _ in log.kept if tid == variant)
+        n_ok = sum(1 for e in own if e.quality_pass)
+        n_match = sum(1 for e in own if e.quality_pass and e.matched)
         stats["variants"][variant] = {
             "qualified": n_ok, "matched": n_match, "ranges_mm": ranges,
         }

@@ -25,10 +25,13 @@ the tight-crop box, clips and quantizes, once per call, in one box-sized
 buffer.  The noise is the first box-size normals of the seed's stream
 (``read_noise``).  Every sweep cell of repeat r exposes with that repeat's
 seed, so the streams of the last few seeds are held and each exposure slices
-its normals from them, drawing only what a larger box adds.  On a tight crop
-the box is the whole canvas.  A larger canvas, such as the 640x480 frame, is
-the clean sclera grey (``SCLERA_GREY``) outside the window and noise-free
-outside the box: nothing downstream reads beyond the iris.
+its normals from them, drawing only what a larger box adds.  The iom run's
+two heads expose frame i back to back under frame i's seed, so the second
+slices the stream the first just drew, and each frame's stream is drawn
+once.  On a tight crop the box is the whole canvas.  A larger canvas, such
+as the 640x480 frame, is the clean sclera grey (``SCLERA_GREY``) outside the
+window and noise-free outside the box: nothing downstream reads beyond the
+iris.
 """
 
 from __future__ import annotations

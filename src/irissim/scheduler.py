@@ -15,7 +15,10 @@ gallery the capture matches against.
 The tracking loop works on detections one frame old, the way an actual
 vision pipeline would: frame k+1 is commanded at frame k from positions
 observed up to frame k-1.  ``tracker_plan`` extrapolates each frame's eye
-at constant velocity from the last two detections.
+at constant velocity from the last two detections.  ``track_and_capture``
+runs heads, each a rig with its own devices tracking one subject, on one
+frame clock: frame i of every head is exposed back to back under frame i's
+noise seed, and each head's log is the one it would make alone.
 """
 
 from __future__ import annotations
@@ -228,20 +231,29 @@ def tracker_plan(rig: CaptureRig, subject: Subject, n_frames: int, start_frame: 
         t0, p0, t1, p1 = t1, p1, t_frame, eye_position(subject, t_frame)
 
 
-def track_and_capture(rig: CaptureRig, subject: Subject, *,
+def track_and_capture(heads: list[tuple[CaptureRig, Subject]], *,
                       n_frames: int, start_frame: int,
                       gallery: dict[str, IrisCode],
                       noise_seed: int = 0) -> EventLog:
-    """Expose every frame of ``tracker_plan``, commanded a frame ahead at the predicted eye."""
+    """Expose every frame of each head's ``tracker_plan``, commanded a frame ahead
+    at the predicted eye.
+
+    A head is a rig tracking one subject.  The heads share one frame clock:
+    frame i of every head is exposed back to back, in the given order, under
+    the noise seed of frame i, so a renderer that holds a few streams draws
+    each frame's read noise once however many heads expose it.  Each head's
+    events and kept frames are those it would log alone.
+    """
     log = EventLog()
-    plan = tracker_plan(rig, subject, n_frames, start_frame)
-    for i, (t_frame, _, eye_pred) in enumerate(plan):
-        t_cmd = t_frame - rig.sensor.frame_period_ms
-        pan, tilt, power = setpoints_for(rig, eye_pred)
-        rig.mirror.command(pan, tilt, t_cmd)
-        rig.lens.command(power, t_cmd)
-        log.events.append(Event(t_cmd, "command", subject.subject_id,
-                                pan_deg=pan, tilt_deg=tilt, power_dpt=power))
-        _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i),
-                       log, gallery)
+    plans = [tracker_plan(rig, subject, n_frames, start_frame) for rig, subject in heads]
+    for i, steps in enumerate(zip(*plans)):
+        seed = noise_seed_for(noise_seed, i)
+        for (rig, subject), (t_frame, _, eye_pred) in zip(heads, steps):
+            t_cmd = t_frame - rig.sensor.frame_period_ms
+            pan, tilt, power = setpoints_for(rig, eye_pred)
+            rig.mirror.command(pan, tilt, t_cmd)
+            rig.lens.command(power, t_cmd)
+            log.events.append(Event(t_cmd, "command", subject.subject_id,
+                                    pan_deg=pan, tilt_deg=tilt, power_dpt=power))
+            _attempt_frame(rig, subject, t_frame, seed, log, gallery)
     return log

@@ -436,6 +436,28 @@ def test_iom_walker_that_cannot_be_imaged_fails_validation(experiment, rig, word
         assert word in str(err.value)
 
 
+_TWO_SUBJECTS = [{"subject_id": "far", "identity_seed": 1, "distance_mm": 1e300,
+                  "height_mm": 1700.0},
+                 {"subject_id": "near", "identity_seed": 2, "distance_mm": 3000.0,
+                  "height_mm": 1700.0}]
+
+
+@pytest.mark.parametrize("command, experiment, sections, words", [
+    # numpy overflowed squaring the walk for its line of sight, then quoted an inf one
+    ("iom", {"speed_mmps": 1e300}, {}, ("iom jitter walker",)),
+    # numpy overflowed scaling the walk's velocity by the window's end
+    ("iom", {"speed_mmps": 1e300, "start_frame": 10 ** 10}, {}, ("iom jitter walker",)),
+    ("iom", {"height_mm": 1e300}, {}, ("iom enrolment",)),
+    ("iom", {}, {"rig": {"mirror_height_mm": 1e300}}, ("iom enrolment",)),
+    ("multiperson", {"subjects": _TWO_SUBJECTS}, {}, ("subject 'far'",)),
+], ids=["speed", "speed-and-start", "height", "mirror", "subject"])
+def test_eye_too_far_to_square_in_a_float_exits_2(tmp_path, capsys, command, experiment,
+                                                  sections, words):
+    cfg = {"version": 1, "experiment": {"kind": command, **experiment}, **sections}
+    _exits_2_naming(tmp_path, capsys, command, cfg,
+                    words + ("too far for its distance to be squared in a float",))
+
+
 @pytest.mark.parametrize("experiment, words", [
     # nearer than about 1.7 m the lens, clamped at +10 dpt, cannot focus
     ({"span_near_mm": 3500.0}, ("nearest position 1500 mm", "966 px defocus disk")),

@@ -157,6 +157,34 @@ def test_every_number_without_a_finite_float_fails_validation_naming_its_key(kin
         assert str(err.value).startswith(f"config invalid at {'/'.join(map(str, path))}: ")
 
 
+TOO_LONG_TO_PRINT = 10 ** 5000  # str() refuses an int past 4300 digits
+
+
+@pytest.mark.parametrize("kind, path, value, where", [
+    ("multiperson", ("experiment", "subjects", 0, "subject_id"), TOO_LONG_TO_PRINT,
+     "experiment/subjects/0/subject_id"),  # a type message
+    ("iom", ("lens", "mode"), TOO_LONG_TO_PRINT, "lens/mode"),  # an enum message
+    ("multiperson", ("experiment", "subjects"), [TOO_LONG_TO_PRINT],
+     "experiment/subjects"),  # a minItems message
+    ("iom", ("lens", TOO_LONG_TO_PRINT), 1.0, "lens"),  # an unexpected key
+    ("iom", ("experiment",), [-TOO_LONG_TO_PRINT, (TOO_LONG_TO_PRINT,), {1: TOO_LONG_TO_PRINT}],
+     "experiment"),  # deep in a value
+    ("multiperson", ("experiment", "subjects"), {TOO_LONG_TO_PRINT},
+     "experiment/subjects"),  # in a value of no JSON shape
+], ids=["type", "enum", "minItems", "key", "nested", "set"])
+def test_an_integer_too_long_to_print_is_never_printed(kind, path, value, where):
+    # built in Python: a file cannot hold such an int, json.load refuses it first
+    cfg = copy.deepcopy(config.default_config(kind) | FULL_DEVICES)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"^config invalid at {where}: ") as err:
+        config.validate_config(cfg)
+    assert ("a set holding an integer too long to print" if isinstance(value, set)
+            else "an integer of 16610 bits") in str(err.value)
+
+
 @pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
 def test_default_configs_validate(kind):
     cfg = config.default_config(kind)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -500,6 +501,42 @@ def test_iom_tracks_the_walker():
     assert v["nojitter"]["qualified"] >= 10
     for variant in v.values():
         assert all(2400.0 <= r <= 3400.0 for r in variant["ranges_mm"])
+
+
+def _all_written_bytes(result, out_dir):
+    experiments.write_result(result, out_dir, dump_frames=True)
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_canonical_iom_builds_each_noise_stream_once(monkeypatch):
+    # 15 frames exposed by both walkers on one frame clock, and the enrolment
+    built = []
+    init = renderer._NoiseStream.__init__
+
+    def counted(self, noise_seed):
+        built.append(noise_seed)
+        init(self, noise_seed)
+
+    renderer._noise_stream.cache_clear()
+    monkeypatch.setattr(renderer._NoiseStream, "__init__", counted)
+    experiments.run_iom(config.default_config("iom"))
+    assert len(built) == len(set(built)) == 16
+
+
+def test_iom_outputs_do_not_depend_on_the_noise_streams_held(tmp_path, monkeypatch):
+    cfg = config.default_config("iom")
+    renderer._noise_stream.cache_clear()
+    cold = _all_written_bytes(experiments.run_iom(cfg), tmp_path / "cold")
+    assert len(cold) == 2 + 30  # the CSV, the summary and every walker frame
+    # the run before left its last streams held, drawn over the same boxes
+    assert _all_written_bytes(experiments.run_iom(cfg), tmp_path / "warm") == cold
+    # no stream held, so every exposure draws its own; or one, which the
+    # second walker of each frame finds
+    for held in (0, 1):
+        monkeypatch.setattr(renderer, "_noise_stream",
+                            functools.lru_cache(maxsize=held)(renderer._NoiseStream))
+        assert _all_written_bytes(experiments.run_iom(cfg), tmp_path / f"held{held}") == cold
 
 
 def test_iom_summary_names_the_walking_speed():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from irissim.quality import QualityThresholds
 from irissim.scheduler import (
     CSV_COLUMNS,
     FOCAL_STACK_DPT,
+    Event,
     EventLog,
     _attempt_frame,
     capture_sequence,
+    noise_seed_for,
     plan_order,
     setpoints_for,
     track_and_capture,
@@ -342,7 +345,7 @@ def test_tracking_command_rows_log_the_requested_setpoint():
                    jitter_sigma_mm=0.0)
     rig = walking_rig()
     plan = list(tracker_plan(rig, walk, n_frames=3, start_frame=16))
-    log = track_and_capture(rig, walk, n_frames=3, start_frame=16,
+    log = track_and_capture([(rig, walk)], n_frames=3, start_frame=16,
                             gallery={"w": enroll_code(rig.train, 6001)}, noise_seed=11)
     commands = [e for e in log.events if e.event_type == "command"]
     requested = [setpoints_for(rig, eye)[2] for _, _, eye in plan]
@@ -359,9 +362,72 @@ def test_walking_subject_qualifies_frames():
                    jitter_sigma_mm=0.0)
     rig = walking_rig()
     gallery = {"w": enroll_code(rig.train, 6001)}
-    log = track_and_capture(rig, walk, n_frames=6, start_frame=16,
+    log = track_and_capture([(rig, walk)], n_frames=6, start_frame=16,
                             gallery=gallery, noise_seed=11)
     q = log.qualified()
     assert len(log.frames()) == 6
     assert len(q) == 6
     assert all(e.matched for e in q)
+
+
+def _track_head_by_head(heads, *, n_frames, start_frame, gallery, noise_seed):
+    """Reference: each head tracked alone through its whole window, one log per
+    head: the per-variant loop the iom run made before its walkers shared a
+    frame clock."""
+    logs = []
+    for rig, subject in heads:
+        log = EventLog()
+        plan = tracker_plan(rig, subject, n_frames, start_frame)
+        for i, (t_frame, _, eye_pred) in enumerate(plan):
+            t_cmd = t_frame - rig.sensor.frame_period_ms
+            pan, tilt, power = setpoints_for(rig, eye_pred)
+            rig.mirror.command(pan, tilt, t_cmd)
+            rig.lens.command(power, t_cmd)
+            log.events.append(Event(t_cmd, "command", subject.subject_id,
+                                    pan_deg=pan, tilt_deg=tilt, power_dpt=power))
+            _attempt_frame(rig, subject, t_frame, noise_seed_for(noise_seed, i), log, gallery)
+        logs.append(log)
+    return logs
+
+
+def _kept_as_comparable(kept):
+    """Kept exposures with each frame's and code's arrays as bytes."""
+    return [(tid, t, frame.image.tobytes(),
+             {f.name: getattr(frame, f.name) for f in fields(frame) if f.name != "image"},
+             code.bits.tobytes(), code.mask.tobytes())
+            for tid, t, frame, code in kept]
+
+
+@pytest.mark.parametrize("seed, n_frames, experiment, sections", [
+    *(pytest.param(seed, n, {}, {}, id=f"seed{seed}-{n}-frames")
+      for seed in range(4) for n in (1, 15)),
+    # both walkers take one walk
+    pytest.param(0, 15, {"ablation_jitter_sigma_mm": 3.0}, {}, id="equal-jitter"),
+    pytest.param(1, 15, {}, {"quality": {"min_px_across_iris": 10000.0}},
+                 id="every-frame-fails"),
+])
+def test_heads_on_one_frame_clock_log_what_each_logs_alone(seed, n_frames, experiment,
+                                                           sections):
+    cfg = config.default_config("iom") | {"seed": seed} | sections
+    cfg["experiment"].update(n_frames=n_frames, **experiment)
+    enrolment, walkers = config.iom_cast(cfg, rig_from_config(cfg))
+    gallery = dict.fromkeys((variant for variant, _ in walkers),
+                            experiments._enroll_code(rig_from_config(cfg), enrolment, 7_000_777))
+    kwargs = {"n_frames": n_frames, "start_frame": cfg["experiment"]["start_frame"],
+              "gallery": gallery, "noise_seed": seed}
+
+    def heads():  # a fresh rig per walker, its devices at rest
+        return [(rig_from_config(cfg), walker) for _, walker in walkers]
+
+    alone = _track_head_by_head(heads(), **kwargs)
+    lockstep = track_and_capture(heads(), **kwargs)
+    # frame i of each head in turn: its command, then its frame
+    assert lockstep.events == [e for i in range(n_frames)
+                               for log in alone for e in log.events[2 * i:2 * i + 2]]
+    for (variant, _), log in zip(walkers, alone):
+        assert _kept_as_comparable([k for k in lockstep.kept if k[0] == variant]) \
+            == _kept_as_comparable(log.kept)
+    if "quality" in sections:
+        assert not lockstep.kept and not lockstep.qualified()
+    else:
+        assert len(lockstep.kept) >= n_frames
