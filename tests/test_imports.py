@@ -1,7 +1,7 @@
 """Every name a package or test module imports is read somewhere in that module,
 every function and class the package defines is used somewhere in the package,
 and importing the command line leaves out every scipy package, jsonschema and the
-process pool."""
+process pool, and builds no texture weight matrix."""
 
 import ast
 import os
@@ -120,3 +120,10 @@ def test_cli_import_and_validation_leave_out_jsonschema_and_the_pool():
              "config.validate_config(config.default_config('iom')); "
              f"print(sorted(set({SERIAL_RUN_LEAVES_OUT!r}) & set(sys.modules)))")
     assert _fresh(probe) == ["[]"]
+
+
+def test_cli_import_builds_no_texture_weight_matrix():
+    # they are built on a sheet's first octave, so setup time never pays for them
+    probe = ("import irissim.cli; from irissim import texture; "
+             "print(texture._weights.cache_info().currsize)")
+    assert _fresh(probe) == ["0"]
