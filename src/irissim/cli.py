@@ -105,8 +105,9 @@ def _check_failures(kind: str, result: experiments.ExperimentResult) -> list[str
                f"self-match hd {s['self_match']:.4g}, want < 0.05")
         ps, mh, base = s["positions"], s["mean_hd"], s["base_mm"]
         outward = ([p for p in ps if p <= base][::-1], [p for p in ps if p >= base])
-        worst = max(((mh[a] - mh[b]) for seq in outward
-                     for a, b in zip(seq, seq[1:])), default=0.0)
+        # past the hd dof's threshold the pillbox disk's spurious resolution lifts contrast
+        worst = max(((mh[a] - mh[b]) for seq in outward for a, b in zip(seq, seq[1:])
+                     if max(mh[a], mh[b]) < iriscode.MATCH_THRESHOLD), default=0.0)
         expect(worst <= 0.02,
                f"hd backslides {worst:.4g} between adjacent points, want <= 0.02")
         near, far = experiments.analytic_extension_limits(s["rig"])

@@ -120,13 +120,20 @@ def test_schema_walker_keeps_jsonschemas_edges(edge, valid):
     assert _agrees_with_jsonschema(config.default_config("iom") | edge) == valid
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 310], ids=str)
-def test_walker_rejects_the_numbers_jsonschema_takes(value):
+@pytest.mark.parametrize("value, path", [
+    (math.nan, ("lens", "settle_ms")), (10 ** 310, ("seed",)),
+    (10 ** 310, ("experiment", "motion_seed"))], ids=["nan", "seed", "motion_seed"])
+def test_walker_rejects_the_numbers_jsonschema_takes(value, path):
     # the walker's one departure from jsonschema: a number must hold a finite float,
-    # where jsonschema takes NaN anywhere and inf or a huge int above a minimum
-    cfg = config.default_config("iom") | {"lens": {"settle_ms": value}}
+    # where jsonschema takes NaN anywhere and a huge int at a seed, the one unbounded
+    # number; an infinity is past every other number's bounds and is no integer
+    cfg = config.default_config("iom")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    parent[path[-1]] = value
     assert ORACLE.is_valid(cfg)
-    with pytest.raises(ConfigError, match="^config invalid at lens/settle_ms: "):
+    with pytest.raises(ConfigError, match=f"^config invalid at {'/'.join(path)}: "):
         config.validate_config(cfg)
 
 
@@ -155,6 +162,125 @@ def test_every_number_without_a_finite_float_fails_validation_naming_its_key(kin
         with pytest.raises(ConfigError) as err:
             config.validate_config(cfg)
         assert str(err.value).startswith(f"config invalid at {'/'.join(map(str, path))}: ")
+
+
+def _at(cfg, path: tuple):
+    """The value at ``path`` in ``cfg``."""
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _schema_at(path: tuple, kind: str) -> dict:
+    """The schema node of the config location ``path`` in a config of ``kind``."""
+    node = config.SCHEMA
+    for key in path:
+        if "oneOf" in node:
+            node = next(b for b in node["oneOf"] if b["properties"]["kind"]["const"] == kind)
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    return node
+
+
+SEED_KEYS = {"seed", "identity_seed", "motion_seed"}  # exact ints that no bound needs
+
+
+def _schema_numbers(node, key=None):
+    """(key, node) of every number or integer node in the schema under ``node``."""
+    if node.get("type") in ("number", "integer"):
+        yield key, node
+    for name, sub in node.get("properties", {}).items():
+        yield from _schema_numbers(sub, name)
+    for sub in node.get("oneOf", []):
+        yield from _schema_numbers(sub, key)
+    if "items" in node:
+        yield from _schema_numbers(node["items"], key)
+
+
+def test_every_number_in_the_schema_is_bounded():
+    # bounded inputs keep every sum, product and quotient of config numbers finite
+    numbers = list(_schema_numbers(config.SCHEMA))
+    assert {key for key, node in numbers if "maximum" not in node} == SEED_KEYS
+    for key, node in numbers:
+        assert ("minimum" in node) != ("exclusiveMinimum" in node), key
+        if key not in SEED_KEYS:
+            assert math.isfinite(node["maximum"]), key
+
+
+def _edges(node) -> list:
+    """The ends of the schema interval of ``node`` and values just inside them."""
+    if node["type"] == "integer":
+        lo, hi = node["minimum"], node.get("maximum", 2 ** 1023)
+        return [lo, lo + 1, hi - 1, hi]
+    lo = node.get("minimum", node.get("exclusiveMinimum"))
+    lo = math.nextafter(lo, math.inf) if "exclusiveMinimum" in node else lo
+    hi = node["maximum"]
+    return [lo, math.nextafter(lo, hi), lo + abs(lo) * 1e-9 + 1e-300,
+            hi, math.nextafter(hi, lo), hi - abs(hi) * 1e-9]
+
+
+def _in_bounds(node):
+    """Values inside the schema interval of ``node``, its edges weighted."""
+    edges = _edges(node)
+    inside = st.integers if node["type"] == "integer" else st.floats
+    return st.one_of(st.sampled_from(edges), inside(edges[0], edges[3]))
+
+
+# the FULL_DEVICES keys each kind's canonical config cannot take: the sweeps set the
+# zoom and focus themselves and find no train at a 1 m base behind a 250 mm separation,
+# and the iom walker needs more than 50 deg of tilt
+CLASHING_DEVICES = {"dof_extension": ("f_zoom_mm", "d_ref_mm", "d_ot_mm"),
+                    "hd_curve": ("f_zoom_mm", "d_ref_mm"), "iom": ("tilt_max_deg",)}
+
+
+def _full_config(kind: str) -> dict:
+    """The canonical config of ``kind`` with every FULL_DEVICES key it can take."""
+    cfg = copy.deepcopy(config.default_config(kind) | FULL_DEVICES)
+    for section in cfg.values():
+        if isinstance(section, dict):
+            for key in CLASHING_DEVICES.get(kind, ()):
+                section.pop(key, None)
+    return cfg
+
+
+def _drawable(kind: str, cfg: dict) -> list:
+    """The path of every number in ``cfg``, a config of ``kind``, but its version."""
+    return [path for k, path in _numeric_leaves()
+            if k == kind and path != ("version",) and path[-1] in _at(cfg, path[:-1])]
+
+
+def _validates_or_fails_closed(cfg: dict) -> bool:
+    """Whether ``cfg`` validates; a ConfigError is the one other outcome allowed."""
+    try:
+        config.validate_config(cfg)
+        return True
+    except ConfigError:
+        return False
+
+
+@pytest.mark.parametrize("kind", list(config._EXPERIMENTS))
+def test_each_number_at_the_edges_of_its_bounds_validates_or_fails_closed(kind):
+    # each number alone at an end of its interval or just inside it; the full
+    # config itself validates, so the number is what each verdict turns on
+    assert _validates_or_fails_closed(_full_config(kind))
+    for path in _drawable(kind, _full_config(kind)):
+        for value in _edges(_schema_at(path, kind)):
+            cfg = _full_config(kind)
+            _at(cfg, path[:-1])[path[-1]] = value
+            _validates_or_fails_closed(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(config._EXPERIMENTS)), data=st.data())
+def test_every_config_inside_the_schema_bounds_validates_or_fails_closed(kind, data):
+    # numeric leaves drawn each from its own schema interval: validation returns or
+    # raises ConfigError, never another exception nor a warning
+    cfg = _full_config(kind)
+    own = _drawable(kind, cfg)
+    # a few leaves mostly, so that many configs are valid; now and then many at once
+    n = data.draw(st.one_of(st.integers(1, 3), st.integers(1, len(own))))
+    for path in data.draw(st.permutations(own))[:n]:
+        _at(cfg, path[:-1])[path[-1]] = data.draw(_in_bounds(_schema_at(path, kind)))
+    event("valid" if _validates_or_fails_closed(cfg) else "config error")
 
 
 TOO_LONG_TO_PRINT = 10 ** 5000  # str() refuses an int past 4300 digits
@@ -360,11 +486,6 @@ def test_side_walk_counts_a_fine_grid_without_listing_it():
     assert abs(n - 10 ** 10) <= 2
     assert position(n - 1) <= 15000.0 < position(n)
     assert config.walk_renders(n) == 2 * 34 + 2
-    # a walk too long to index in floats queues inf renders, which validation rejects
-    assert config.side_walk(1e10, 5e-324, 1.0)[0] == config.walk_renders(math.inf) == math.inf
-    cfg = {"version": 1, "experiment": {"kind": "dof_extension", "grid_mm": 5e-324}}
-    with pytest.raises(ConfigError, match="queues up to inf renders"):
-        config.validate_config(cfg)
 
 
 def _replay_walkers(cfg: dict) -> None:
