@@ -3,7 +3,8 @@
 Every empirical default in the package (blur-circle tolerance, pixel-scale
 calibration, sharpness floor, astigmatism growth) is the output of one of
 these solvers.  Shipping them means a model change that silently moves an
-anchor turns into a loud test failure instead of a quiet drift.
+anchor turns into a loud test failure instead of a quiet drift.  The solvers
+judge the canonical 5 m sweep's own frames; its identity and repeats are stated here.
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ from . import optics, quality
 from .optics import OpticalTrain, bisect_root
 from .renderer import DEFAULT_K_AST, render_eye
 from .scene import RigGeometry, aim_angles
+from .scheduler import noise_seed_for
 
 CAL_IDENTITY_SEED = 9000
+CAL_REPEATS = 5
 CAL_NOISE_SEED = 9
-# noise seeds of the default 5-repeat sweep protocol (global seed 0)
-CAL_SWEEP_NOISE_SEEDS = (0, 1, 2, 3, 4)
+CAL_SWEEP_NOISE_SEEDS = tuple(noise_seed_for(0, r) for r in range(CAL_REPEATS))
 
 DOF_ANCHOR_MM = 91.0       # bare-lens depth of field at the 350 mm / 5 m point
-PX_ANCHOR_DISTANCE = 7700.0
-PX_ANCHOR_COUNT = 200.0
+PX_ANCHOR_DISTANCE = 7700.0  # the iris spans the resolution gate's pixels here
 ASTIG_ANCHOR_DISTANCE = 3800.0  # refocus here should sit exactly on the floor
 PROBE_RIG = RigGeometry()  # probe_frame's eye sits d - lens_height_mm out
 
@@ -40,7 +41,7 @@ def solve_pixel_scale() -> float:
     """Calibration factor putting the anchor pixel count across the iris."""
     train = OpticalTrain(pixel_scale_cal=1.0)
     raw = optics.pixels_across_iris(train, PX_ANCHOR_DISTANCE)
-    return PX_ANCHOR_COUNT / raw
+    return quality.MIN_PX_ACROSS_IRIS / raw
 
 
 def one_coc_power_offset(train: OpticalTrain) -> float:
@@ -69,11 +70,6 @@ def probe_frame(train: OpticalTrain, d: float, power: float, *,
                       base_canvas=(0, 0))
 
 
-def _sharpness_of(frame) -> float:
-    return quality.sharpness_score(frame.image, frame.cx, frame.cy,
-                                   frame.r_pupil_px, frame.r_iris_px)
-
-
 def solve_sharpness_min() -> float:
     """Sharpness of the calibration eye defocused by exactly one blur circle.
 
@@ -83,7 +79,7 @@ def solve_sharpness_min() -> float:
     power = optics.tunable_power_for_focus(train, train.d_ref_mm)
     frame = probe_frame(train, train.d_ref_mm, power + one_coc_power_offset(train),
                         k_ast=0.0)
-    return _sharpness_of(frame)
+    return quality.evaluate(frame).sharpness
 
 
 def solve_k_ast() -> float:
@@ -93,16 +89,16 @@ def solve_k_ast() -> float:
     coefficient makes the membrane blur alone consume the whole sharpness
     budget there, which is what pins the near end of the refocused range.
     The anchor is judged the way the sweep experiment judges it: mean score
-    over the default 5-repeat noise seeds, so the measured front limit sits
-    on the anchor rather than half a noise-wobble off it.
+    over the sweep's repeats, so the measured front limit sits on the anchor
+    rather than half a noise-wobble off it.
     """
     train = OpticalTrain()
     power = optics.tunable_power_for_focus(train, ASTIG_ANCHOR_DISTANCE)
 
     def gap(k: float) -> float:
         scores = [
-            _sharpness_of(probe_frame(train, ASTIG_ANCHOR_DISTANCE, power,
-                                      k_ast=k, noise_seed=ns))
+            quality.evaluate(probe_frame(train, ASTIG_ANCHOR_DISTANCE, power,
+                                         k_ast=k, noise_seed=ns)).sharpness
             for ns in CAL_SWEEP_NOISE_SEEDS
         ]
         return sum(scores) / len(scores) - quality.DEFAULT_SHARPNESS_MIN

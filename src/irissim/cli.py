@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--check", action="store_true",
                        help="verify the published bounds for this experiment")
         s.add_argument("--parallel", action="store_true",
-                       help="map independent sweep cells over a process pool")
+                       help="map independent sweep units over a process pool; only "
+                            "dof-extension and hd-curve have units, the others run serially")
     cal = sub.add_parser("calibrate",
                          help="re-derive the fitted constants from their anchors")
     cal.add_argument("--out", type=Path, help="also write calibration.txt here")

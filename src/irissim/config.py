@@ -58,8 +58,8 @@ follow: the side walks (``side_walk``), the hd_curve grid (``hd_positions``),
 the multiperson cast and the iom enrolment and walkers (``multiperson_cast``,
 ``iom_cast``; a walker walks at constant velocity from t = 0).  Every sight
 passes one predicate, ``_check_sight``, and every subject's sights and aims
-one box check over all its motion can reach, ``_check_reach``.  Subject ids
-must be unique.
+one box check over all its motion can reach, ``_check_reach``; a rendered sight's
+crop fits the sensor (``_check_crop``).  Subject ids must be unique.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from . import calibration, iriscode, optics
 from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
 from .optics import OpticalTrain
 from .quality import QualityThresholds
-from .renderer import BASE_WIDTH
+from .renderer import _MARGIN, BASE_WIDTH
 from .scene import JITTER_BANDWIDTH_HZ, JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
     eye_position, line_of_sight_mm, subject_at
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
@@ -158,8 +158,8 @@ _EXPERIMENTS: dict[str, dict[str, tuple[dict, object]]] = {
         "base_distances_mm": ({"type": "array", "items": _LENGTH, "minItems": 1},
                               [1000.0, 3000.0, 5000.0]),
         "grid_mm": (_number(1e-3, 1e6), 10.0),
-        "repeats": (_COUNT, 5),
-        "identity_seed": (_SEED, 9000),
+        "repeats": (_COUNT, calibration.CAL_REPEATS),
+        "identity_seed": (_SEED, calibration.CAL_IDENTITY_SEED),
     },
     "hd_curve": {
         "base_mm": (_LENGTH, 5000.0),
@@ -468,6 +468,10 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             except ValueError as err:
                 raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
             _check_sight(f"dof_extension base {base:.6g} mm", base, train, leg=leg)
+            n, position = side_walk(base, exp["grid_mm"], -1.0)  # cell n - 1 images the most
+            near = position(n - 1)
+            _check_crop(f"dof_extension base {base:.6g} mm's nearest cell {near:.6g} mm",
+                        optics.pixels_across_iris(train, near))
     elif kind == "hd_curve":
         train = rig_from_config(cfg, exp["base_mm"]).train
         positions = hd_positions(exp)
@@ -534,10 +538,10 @@ def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
                  lens: LensParams | None = None, enrolment: bool = False) -> None:
     """``where``, ``d`` mm down the line of sight, is beyond the zoom focal length and ``leg``.
 
-    Given the ``lens``, an enrolment lies within focus reach and spans
-    ``iriscode.MIN_PX_TO_DETECT``, and the defocus disk of the power
-    ``lens.clamp`` holds fits the frame: a wider one holds no image and its
-    render grows with its square.
+    Given the ``lens``, the sight is rendered: an enrolment lies within focus
+    reach and spans ``iriscode.MIN_PX_TO_DETECT``, the crop fits the sensor,
+    and the defocus disk of the power ``lens.clamp`` holds fits the frame: a
+    wider one holds no image and its render grows with its square.
     """
     f = train.f_zoom_mm
     if d <= f:
@@ -555,11 +559,20 @@ def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
     if enrolment and px < iriscode.MIN_PX_TO_DETECT:
         raise ConfigError(f"{where} images {px:.6g} px across the iris, fewer than the "
                           f"{iriscode.MIN_PX_TO_DETECT:.6g} px iris detection needs")
+    _check_crop(where, px)
     blur = optics.blur_on_sensor_mm(train, lens.clamp(power), d) / optics.PIXEL_PITCH_MM
     if blur > BASE_WIDTH:
         raise ConfigError(
             f"{where} is so far out of focus reach that its "
             f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
+
+
+def _check_crop(where: str, px: float) -> None:
+    """A rendered iris ``px`` pixels across has its tight crop within the sensor's width."""
+    side = 2 * math.ceil(_MARGIN * px / 2.0)  # the render grows with its square
+    if side > optics.SENSOR_PX_H:
+        raise ConfigError(f"{where} images {px:.6g} px across the iris, a {side} px crop "
+                          f"wider than the {optics.SENSOR_PX_H} px sensor")
 
 
 def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:

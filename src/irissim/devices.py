@@ -3,7 +3,8 @@
 Each device is a small state machine driven by timestamped commands; sampling
 never mutates state.  A device owns one seeded random stream, so a replay with
 the same seed and the same command sequence reproduces identical samples.
-Times are milliseconds on the simulation clock.
+Times are milliseconds on the simulation clock; a device never commanded was
+last commanded at -inf, so at any time it has settled on its rest value.
 """
 
 from __future__ import annotations
@@ -41,17 +42,14 @@ class LensParams:
     power_range: tuple[float, float] = (-10.0, 10.0)  # hardware envelope, bounds the config
     response_ms: float = 5.0
     settle_ms: float = 25.0
-    settle_filtered_ms: float = 12.5
     repeatability_dpt: float = 0.1
     mode: str = "raw"  # "filtered" low-passes the drive
 
     def __post_init__(self):
         if self.power_range[0] >= self.power_range[1]:
             raise ValueError("power range must be ordered")
-        # the settle time in use, and settle_ms in either mode
-        settle = min(self.settle_ms, self.settle_time)
-        if settle < self.response_ms:
-            raise ValueError(f"settle time {settle:.6g} ms is shorter than the "
+        if self.settle_time < self.response_ms:
+            raise ValueError(f"settle time {self.settle_time:.6g} ms is shorter than the "
                              f"{self.response_ms:.6g} ms response: settling cannot "
                              f"finish before the response starts")
         if self.mode not in ("raw", "filtered"):
@@ -62,7 +60,8 @@ class LensParams:
 
     @property
     def settle_time(self) -> float:
-        return self.settle_filtered_ms if self.mode == "filtered" else self.settle_ms
+        """The settle time in use: the filtered drive settles in half of ``settle_ms``."""
+        return self.settle_ms / 2.0 if self.mode == "filtered" else self.settle_ms
 
     def clamp(self, power_dpt: float) -> float:
         """``power_dpt`` held to the power range; out of focus reach, the limit on its side."""
@@ -75,11 +74,11 @@ class TunableLens:
 
     A setpoint is clamped by ``LensParams.clamp``, the one lens clamp, and
     snapped to the drive current's step.  Commands take effect after
-    ``response_ms``, ring as a damped cosine until ``settle_ms`` (halved with a
-    low-pass filtered drive), then hold at the target plus a per-command
-    repeatability offset drawn once from the seeded stream.  A command issued
-    mid-settle restarts the clock from the value the lens had at that instant;
-    the latest command always wins.
+    ``response_ms``, ring as a damped cosine until ``LensParams.settle_time``,
+    then hold at the target plus a per-command repeatability offset drawn
+    once from the seeded stream.  A command issued mid-settle restarts the
+    clock from the value the lens had at that instant; the latest command
+    always wins.
     """
 
     def __init__(self, params: LensParams = LensParams(), seed: int = 0):
@@ -107,16 +106,12 @@ class TunableLens:
 
     @property
     def settled_at(self) -> float:
-        if self._cmd_t == -math.inf:
-            return -math.inf
         return self._cmd_t + self.params.settle_time
 
     def is_settled(self, t_ms: float) -> bool:
         return t_ms >= self.settled_at
 
     def power_at(self, t_ms: float) -> float:
-        if self._cmd_t == -math.inf:
-            return self._target
         dt = t_ms - self._cmd_t
         if dt < self.params.response_ms:
             return self._prev
@@ -194,15 +189,13 @@ class SteeringMirror:
 
     @property
     def settled_at(self) -> float:
-        if self._cmd_t == -math.inf:
-            return -math.inf
         return self._cmd_t + self.slew_time_ms(*self._to, from_pose=self._from)
 
     def is_settled(self, t_ms: float) -> bool:
         return t_ms >= self.settled_at
 
     def pose_at(self, t_ms: float) -> tuple[float, float]:
-        if self._cmd_t == -math.inf or t_ms >= self.settled_at:
+        if t_ms >= self.settled_at:
             return self._to
         dt = max(t_ms - self._cmd_t, 0.0)
         travel = self.params.max_speed_dps * dt / 1000.0

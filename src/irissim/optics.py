@@ -127,13 +127,11 @@ def combined_focal_length(f_a: float, f_b: float, separation: float) -> float:
 
         1/f = 1/f_a + 1/f_b - separation / (f_a * f_b)
 
-    Either focal length may be inf (a flat element).  A zero right-hand
-    side means the pair is afocal, which has no focal length to return.
+    Either focal length may be inf (a flat element): 1/inf and s/inf are 0.
+    A zero right-hand side means the pair is afocal, which has no focal
+    length to return.
     """
-    inv_a = 0.0 if math.isinf(f_a) else 1.0 / f_a
-    inv_b = 0.0 if math.isinf(f_b) else 1.0 / f_b
-    cross = 0.0 if (math.isinf(f_a) or math.isinf(f_b)) else separation / (f_a * f_b)
-    rhs = inv_a + inv_b - cross
+    rhs = 1.0 / f_a + 1.0 / f_b - separation / (f_a * f_b)
     if rhs == 0.0:
         raise AfocalSystemError(f"lens pair ({f_a}, {f_b}, sep {separation}) is afocal")
     return 1.0 / rhs
@@ -296,8 +294,6 @@ def field_of_view_deg(train: OpticalTrain) -> float:
 def capture_volume_m3(train: OpticalTrain, d: float) -> float:
     """Single-pose capture volume: bare-lens DoF times the transverse FoV square."""
     dof = depth_of_field(train.f_zoom_mm, train.n_stop, d, train.coc_mm)
-    if math.isinf(dof.total_mm):
-        return math.inf
     half = math.radians(field_of_view_deg(train) / 2.0)
     width = 2.0 * d * math.tan(half)
     return dof.total_mm * width * width * 1e-9

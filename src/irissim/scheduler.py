@@ -127,10 +127,7 @@ def plan_order(rig: CaptureRig, targets: list[Subject],
 
 
 def noise_seed_for(seed: int, index: int) -> int:
-    """Noise seed of the index-th render of a run with the given seed.
-
-    ``calibration.solve_k_ast`` averages over the seeds this gives for seed 0.
-    """
+    """Noise seed of the index-th render of a run with the given seed."""
     return int(seed) * 1_000_003 + index
 
 

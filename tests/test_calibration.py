@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from irissim import calibration as cal
+from irissim import config, experiments, renderer
 from irissim.optics import (
     DEFAULT_COC_MM,
     DEFAULT_PIXEL_SCALE_CAL,
@@ -46,3 +48,21 @@ def test_astigmatism_anchor_sits_on_the_floor():
     score = sharpness_score(frame.image, frame.cx, frame.cy,
                             frame.r_pupil_px, frame.r_iris_px)
     assert score == pytest.approx(DEFAULT_SHARPNESS_MIN, abs=2e-3)
+
+
+@pytest.mark.parametrize("repeat", range(cal.CAL_REPEATS))
+def test_calibration_judges_the_sweeps_own_frames(repeat):
+    # the solvers' anchor frame is the canonical 5 m sweep's frame at that distance
+    cfg = config.default_config("dof_extension")
+    power = tunable_power_for_focus(OpticalTrain(), cal.ASTIG_ANCHOR_DISTANCE)
+    solver = cal.probe_frame(OpticalTrain(), cal.ASTIG_ANCHOR_DISTANCE, power,
+                             noise_seed=cal.CAL_SWEEP_NOISE_SEEDS[repeat])
+    sweep = experiments._probe(cfg, config.rig_from_config(cfg, 5000.0),
+                               cal.ASTIG_ANCHOR_DISTANCE, cfg["experiment"]["identity_seed"],
+                               repeat)
+    assert np.array_equal(solver.image, sweep.image)
+
+
+def test_noise_streams_hold_every_canonical_repeat():
+    # renderer imports neither calibration nor config, so it restates the count
+    assert renderer._NOISE_STREAMS >= cal.CAL_REPEATS

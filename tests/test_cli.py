@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from irissim import cli, config, experiments
+from irissim import cli, config, experiments, optics
 
 
 def test_dof_table_writes_outputs(tmp_path):
@@ -54,12 +54,20 @@ def test_seed_override(tmp_path):
     assert (out / "multiperson.csv").exists()
 
 
+# what the solvers print for the frozen inputs: a change to what they read
+# shows as a text diff here, not as a drift inside a tolerance
+CALIBRATION_TXT = """\
+coc_mm: solved 0.04993986124  frozen 0.0499
+pixel_scale_cal: solved 1.72359538  frozen 1.7235954
+sharpness_min: solved 0.03016553602  frozen 0.0301655
+k_ast: solved 0.1908001709  frozen 0.1908002
+"""
+
+
 def test_calibrate_reports_all_constants(tmp_path, capsys):
     assert cli.main(["calibrate", "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "calibration.txt").read_text()
-    for name in ("coc_mm", "pixel_scale_cal", "sharpness_min", "k_ast"):
-        assert name in text
-    assert capsys.readouterr().out.count("solved") == 4
+    assert (tmp_path / "calibration.txt").read_text() == CALIBRATION_TXT
+    assert capsys.readouterr().out == CALIBRATION_TXT
 
 
 def test_check_hd_curve_with_a_single_position():
@@ -264,7 +272,14 @@ def test_filtered_lens_settling_before_its_response_exits_2(tmp_path, capsys):
     cfg = config.default_config("multiperson")
     cfg["lens"] = {"response_ms": 40.0, "settle_ms": 40.0, "mode": "filtered"}
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
-                    ("settle time 12.5 ms", "40 ms response"))
+                    ("settle time 20 ms", "40 ms response"))
+
+
+def test_filtered_settle_time_has_no_key_of_its_own(tmp_path, capsys):
+    # the filtered drive settles in half of settle_ms
+    cfg = config.default_config("multiperson") | {"lens": {"settle_filtered_ms": 12.5}}
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("config invalid at lens: ", "'settle_filtered_ms' was unexpected"))
 
 
 @pytest.mark.parametrize("command, kind", [("dof-extension", "dof_extension"),
@@ -479,8 +494,28 @@ def test_pixel_scale_past_its_bound_exits_2(tmp_path, capsys, scale):
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     (f"config invalid at train/pixel_scale_cal: {scale!r} is greater than "
                      f"the maximum of {config.MAX_PIXEL_SCALE_CAL!r}",))
-    cfg["train"]["pixel_scale_cal"] = 30.0
+    cfg["train"]["pixel_scale_cal"] = 20.0
     config.validate_config(cfg)
+
+
+@pytest.mark.parametrize("scale, crop", [(22.0, 4084), (25.0, 4640)])
+def test_crop_wider_than_the_sensor_exits_2(tmp_path, capsys, scale, crop):
+    # at 20 the seated subject's crop is 3712 px and a run takes about 1 GB
+    cfg = config.default_config("multiperson") | {"train": {"pixel_scale_cal": scale}}
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("subject 'seated'", f"a {crop} px crop wider than the 4080 px sensor"))
+
+
+def test_dof_extension_nearest_cell_wider_than_the_sensor_exits_2(tmp_path, capsys):
+    # the base cell's crop fits; the front walk's last cell, 0.3 of the base, does not
+    cfg = {"version": 1, "seed": 0,
+           "experiment": {"kind": "dof_extension", "base_distances_mm": [1000.0]},
+           "train": {"pixel_scale_cal": 17.0}}
+    base_px = optics.pixels_across_iris(config.rig_from_config(cfg, 1000.0).train, 1000.0)
+    assert 2 * math.ceil(1.3 * base_px / 2.0) <= optics.SENSOR_PX_H
+    _exits_2_naming(tmp_path, capsys, "dof-extension", cfg,
+                    ("dof_extension base 1000 mm's nearest cell 300 mm",
+                     "a 4086 px crop wider than the 4080 px sensor"))
 
 
 @pytest.mark.parametrize("experiment, words", [

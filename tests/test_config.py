@@ -22,8 +22,7 @@ FULL_DEVICES = {
     "train": {"f_zoom_mm": 300.0, "n_stop": 5.6, "d_ref_mm": 4500.0,
               "d_ot_mm": 250.0, "coc_mm": 0.05, "pixel_scale_cal": 1.5},
     "lens": {"power_min_dpt": -8.0, "power_max_dpt": 9.0, "response_ms": 4.0,
-             "settle_ms": 20.0, "settle_filtered_ms": 10.0,
-             "repeatability_dpt": 0.05, "mode": "filtered"},
+             "settle_ms": 20.0, "repeatability_dpt": 0.05, "mode": "filtered"},
     "mirror": {"pan_min_deg": -90.0, "pan_max_deg": 90.0, "tilt_min_deg": -30.0,
                "tilt_max_deg": 50.0, "resolution_deg": 0.02, "max_speed_dps": 10000.0},
     "sensor": {"frame_rate_hz": 25.0, "exposure_ms": 2.5},
@@ -387,8 +386,7 @@ def test_every_schema_key_reaches_the_rig():
             assert getattr(obj, key) == value, (section, key)
     lens, mirror = FULL_DEVICES["lens"], FULL_DEVICES["mirror"]
     assert rig.lens.params.power_range == (lens["power_min_dpt"], lens["power_max_dpt"])
-    for key in ("response_ms", "settle_ms", "settle_filtered_ms", "repeatability_dpt",
-                "mode"):
+    for key in ("response_ms", "settle_ms", "repeatability_dpt", "mode"):
         assert getattr(rig.lens.params, key) == lens[key]
     assert rig.mirror.params.pan_range == (mirror["pan_min_deg"], mirror["pan_max_deg"])
     assert rig.mirror.params.tilt_range == (mirror["tilt_min_deg"], mirror["tilt_max_deg"])

@@ -121,8 +121,8 @@ def test_lens_replay_deterministic():
 
 @pytest.mark.parametrize("mode, settle_ms, settle", [
     ("raw", 30.0, "30"),
-    # settled from 12.5 ms while the drive holds the old power until 40 ms
-    ("filtered", 40.0, "12.5"),
+    # half of settle_ms, before the drive leaves the old power at 40 ms
+    ("filtered", 40.0, "20"),
 ])
 def test_lens_rejects_settling_before_the_response(mode, settle_ms, settle):
     with pytest.raises(ValueError, match=f"settle time {settle} ms is shorter than the 40 ms"):
