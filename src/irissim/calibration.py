@@ -45,11 +45,9 @@ def solve_pixel_scale() -> float:
 
 
 def one_coc_power_offset(train: OpticalTrain) -> float:
-    """Tunable-lens detuning that defocuses by exactly one blur circle."""
-    v1 = optics.thin_lens_image_distance(train.f_zoom_mm, train.d_ref_mm)
-    w = v1 - train.d_ot_mm
-    a1 = train.aperture_mm * w / v1
-    return 1000.0 * train.coc_mm / (a1 * train.sensor_back_mm)
+    """Tunable-lens detuning that defocuses by exactly one blur circle: at
+    ``d_ref_mm`` the blur is 0 at 0 dpt and grows linearly with power."""
+    return train.coc_mm / optics.blur_on_sensor_mm(train, 1.0, train.d_ref_mm)
 
 
 def probe_frame(train: OpticalTrain, d: float, power: float, *,

@@ -31,7 +31,7 @@ durations (``*_ms``)       (0, 1e6] ms         1000 s
 ``max_speed_dps``          [0.36, 1e6] deg/s   a full-turn slew within them
 ``resolution_deg``         [1e-6, 360] deg     at most a full turn
 ``n_stop``                 [0.5, 1000]         f/0.5 is a lens in air's limit
-``pixel_scale_cal``        (0, 45.96]          640/24 x 1.7236: a 24 px iris fills the frame
+``pixel_scale_cal``        (0, 1e6]            a render's crop check (``_check_crop``) bounds it
 ``repeatability_dpt``      [0, 20] dpt         the +-10 dpt envelope's span
 ``sharpness_min``          (0, 1]              canonical frames score below 0.06
 ``min_px_across_iris``     (0, 1e6] px         245x the sensor's 4080 px
@@ -51,8 +51,9 @@ then fills the omitted keys (``validate_config``; the device sections fall
 back to the dataclass defaults, not to the scenario's overrides), bounds the
 worst-case renders the config queues (``queued_renders``, at most
 ``MAX_RENDERS``) and builds the rig, so the dataclasses' own checks (ordered
-ranges, an exposure inside one frame, a lens separation inside the focal
-length, a repeatability no wider than the power range) reject a bad config.
+ranges, a brightness window that is not empty, an exposure inside one frame, a
+lens separation inside the focal length, a repeatability no wider than the
+power range) reject a bad config.
 It builds the train of every sweep base and reads the plans the runners
 follow: the side walks (``side_walk``), the hd_curve grid (``hd_positions``),
 the multiperson cast and the iom enrolment and walkers (``multiperson_cast``,
@@ -91,8 +92,6 @@ MAX_RENDERS = 100_000
 # a dof_extension side is a runaway scan once it leaves these multiples of
 # its base without its gate failing
 GUARD_FRACTIONS = (0.3, 3.0)
-MAX_PIXEL_SCALE_CAL = round(BASE_WIDTH / iriscode.MIN_PX_TO_DETECT
-                            * optics.DEFAULT_PIXEL_SCALE_CAL, 2)
 
 
 class ConfigError(ValueError):
@@ -215,7 +214,7 @@ SCHEMA = _obj({
         for kind, keys in _EXPERIMENTS.items()]},
     "train": _section(OpticalTrain, f_zoom_mm=_number(*optics.ZOOM_RANGE_MM),
                       n_stop=_number(0.5, 1000.0),
-                      pixel_scale_cal=_number(0, MAX_PIXEL_SCALE_CAL, open_lo=True)),
+                      pixel_scale_cal=_number(0, 1e6, open_lo=True)),
     "lens": _section(LensParams, repeatability_dpt=_number(0, 20.0),
                      mode={"enum": ["raw", "filtered"]}),
     "mirror": _section(MirrorParams, resolution_deg=_number(1e-6, 360.0),

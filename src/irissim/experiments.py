@@ -434,15 +434,14 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
                          *(getattr(e, c) for c in IOM_FRAME_COLUMNS)))
         frames.extend((f"iom_{variant}_t{t:.0f}ms", fr.image)
                       for tid, t, fr, _ in log.kept if tid == variant)
-        n_ok = sum(1 for e in own if e.quality_pass)
         n_match = sum(1 for e in own if e.quality_pass and e.matched)
         stats["variants"][variant] = {
-            "qualified": n_ok, "matched": n_match, "ranges_mm": ranges,
+            "qualified": len(ranges), "matched": n_match, "ranges_mm": ranges,
         }
         span = (f", ranges {min(ranges) / 1000.0:.6g} .. "
                 f"{max(ranges) / 1000.0:.6g} m" if ranges else "")
         summary.append(f"iom: {variant} sigma {subject.jitter_sigma_mm:.6g} mm -> "
-                       f"{n_ok}/{exp['n_frames']} qualified, {n_match} matched{span}")
+                       f"{len(ranges)}/{exp['n_frames']} qualified, {n_match} matched{span}")
     stats["frame_spacing_ms"] = period
     summary.append(f"iom: frame spacing {period:.6g} ms at "
                    f"{exp['speed_mmps'] / 1000.0:.6g} m/s walk")

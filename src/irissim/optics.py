@@ -95,14 +95,11 @@ class DofResult:
 def depth_of_field(f: float, n_stop: float, d: float, coc: float) -> DofResult:
     """Depth of field of a bare lens focused at d, for blur tolerance coc.
 
-    Total depth uses the pupil-diameter form (P = f / n_stop):
-
-        total = 2*C*d / ( f*P/(d-f) - C^2*(d-f)/(f*P) )
-
     Near and far limits are the exact conjugate distances where
-    blur_circle_diameter equals coc; their difference reproduces the
-    formula above identically.  Focusing at or past the hyperfocal
-    distance makes far and total inf rather than a negative depth.
+    blur_circle_diameter equals coc, and the total is their difference; it
+    equals the pupil-diameter form 2*C*d / (f*P/(d-f) - C^2*(d-f)/(f*P)),
+    P = f / n_stop, which the tests hold it to.  Focusing at or past the
+    hyperfocal distance makes far and total inf rather than a negative depth.
     """
     if d <= f:
         raise ValueError(f"focus distance {d} mm must exceed focal length {f} mm")
@@ -116,10 +113,7 @@ def depth_of_field(f: float, n_stop: float, d: float, coc: float) -> DofResult:
     if d - f >= h:
         return DofResult(near, math.inf, math.inf)
     far = h * d / (h - (d - f))
-
-    p = f / n_stop
-    total = 2.0 * coc * d / (f * p / (d - f) - coc * coc * (d - f) / (f * p))
-    return DofResult(near, far, total)
+    return DofResult(near, far, far - near)
 
 
 def combined_focal_length(f_a: float, f_b: float, separation: float) -> float:
@@ -232,12 +226,9 @@ def tunable_power_for_focus(train: OpticalTrain, d_target: float) -> float:
     is 0 exactly at the train's reference distance, positive nearer, and
     strictly decreasing in d_target.  No lens range applies here: the
     result may be a power no membrane reaches.  Code that drives a lens
-    clamps it with ``devices.LensParams.clamp``, the one lens clamp.
+    clamps it with ``devices.LensParams.clamp``, the one lens clamp.  A
+    d_target at or inside the zoom focal length raises ValueError.
     """
-    if d_target <= train.f_zoom_mm:
-        raise ValueError(
-            f"target {d_target} mm is inside the zoom focal length {train.f_zoom_mm} mm"
-        )
     w = _intermediate_w(train, d_target)
     return 1000.0 * (1.0 / train.sensor_back_mm - 1.0 / w)
 

@@ -45,6 +45,11 @@ class QualityThresholds:
     brightness_lo: float = BRIGHTNESS_LO
     brightness_hi: float = BRIGHTNESS_HI
 
+    def __post_init__(self):
+        if self.brightness_lo > self.brightness_hi:
+            raise ValueError(f"brightness window [{self.brightness_lo:.6g}, "
+                             f"{self.brightness_hi:.6g}] is empty")
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -64,8 +69,6 @@ def _annulus(shape, cx, cy, r_p, r_i):
     examined; pixel coordinates are the whole frame's, so the mask is the
     same one a whole-frame build would give.
     """
-    if not np.isfinite((cx, cy, r_p, r_i)).all():
-        return None  # no rendered frame has such a geometry
     (y0, y1), (x0, x1) = (_span(c, r_i * 0.95 + 1.0, n) for c, n in zip((cy, cx), shape))
     yy, xx = np.ogrid[y0:y1, x0:x1]
     rr = np.hypot(yy - cy, xx - cx)

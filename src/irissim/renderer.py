@@ -142,10 +142,7 @@ def line_kernel(length_px: float, direction: tuple[float, float]) -> np.ndarray:
     c = n // 2
     dx, dy = direction
     norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        dx, dy = 1.0, 0.0
-    else:
-        dx, dy = dx / norm, dy / norm
+    dx, dy = dx / norm, dy / norm
     k = np.zeros((n, n))
     steps = max(8, int(8 * length_px))
     for s in np.linspace(-half, half, steps):
@@ -235,11 +232,9 @@ def _image_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.cross(axis, u)
 
 
-def _image_offset_px(train: OpticalTrain, power_dpt: float,
-                     pan_deg: float, tilt_deg: float, eye_pos) -> tuple[float, float]:
-    """Where the eye lands relative to the crop centre, from the aim residual."""
-    e = np.asarray(eye_pos, dtype=float)
-    e_hat = e / np.linalg.norm(e)
+def _image_offset_px(train: OpticalTrain, power_dpt: float, pan_deg: float,
+                     tilt_deg: float, e_hat: np.ndarray) -> tuple[float, float]:
+    """Where the eye along ``e_hat`` lands off the crop centre, from the aim residual."""
     v = reflected_view_dir(pan_deg, tilt_deg)
     delta = e_hat - np.dot(e_hat, v) * v  # transverse angular error, radians
     u, w = _image_basis(v)
@@ -264,7 +259,9 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     r_i = px / 2.0
     r_p = PUPIL_FRACTION * r_i
 
-    off_x, off_y = _image_offset_px(train, power_dpt, pan_deg, tilt_deg, eye_pos_mm)
+    e = np.asarray(eye_pos_mm, dtype=float)
+    e_hat = e / np.linalg.norm(e)
+    off_x, off_y = _image_offset_px(train, power_dpt, pan_deg, tilt_deg, e_hat)
 
     min_h, min_w = base_canvas if base_canvas is not None else (BASE_HEIGHT, BASE_WIDTH)
     half = math.ceil(_MARGIN * r_i)  # the tight crop's half side
@@ -282,8 +279,6 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     blur_px = blur_mm / optics.PIXEL_PITCH_MM
     astig_sigma = k_ast * max(0.0, power_dpt) ** 2
 
-    e = np.asarray(eye_pos_mm, dtype=float)
-    e_hat = e / np.linalg.norm(e)
     v = np.asarray(eye_velocity_mmps, dtype=float)
     v_perp = v - np.dot(v, e_hat) * e_hat
     motion_px = (float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0)

@@ -275,6 +275,16 @@ def test_filtered_lens_settling_before_its_response_exits_2(tmp_path, capsys):
                     ("settle time 20 ms", "40 ms response"))
 
 
+def test_empty_brightness_window_exits_2(tmp_path, capsys):
+    # it failed every multiperson frame on brightness, and exited 0 unchecked
+    cfg = config.default_config("multiperson") | {"quality": {"brightness_lo": 200,
+                                                              "brightness_hi": 100}}
+    _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
+                    ("config error: brightness window [200, 100] is empty",))
+    cfg["quality"]["brightness_hi"] = 200  # a one-value window holds that value
+    config.validate_config(cfg)
+
+
 def test_filtered_settle_time_has_no_key_of_its_own(tmp_path, capsys):
     # the filtered drive settles in half of settle_ms
     cfg = config.default_config("multiperson") | {"lens": {"settle_filtered_ms": 12.5}}
@@ -487,23 +497,45 @@ def test_number_past_its_schema_bound_exits_2_naming_its_key(tmp_path, capsys, c
     _exits_2_naming(tmp_path, capsys, command, cfg, (f"config invalid at {where}: ",))
 
 
-@pytest.mark.parametrize("scale", [100.0, 1e300])
+@pytest.mark.parametrize("scale", [1e300])
 def test_pixel_scale_past_its_bound_exits_2(tmp_path, capsys, scale):
-    # 100 asked np.hypot for a 152 GiB array, 1e300 for an array past numpy's size limit
+    # 1e300 asked for an array past numpy's size limit
     cfg = config.default_config("multiperson") | {"train": {"pixel_scale_cal": scale}}
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     (f"config invalid at train/pixel_scale_cal: {scale!r} is greater than "
-                     f"the maximum of {config.MAX_PIXEL_SCALE_CAL!r}",))
+                     "the maximum of 1000000.0",))
     cfg["train"]["pixel_scale_cal"] = 20.0
     config.validate_config(cfg)
 
 
-@pytest.mark.parametrize("scale, crop", [(22.0, 4084), (25.0, 4640)])
+@pytest.mark.parametrize("scale, crop", [(22.0, 4084), (25.0, 4640), (100.0, 18556)])
 def test_crop_wider_than_the_sensor_exits_2(tmp_path, capsys, scale, crop):
-    # at 20 the seated subject's crop is 3712 px and a run takes about 1 GB
+    # at 20 the seated subject's crop is 3712 px and a run takes about 1 GB;
+    # 100 asked np.hypot for a 152 GiB array
     cfg = config.default_config("multiperson") | {"train": {"pixel_scale_cal": scale}}
     _exits_2_naming(tmp_path, capsys, "multiperson", cfg,
                     ("subject 'seated'", f"a {crop} px crop wider than the 4080 px sensor"))
+
+
+def test_pixel_scale_bounds_only_the_kinds_that_render(tmp_path, capsys):
+    # dof_table renders nothing, and its bytes do not read the scale
+    canonical = tmp_path / "canonical"
+    assert cli.main(["dof-table", "--out", str(canonical)]) == 0
+    for scale in (50.0, 1e6):
+        cfg = config.default_config("dof_table") | {"train": {"pixel_scale_cal": scale}}
+        path, out = tmp_path / f"{scale}.json", tmp_path / f"{scale}"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["dof-table", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("dof_table.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (canonical / name).read_bytes()
+    for command, sight in [("dof-extension", "base 1000 mm's nearest cell 300 mm"),
+                           ("hd-curve", "nearest position 2600 mm"),
+                           ("multiperson", "subject 'seated'"),
+                           ("iom", "iom enrolment at 3200 mm")]:
+        cfg = config.default_config(command.replace("-", "_"))
+        cfg["train"] = cfg.get("train", {}) | {"pixel_scale_cal": 1e6}
+        _exits_2_naming(tmp_path, capsys, command, cfg,
+                        (sight, "crop wider than the 4080 px sensor"))
 
 
 def test_dof_extension_nearest_cell_wider_than_the_sensor_exits_2(tmp_path, capsys):

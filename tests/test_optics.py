@@ -52,6 +52,7 @@ def test_coc_default_matches_root_find_of_anchor():
 
 
 def test_dof_total_equals_limit_difference():
+    # the limits' difference, the total, against the pupil-diameter closed form
     rng = np.random.default_rng(3)
     for _ in range(30):
         f = rng.uniform(70.0, 350.0)
@@ -59,7 +60,9 @@ def test_dof_total_equals_limit_difference():
         res = optics.depth_of_field(f, 4.8, d, 0.0499)
         if math.isinf(res.total_mm):
             continue
-        assert res.total_mm == pytest.approx(res.far_mm - res.near_mm, rel=1e-9)
+        c, p = 0.0499, f / 4.8
+        closed = 2.0 * c * d / (f * p / (d - f) - c * c * (d - f) / (f * p))
+        assert res.total_mm == pytest.approx(closed, rel=1e-9)
 
 
 def test_blur_equals_coc_at_both_limits():
