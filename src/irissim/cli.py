@@ -16,6 +16,7 @@ from . import calibration, config, experiments, iriscode, optics, quality
 from .renderer import DEFAULT_K_AST
 
 _KINDS = {kind.replace("_", "-"): kind for kind in experiments.RUNNERS}
+_SWEEP_CMDS = " and ".join(cmd for cmd, kind in _KINDS.items() if kind in experiments.SWEEPS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the published bounds for this experiment")
         s.add_argument("--parallel", action="store_true",
                        help="map independent sweep units over a process pool; only "
-                            "dof-extension and hd-curve have units, the others run serially")
+                            f"{_SWEEP_CMDS} have units, the others run serially")
     cal = sub.add_parser("calibrate",
                          help="re-derive the fitted constants from their anchors")
     cal.add_argument("--out", type=Path, help="also write calibration.txt here")

@@ -462,17 +462,14 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             _check_sight(f"dof_table distance {d:.6g} mm", d, rig.train)
     elif kind == "dof_extension":
         for base in exp["base_distances_mm"]:
-            try:
-                train = rig_from_config(cfg, base).train
-            except ValueError as err:
-                raise ConfigError(f"dof_extension base {base:.6g} mm: {err}") from err
+            train = _base_train(cfg, base)
             _check_sight(f"dof_extension base {base:.6g} mm", base, train, leg=leg)
             n, position = side_walk(base, exp["grid_mm"], -1.0)  # cell n - 1 images the most
             near = position(n - 1)
             _check_crop(f"dof_extension base {base:.6g} mm's nearest cell {near:.6g} mm",
                         optics.pixels_across_iris(train, near))
     elif kind == "hd_curve":
-        train = rig_from_config(cfg, exp["base_mm"]).train
+        train = _base_train(cfg, exp["base_mm"])
         positions = hd_positions(exp)
         # the disk grows away from focus reach, so the grid's ends bound it
         for end, d in (("nearest", positions[0]), ("farthest", positions[-1])):
@@ -503,6 +500,14 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
         widen = 1.0 + 2.0 * math.pi * JITTER_BANDWIDTH_HZ * (period + half) / 1000.0
         for variant, walker in walkers:
             _check_reach(f"iom {variant} walker", rig, walker, times, widen)
+
+
+def _base_train(cfg: dict, base: float) -> OpticalTrain:
+    """The train of a sweep based at ``base`` mm; a bad one names the kind and base."""
+    try:
+        return rig_from_config(cfg, base).train
+    except ValueError as err:
+        raise ConfigError(f"{cfg['experiment']['kind']} base {base:.6g} mm: {err}") from err
 
 
 def _check_reach(who: str, rig: CaptureRig, subject: Subject, times: list,

@@ -3,8 +3,9 @@
 Each runner returns an ExperimentResult carrying the CSV payload, a short
 text summary, any qualified frames worth dumping, and a stats dict for
 programmatic checks.  The distance sweeps decompose into independent units
-that are pure functions of the config, so the parallel path maps the same
-unit functions over a process pool and gets byte-identical output back.
+that are pure functions of the config, so a sweep gets byte-identical output
+back whether its ``map_units`` is the builtin ``map`` or, for ``--parallel``,
+the map of the one process pool ``run_experiment`` opens for the run.
 
 Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  A
@@ -18,6 +19,7 @@ reversed and then the rear walk's.  An hd_curve unit is one position's repeats.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -72,15 +74,6 @@ def write_result(result: ExperimentResult, out_dir, dump_frames: bool = False) -
             write_pgm(fdir / f"{name}.pgm", image)
 
 
-def _map_units(fn, units, parallel: bool):
-    if parallel:
-        # imported here: the pool machinery would add about 14 ms to a serial run's start
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(fn, units, chunksize=1))
-    return [fn(u) for u in units]
-
-
 def _probe(cfg: dict, rig: CaptureRig, d: float, identity_seed: int, noise_index: int):
     """One sweep render: the base rig's train, driven to focus at ``d`` within its lens range."""
     power = rig.lens.params.clamp(optics.tunable_power_for_focus(rig.train, d))
@@ -90,7 +83,7 @@ def _probe(cfg: dict, rig: CaptureRig, d: float, identity_seed: int, noise_index
 
 # ---------------------------------------------------------------- dof_table
 
-def run_dof_table(cfg: dict, parallel: bool = False) -> ExperimentResult:
+def run_dof_table(cfg: dict) -> ExperimentResult:
     exp = cfg["experiment"]
     distances = exp["distances_mm"]
     train = config.rig_from_config(cfg).train
@@ -169,11 +162,11 @@ def _extension_side(args):
     return [[cells[k] for k in sorted(cells)] for cells in rows], lo, n
 
 
-def run_dof_extension(cfg: dict, parallel: bool = False) -> ExperimentResult:
+def run_dof_extension(cfg: dict, map_units=map) -> ExperimentResult:
     exp = cfg["experiment"]
     bases = exp["base_distances_mm"]
     units = [(cfg, b, sign) for b in bases for sign in (-1.0, 1.0)]
-    results = _map_units(_extension_side, units, parallel)
+    results = list(map_units(_extension_side, units))
 
     rows = []
     summary = []
@@ -280,7 +273,7 @@ def _impostor_unit(args):
     return iriscode.hamming_distance(codes[0], codes[1])
 
 
-def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
+def run_hd_curve(cfg: dict, map_units=map) -> ExperimentResult:
     exp = cfg["experiment"]
     base = exp["base_mm"]
     repeats = exp["repeats"]
@@ -289,11 +282,10 @@ def run_hd_curve(cfg: dict, parallel: bool = False) -> ExperimentResult:
     rig = config.rig_from_config(cfg, base)
     template = iriscode.to_bytes(iriscode.encode_frame(
         _probe(cfg, rig, base, exp["identity_seed"], 999_983), circles="truth"))
-    units = _map_units(_hd_unit, [(cfg, p, template) for p in positions], parallel)
+    units = list(map_units(_hd_unit, [(cfg, p, template) for p in positions]))
     rows = [cell for unit in units for cell in unit]
     mean_hd = {p: float(np.mean([hd for *_, hd in unit])) for p, unit in zip(positions, units)}
-    impostors = _map_units(_impostor_unit,
-                           [(cfg, k) for k in range(exp["impostor_pairs"])], parallel)
+    impostors = list(map_units(_impostor_unit, [(cfg, k) for k in range(exp["impostor_pairs"])]))
 
     # contiguous sub-threshold interval through the focal plane
     lo = hi = positions.index(base)
@@ -346,7 +338,7 @@ def _enroll_code(rig: CaptureRig, subject: Subject, noise_seed: int) -> iriscode
     return iriscode.encode_frame(frame, circles="detect")
 
 
-def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
+def run_multiperson(cfg: dict) -> ExperimentResult:
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg)
     subjects = config.multiperson_cast(cfg, rig)
@@ -404,7 +396,7 @@ def run_multiperson(cfg: dict, parallel: bool = False) -> ExperimentResult:
 IOM_FRAME_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("power_dpt"):]
 
 
-def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
+def run_iom(cfg: dict) -> ExperimentResult:
     exp = cfg["experiment"]
     enroll_rig = config.rig_from_config(cfg)
     period = enroll_rig.sensor.frame_period_ms
@@ -453,14 +445,16 @@ def run_iom(cfg: dict, parallel: bool = False) -> ExperimentResult:
     )
 
 
-RUNNERS = {
-    "dof_table": run_dof_table,
-    "dof_extension": run_dof_extension,
-    "hd_curve": run_hd_curve,
-    "multiperson": run_multiperson,
-    "iom": run_iom,
-}
+# the kinds whose runners map independent units, and so can use a process pool
+SWEEPS = {"dof_extension": run_dof_extension, "hd_curve": run_hd_curve}
+RUNNERS = {"dof_table": run_dof_table, **SWEEPS, "multiperson": run_multiperson, "iom": run_iom}
 
 
 def run_experiment(cfg: dict, parallel: bool = False) -> ExperimentResult:
-    return RUNNERS[cfg["experiment"]["kind"]](cfg, parallel)
+    kind = cfg["experiment"]["kind"]
+    if not (parallel and kind in SWEEPS):
+        return RUNNERS[kind](cfg)
+    # imported here: the pool machinery would add about 14 ms to a serial run's start
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor() as pool:
+        return SWEEPS[kind](cfg, functools.partial(pool.map, chunksize=1))

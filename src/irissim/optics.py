@@ -164,15 +164,15 @@ class OpticalTrain:
             raise ValueError("focal length and f-number must be positive")
         if self.d_ref_mm <= self.f_zoom_mm:
             raise ValueError(
-                f"reference focus {self.d_ref_mm} mm must exceed the zoom focal "
-                f"length {self.f_zoom_mm} mm"
+                f"reference focus {self.d_ref_mm:.6g} mm must exceed the zoom focal "
+                f"length {self.f_zoom_mm:.6g} mm"
             )
         if self.d_ot_mm is None:
             object.__setattr__(self, "d_ot_mm", SEPARATION_FRACTION
                                * thin_lens_image_distance(self.f_zoom_mm, self.d_ref_mm))
         if not 0.0 < self.d_ot_mm < self.f_zoom_mm:
             raise ValueError(
-                f"lens separation {self.d_ot_mm} mm must lie in (0, {self.f_zoom_mm})"
+                f"lens separation {self.d_ot_mm:.6g} mm must lie in (0, {self.f_zoom_mm:.6g})"
             )
 
     @property

@@ -95,8 +95,7 @@ def setpoints_for(rig: CaptureRig, eye) -> tuple[float, float, float]:
     return pan, tilt, rig.lens.params.clamp(optics.tunable_power_for_focus(rig.train, d))
 
 
-def plan_order(rig: CaptureRig, targets: list[Subject],
-               order: str = "given_order") -> list[Subject]:
+def plan_order(rig: CaptureRig, targets: list[Subject], order: str) -> list[Subject]:
     """Visit order for a set of targets, planned from the rig's state at t = 0.
 
     ``nearest_transition`` greedily picks whichever remaining target the
@@ -177,7 +176,7 @@ def _attempt_frame(rig: CaptureRig, subject: Subject, t_frame: float,
 
 def capture_sequence(rig: CaptureRig, targets: list[Subject], *,
                      gallery: dict[str, IrisCode],
-                     order: str = "given_order",
+                     order: str,
                      dwell_budget: int = DEFAULT_DWELL_BUDGET,
                      noise_seed: int = 0) -> EventLog:
     """Visit each target once: aim, refocus, expose until qualified or budget out.

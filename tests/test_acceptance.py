@@ -33,13 +33,13 @@ def _timed(fn, *args, **kwargs):
 
 @pytest.fixture(scope="module")
 def extension():
-    return _timed(experiments.run_dof_extension,
+    return _timed(experiments.run_experiment,
                   config.default_config("dof_extension"), parallel=True)
 
 
 @pytest.fixture(scope="module")
 def hd_curve():
-    return _timed(experiments.run_hd_curve,
+    return _timed(experiments.run_experiment,
                   config.default_config("hd_curve"), parallel=True)
 
 
@@ -263,8 +263,8 @@ def test_c09_determinism_and_parallel_equivalence(multiperson_pair, iom, tmp_pat
         for fname in (f"{name}.csv", "summary.txt"):
             if (dir_a / fname).read_bytes() != (dir_b / fname).read_bytes():
                 failures.append(f"{name}: {fname} differs between identical runs")
-    ext_par = experiments.run_dof_extension(_small_extension_cfg(), parallel=True)
-    hd_par = experiments.run_hd_curve(_small_hd_cfg(), parallel=True)
+    ext_par = experiments.run_experiment(_small_extension_cfg(), parallel=True)
+    hd_par = experiments.run_experiment(_small_hd_cfg(), parallel=True)
     if ext_par.rows != ext_a.rows or ext_par.summary != ext_a.summary:
         failures.append("dof_extension: parallel and serial outputs differ")
     if hd_par.rows != hd_a.rows or hd_par.summary != hd_a.summary:

@@ -206,6 +206,16 @@ def test_dof_extension_base_without_a_train_exits_2(tmp_path, capsys):
                     ("base 200 mm", "lens separation"))
 
 
+def test_hd_curve_base_without_a_train_exits_2_naming_the_base(tmp_path, capsys):
+    # at 3 m the re-zoomed lens is 210 mm long, shorter than the set 300 mm separation
+    cfg = {"version": 1, "train": {"d_ot_mm": 300.0},
+           "experiment": {"kind": "hd_curve", "base_mm": 3000.0, "span_near_mm": 1400.0,
+                          "span_far_mm": 2400.0}}
+    _exits_2_naming(tmp_path, capsys, "hd-curve", cfg,
+                    ("config error: hd_curve base 3000 mm: lens separation 300 mm must lie in "
+                     "(0, 210)\n",))
+
+
 def test_dof_table_distance_inside_the_focal_length_exits_2(tmp_path, capsys):
     cfg = {"version": 1, "experiment": {"kind": "dof_table",
                                         "distances_mm": [5000.0, 100.0]}}

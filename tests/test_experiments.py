@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irissim import calibration, config, experiments, optics, renderer, scheduler
+from irissim import calibration, config, experiments, optics, quality, renderer, scheduler, \
+    texture
 from irissim.calibration import ASTIG_ANCHOR_DISTANCE, PROBE_RIG
 
 
@@ -438,10 +440,59 @@ def test_extension_scan_small_grid(small_extension_cfg):
 
 
 def test_extension_parallel_matches_serial(small_extension_cfg):
-    serial = experiments.run_dof_extension(small_extension_cfg, parallel=False)
-    parallel = experiments.run_dof_extension(small_extension_cfg, parallel=True)
+    serial = experiments.run_dof_extension(small_extension_cfg)
+    parallel = experiments.run_experiment(small_extension_cfg, parallel=True)
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
+
+
+SMALL_SWEEPS = {
+    "dof_extension": {"base_distances_mm": [5000.0], "grid_mm": 400.0, "repeats": 2},
+    "hd_curve": {"span_near_mm": 300.0, "span_far_mm": 300.0, "repeats": 2,
+                 "impostor_pairs": 2},
+}
+
+
+def _small_sweep(kind):
+    cfg = config.default_config(kind)
+    cfg["experiment"].update(SMALL_SWEEPS[kind])
+    return cfg
+
+
+def _cold_reversed_map(fn, units):
+    """A pool's map at its least like a serial run: the units in reverse order,
+    each on the empty caches of a fresh worker, and the results in unit order."""
+    def cold(unit):
+        for cache in (renderer._clean_image, renderer._polar_map, renderer._noise_stream,
+                      quality._annulus, texture._sheet):
+            cache.cache_clear()
+        return fn(unit)
+    return [cold(unit) for unit in units[::-1]][::-1]
+
+
+@pytest.mark.parametrize("kind", SMALL_SWEEPS)
+def test_sweep_units_do_not_depend_on_their_order_or_the_caches_they_find(kind):
+    # what makes a --parallel run byte-identical to a serial one, checked without a pool
+    serial = experiments.run_experiment(_small_sweep(kind))
+    cold = experiments.SWEEPS[kind](_small_sweep(kind), _cold_reversed_map)
+    assert cold.rows == serial.rows
+    assert cold.summary == serial.summary
+
+
+def test_a_parallel_sweep_opens_one_pool_and_a_serial_run_none(monkeypatch):
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    serial = experiments.run_experiment(_small_sweep("hd_curve"))
+    assert opened == []
+    parallel = experiments.run_experiment(_small_sweep("hd_curve"), parallel=True)
+    assert len(opened) == 1
+    assert parallel.rows == serial.rows
 
 
 @pytest.fixture(scope="module")

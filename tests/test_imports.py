@@ -1,7 +1,8 @@
 """Every name a package or test module imports is read somewhere in that module,
 every function, class and module constant the package defines is used somewhere
-in the package, and importing the command line leaves out every scipy package,
-jsonschema and the process pool, and builds no texture weight matrix."""
+in the package, every package function reads each of its parameters, and
+importing the command line leaves out every scipy package, jsonschema and the
+process pool, and builds no texture weight matrix."""
 
 import ast
 import os
@@ -88,6 +89,27 @@ def test_every_module_constant_is_read(path, names_in_use):
     # a constant whose one rule was deleted is left behind unread
     unread = [name for name in module_constants(path.read_text())
               if name not in names_in_use and name != "__version__"]
+    assert unread == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each argument its function's body never loads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}.{p.arg}" for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a flag the function never reads only looks like a choice the caller makes
+    unread = [f"{path.name}: {name}" for path in MODULES
+              for name in unread_parameters(path.read_text())]
     assert unread == []
 
 

@@ -67,7 +67,7 @@ def gallery_for(rig, subjects):
 def test_given_order_is_preserved():
     rig = make_rig()
     targets = [still_subject(s, 1, 4800.0) for s in ("b", "a", "c")]
-    assert [t.subject_id for t in plan_order(rig, targets)] == ["b", "a", "c"]
+    assert [t.subject_id for t in plan_order(rig, targets, order="given_order")] == ["b", "a", "c"]
 
 
 def test_nearest_transition_minimizes_slew():
@@ -124,7 +124,7 @@ def test_two_target_sequence_matches_both():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     gallery = {"s1": enroll_code(rig.train, 5001), "s2": enroll_code(rig.train, 5002)}
-    log = capture_sequence(rig, subjects, gallery=gallery, noise_seed=42)
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery, noise_seed=42)
     q = log.qualified()
     assert len(q) == 2
     assert all(e.matched for e in q)
@@ -134,7 +134,7 @@ def test_two_target_sequence_matches_both():
 def test_events_are_time_ordered_on_frame_grid():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects))
     times = [e.t_ms for e in log.events]
     assert times == sorted(times)
     for t in times:
@@ -144,7 +144,7 @@ def test_events_are_time_ordered_on_frame_grid():
 def test_one_command_per_target():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects))
     commands = [e for e in log.events if e.event_type == "command"]
     assert len(commands) == 2
     assert [e.target_id for e in commands] == ["s1", "s2"]
@@ -154,7 +154,7 @@ def test_first_frame_waits_for_settling():
     rig = make_rig()
     # off-boresight and off-reference-focus, so both devices must move
     subjects = [still_subject("s", 1, 4380.0, azimuth_deg=10.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects))
     cmd = next(e for e in log.events if e.event_type == "command")
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms - cmd.t_ms >= rig.lens.params.settle_ms
@@ -165,7 +165,7 @@ def test_already_settled_target_captures_immediately():
     # boresight subject at the reference focus: nothing has to move
     rig = make_rig()
     subjects = [still_subject("s", 1, 4800.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects))
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects))
     frame = next(e for e in log.events if e.event_type == "frame")
     assert frame.t_ms == 0.0
     assert frame.quality_pass
@@ -174,7 +174,8 @@ def test_already_settled_target_captures_immediately():
 def test_dwell_budget_limits_attempts():
     rig = make_rig(quality={"min_px_across_iris": 10000.0})
     subjects = [still_subject("s", 1, 4800.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects), dwell_budget=5)
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects),
+                           dwell_budget=5)
     frames = log.frames()
     assert len(frames) == 5
     assert not any(e.quality_pass for e in frames)
@@ -183,7 +184,7 @@ def test_dwell_budget_limits_attempts():
 def test_dwell_retries_refocus_through_the_focal_stack():
     rig = make_rig(quality={"min_px_across_iris": 10000.0})
     subjects = [still_subject("s", 1, 4380.0, azimuth_deg=10.0)]
-    log = capture_sequence(rig, subjects, gallery=gallery_for(rig, subjects),
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery_for(rig, subjects),
                            dwell_budget=7)
     commands = [e for e in log.events if e.event_type == "command"]
     frames = log.frames()
@@ -278,7 +279,7 @@ def test_impostor_gallery_does_not_match():
     rig = make_rig()
     gallery = {"s": enroll_code(rig.train, 9999)}
     log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
-                           gallery=gallery, noise_seed=7)
+                           order="given_order", gallery=gallery, noise_seed=7)
     q = log.qualified()
     assert len(q) == 1
     assert q[0].hd > 0.32
@@ -291,7 +292,7 @@ def test_impostor_gallery_does_not_match():
 def test_csv_export_is_deterministic(tmp_path):
     rig = make_rig()
     log = capture_sequence(rig, [still_subject("s", 5001, 4800.0)],
-                           gallery={"s": enroll_code(rig.train, 5001)})
+                           order="given_order", gallery={"s": enroll_code(rig.train, 5001)})
     rows = [tuple(getattr(e, c) for c in CSV_COLUMNS) for e in log.events]
     result = ExperimentResult("log", CSV_COLUMNS, rows, summary=[])
     write_result(result, tmp_path / "a")
@@ -312,7 +313,7 @@ def test_throughput_metrics_counts():
     rig = make_rig()
     subjects = [still_subject("s1", 5001, 4380.0), still_subject("s2", 5002, 6340.0)]
     gallery = {"s1": enroll_code(rig.train, 5001), "s2": enroll_code(rig.train, 5002)}
-    log = capture_sequence(rig, subjects, gallery=gallery)
+    log = capture_sequence(rig, subjects, order="given_order", gallery=gallery)
     qualified = log.qualified()
     assert len(qualified) == 2
     assert sum(1 for e in qualified if e.matched) == 2
