@@ -3,7 +3,8 @@
 One subcommand per experiment plus ``calibrate``.  Every experiment takes a
 JSON config (or falls back to the canonical scenario), writes CSV + summary
 into ``--out``, and optionally re-verifies its published bounds; exit codes
-are 0 on success, 2 for config problems, 3 when a ``--check`` bound fails.
+are 0 on success, 2 for config problems (a render wider than the sensor
+included, found at run time), 3 when a ``--check`` bound fails.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import calibration, config, experiments, iriscode, optics, quality
-from .renderer import DEFAULT_K_AST
+from .renderer import DEFAULT_K_AST, RenderTooWide
 
 _KINDS = {kind.replace("_", "-"): kind for kind in experiments.RUNNERS}
 _SWEEP_CMDS = " and ".join(cmd for cmd, kind in _KINDS.items() if kind in experiments.SWEEPS)
@@ -176,7 +177,11 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    result = experiments.run_experiment(cfg, parallel=args.parallel)
+    try:
+        result = experiments.run_experiment(cfg, parallel=args.parallel)
+    except RenderTooWide as err:  # validation bounds a sight's crop, not its defocus disk
+        print(f"config error: {cfg['experiment']['kind']}: {err}", file=sys.stderr)
+        return 2
     experiments.write_result(result, args.out, dump_frames=args.dump_frames)
     for line in result.summary:
         print(line)

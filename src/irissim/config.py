@@ -31,7 +31,7 @@ durations (``*_ms``)       (0, 1e6] ms         1000 s
 ``max_speed_dps``          [0.36, 1e6] deg/s   a full-turn slew within them
 ``resolution_deg``         [1e-6, 360] deg     at most a full turn
 ``n_stop``                 [0.5, 1000]         f/0.5 is a lens in air's limit
-``pixel_scale_cal``        (0, 1e6]            a render's crop check (``_check_crop``) bounds it
+``pixel_scale_cal``        (0, 1e6]            ``renderer.render_side`` bounds it
 ``repeatability_dpt``      [0, 20] dpt         the +-10 dpt envelope's span
 ``sharpness_min``          (0, 1]              canonical frames score below 0.06
 ``min_px_across_iris``     (0, 1e6] px         245x the sensor's 4080 px
@@ -60,7 +60,8 @@ the multiperson cast and the iom enrolment and walkers (``multiperson_cast``,
 ``iom_cast``; a walker walks at constant velocity from t = 0).  Every sight
 passes one predicate, ``_check_sight``, and every subject's sights and aims
 one box check over all its motion can reach, ``_check_reach``; a rendered sight's
-crop fits the sensor (``_check_crop``).  Subject ids must be unique.
+crop fits the sensor (``renderer.render_side`` with no optics: each render checks
+again with its own).  Subject ids must be unique.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from . import calibration, iriscode, optics
 from .devices import LensParams, MirrorParams, SensorParams, SteeringMirror, TunableLens
 from .optics import OpticalTrain
 from .quality import QualityThresholds
-from .renderer import _MARGIN, BASE_WIDTH
+from .renderer import BASE_WIDTH, render_side
 from .scene import JITTER_BANDWIDTH_HZ, JITTER_REACH_SIGMAS, RigGeometry, Subject, aim_angles, \
     eye_position, line_of_sight_mm, subject_at
 from .scheduler import DEFAULT_DWELL_BUDGET, CaptureRig
@@ -466,8 +467,8 @@ def _check_experiment(cfg: dict, rig: CaptureRig) -> None:
             _check_sight(f"dof_extension base {base:.6g} mm", base, train, leg=leg)
             n, position = side_walk(base, exp["grid_mm"], -1.0)  # cell n - 1 images the most
             near = position(n - 1)
-            _check_crop(f"dof_extension base {base:.6g} mm's nearest cell {near:.6g} mm",
-                        optics.pixels_across_iris(train, near))
+            render_side(optics.pixels_across_iris(train, near) / 2.0,
+                        where=f"dof_extension base {base:.6g} mm's nearest cell {near:.6g} mm")
     elif kind == "hd_curve":
         train = _base_train(cfg, exp["base_mm"])
         positions = hd_positions(exp)
@@ -563,20 +564,12 @@ def _check_sight(where: str, d: float, train: OpticalTrain, *, leg: float = 0.0,
     if enrolment and px < iriscode.MIN_PX_TO_DETECT:
         raise ConfigError(f"{where} images {px:.6g} px across the iris, fewer than the "
                           f"{iriscode.MIN_PX_TO_DETECT:.6g} px iris detection needs")
-    _check_crop(where, px)
+    render_side(px / 2.0, where=where)
     blur = optics.blur_on_sensor_mm(train, lens.clamp(power), d) / optics.PIXEL_PITCH_MM
     if blur > BASE_WIDTH:
         raise ConfigError(
             f"{where} is so far out of focus reach that its "
             f"{blur:.0f} px defocus disk is wider than the {BASE_WIDTH} px frame")
-
-
-def _check_crop(where: str, px: float) -> None:
-    """A rendered iris ``px`` pixels across has its tight crop within the sensor's width."""
-    side = 2 * math.ceil(_MARGIN * px / 2.0)  # the render grows with its square
-    if side > optics.SENSOR_PX_H:
-        raise ConfigError(f"{where} images {px:.6g} px across the iris, a {side} px crop "
-                          f"wider than the {optics.SENSOR_PX_H} px sensor")
 
 
 def multiperson_cast(cfg: dict, rig: CaptureRig) -> list[Subject]:

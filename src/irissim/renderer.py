@@ -20,6 +20,16 @@ padding at a canvas side is the canvas's own.  The stage is a pure function
 of the frame geometry, so a one-entry cache (``_clean_image``) serves every
 repeat exposure of one geometry from a single render of that window.
 
+How big a render is is decided once, by ``render_side``: the side of the
+largest array a render builds, the canvas or the transform ``fftconvolve``
+makes of the window edge-padded by the widest kernel.  ``_clean_image`` cuts
+its window by the same arithmetic (``_layout``), and ``render_eye`` checks
+the side before it builds any kernel or window, raising RenderTooWide when
+it is wider than the sensor (``optics.SENSOR_PX_H``).  Validation calls
+``render_side`` with no optics for every sight it plans, which is the tight
+crop's side; only a render knows its defocus disk, so a sweep cell far out
+of focus meets the rule at run time.
+
 The exposure stage adds Gaussian read noise from the frame's noise seed to
 the tight-crop box, clips and quantizes, once per call, in one box-sized
 buffer.  The noise is the first box-size normals of the seed's stream
@@ -65,7 +75,7 @@ DEFAULT_K_AST = 0.1908002
 
 BASE_WIDTH = 640
 BASE_HEIGHT = 480
-_MARGIN = 1.3  # tight-crop (and noise box) half side per iris radius
+_MARGIN = 1.3  # tight-crop (and noise box) half side per iris radius: ``_tight_half``
 
 
 def _scipy_root() -> Path:
@@ -124,22 +134,33 @@ class Frame:
     offset_px: tuple[float, float]
 
 
+def disk_reach(diameter_px: float) -> int:
+    """The half width of ``disk_kernel(diameter_px)``: the radius and its antialiased rim."""
+    return int(math.ceil(diameter_px / 2.0 + 0.5))
+
+
 def disk_kernel(diameter_px: float) -> np.ndarray:
     """Defocus disk with an antialiased rim, normalized to unit sum."""
     r = diameter_px / 2.0
-    n = 2 * int(math.ceil(r + 0.5)) + 1
-    c = n // 2
+    c = disk_reach(diameter_px)
+    n = 2 * c + 1
     yy, xx = np.mgrid[0:n, 0:n]
     rr = np.hypot(yy - c, xx - c)
     k = np.clip(r - rr + 0.5, 0.0, 1.0)
     return k / k.sum()
 
 
+def line_reach(length_px: float) -> int:
+    """The half width of ``line_kernel(length_px, ...)``: half the smear and one spare
+    cell for the bilinear splat."""
+    return int(math.ceil(length_px / 2.0)) + 1
+
+
 def line_kernel(length_px: float, direction: tuple[float, float]) -> np.ndarray:
     """Uniform smear along a direction, splatted bilinearly."""
     half = length_px / 2.0
-    n = 2 * (int(math.ceil(half)) + 1) + 1  # one spare cell for the bilinear splat
-    c = n // 2
+    c = line_reach(length_px)
+    n = 2 * c + 1
     dx, dy = direction
     norm = math.hypot(dx, dy)
     dx, dy = dx / norm, dy / norm
@@ -263,33 +284,31 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     e_hat = e / np.linalg.norm(e)
     off_x, off_y = _image_offset_px(train, power_dpt, pan_deg, tilt_deg, e_hat)
 
-    min_h, min_w = base_canvas if base_canvas is not None else (BASE_HEIGHT, BASE_WIDTH)
-    half = math.ceil(_MARGIN * r_i)  # the tight crop's half side
-    width = max(min_w, 2 * half)
-    height = max(min_h, 2 * half)
-    cx = width / 2.0 + off_x
-    cy = height / 2.0 + off_y
+    canvas = base_canvas if base_canvas is not None else (BASE_HEIGHT, BASE_WIDTH)
+    half, width, height, cx, cy = _crop(r_i, canvas, (off_x, off_y))
     if (cx - 1.05 * r_i < 0 or cx + 1.05 * r_i >= width
             or cy - 1.05 * r_i < 0 or cy + 1.05 * r_i >= height):
         raise TargetMissed(
             f"iris centre offset ({off_x:.0f},{off_y:.0f}) px leaves the crop"
         )
 
-    blur_mm = optics.blur_on_sensor_mm(train, power_dpt, d)
-    blur_px = blur_mm / optics.PIXEL_PITCH_MM
-    astig_sigma = k_ast * max(0.0, power_dpt) ** 2
+    blur_px = float(optics.blur_on_sensor_mm(train, power_dpt, d) / optics.PIXEL_PITCH_MM)
+    astig_sigma = float(k_ast * max(0.0, power_dpt) ** 2)
 
     v = np.asarray(eye_velocity_mmps, dtype=float)
     v_perp = v - np.dot(v, e_hat) * e_hat
     motion_px = (float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0)
                  * (px / optics.IRIS_DIAMETER_MM))
 
+    render_side(r_i, blur_px, astig_sigma, motion_px, canvas=canvas, offset=(off_x, off_y),
+                where=f"line of sight {d:.6g} mm with the train focused at "
+                      f"{train.d_ref_mm:.6g} mm")
     mdir = (1.0, 0.0)  # without a smear the cache key holds a fixed direction
     if motion_px > 0.5:
         u, w = _image_basis(e_hat)
         mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
     window, rows, cols = _clean_image(identity_seed, width, height, cx, cy, r_p, r_i,
-                                      float(blur_px), float(astig_sigma), motion_px, mdir)
+                                      blur_px, astig_sigma, motion_px, mdir)
 
     y0, y1 = _span(cy, half, height)
     x0, x1 = _span(cx, half, width)
@@ -307,7 +326,7 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
 
     return Frame(
         image=img, cx=cx, cy=cy, r_pupil_px=r_p, r_iris_px=r_i,
-        px_across_iris=px, blur_px=float(blur_px), astig_sigma_px=float(astig_sigma),
+        px_across_iris=px, blur_px=blur_px, astig_sigma_px=astig_sigma,
         motion_px=motion_px, power_dpt=power_dpt, offset_px=(off_x, off_y),
     )
 
@@ -324,33 +343,96 @@ def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: flo
     Returns the window with the canvas rows and columns it covers; the canvas
     outside it is flat sclera.
     """
-    disk = disk_kernel(blur_px) if blur_px > 0.05 else None
-    line = line_kernel(motion_px, mdir) if motion_px > 0.5 else None
-    sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
-    # Outside the iris disk's box the eye is flat sclera, which every stage
-    # leaves flat, so the stages run on that box grown by their summed reach
-    # (a kernel's half width, or the Gaussian's ``gaussian_reach``).  The
-    # window also covers the tight-crop box the exposure adds noise to.
-    reach = sum(k.shape[0] // 2 for k in (disk, line) if k is not None)
-    oy, ox = (r_i + reach + gaussian_reach(s) for s in sigma or (0.0, 0.0))
-    half = math.ceil(_MARGIN * r_i)
-    rows = slice(*_span(cy, max(half, oy), height))
-    cols = slice(*_span(cx, max(half, ox), width))
+    (disk, sigma, smear), rows, cols, (iy, ix), _ = _layout(
+        width, height, cx, cy, r_i, blur_px, astig_sigma, motion_px)
     img = _draw_eye(identity_seed, cols.stop - cols.start, rows.stop - rows.start,
                     cx - cols.start, cy - rows.start, r_p, r_i)
-    y0, y1 = (i - rows.start for i in _span(cy, oy, height))
-    x0, x1 = (i - cols.start for i in _span(cx, ox, width))
+    y0, y1 = (i - rows.start for i in iy)
+    x0, x1 = (i - cols.start for i in ix)
     optics_window = img[y0:y1, x0:x1]
     if disk is not None:
-        optics_window = _convolve_same(optics_window, disk)
+        optics_window = _convolve_same(optics_window, disk_kernel(disk))
     if sigma:
         optics_window = gaussian_filter(optics_window, sigma)
-    if line is not None:
-        optics_window = _convolve_same(optics_window, line)
+    if smear is not None:
+        optics_window = _convolve_same(optics_window, line_kernel(smear, mdir))
     img[y0:y1, x0:x1] = optics_window
     img = img * TRANSMISSION * 255.0
     img.flags.writeable = False
     return img, rows, cols
+
+
+class RenderTooWide(ValueError):
+    """A render would build an array wider than the sensor (``render_side``)."""
+
+
+def render_side(r_i: float, blur_px: float = 0.0, astig_sigma: float = 0.0,
+                motion_px: float = 0.0, *, where: str, canvas: tuple[int, int] = (0, 0),
+                offset: tuple[float, float] = (0.0, 0.0)) -> int:
+    """The side of the largest array a render of an iris ``r_i`` px in radius builds.
+
+    The render is ``render_eye``'s: on ``canvas``, the (height, width) the
+    canvas is at least, with the iris ``offset`` px off its centre, through
+    the optics stages the blur, astigmatism and smear turn on.  With no stage
+    the largest array is the canvas, on the tight crop (canvas (0, 0)) its
+    ``2 * ceil(_MARGIN * r_i)`` px side.  A disk or smear transforms the
+    filtered window edge-padded by its kernel's half width and zero-padded by
+    ``fftconvolve`` to ``good_size`` of that side plus the kernel width.
+    Raises RenderTooWide, naming ``where``, when the side is wider than the
+    sensor: the camera holds no frame that wide, and the arrays grow with the
+    side's square.
+    """
+    _, width, height, cx, cy = _crop(r_i, canvas, offset)
+    (disk, _, _), *_, side = _layout(width, height, cx, cy, r_i, blur_px, astig_sigma,
+                                     motion_px)
+    if side > optics.SENSOR_PX_H:
+        through = f" through a {disk:.0f} px defocus disk" if disk is not None else ""
+        raise RenderTooWide(f"{where} images {2 * r_i:.6g} px across the iris{through}, "
+                            f"a {side} px crop wider than the {optics.SENSOR_PX_H} px sensor")
+    return side
+
+
+def _tight_half(r_i: float) -> int:
+    """The half side of the tight crop, and of the noise box, about an iris of radius ``r_i``."""
+    return math.ceil(_MARGIN * r_i)
+
+
+def _crop(r_i: float, canvas: tuple[int, int], offset: tuple[float, float]
+          ) -> tuple[int, int, int, float, float]:
+    """The tight crop's half side, then the canvas's width and height, at least
+    ``canvas`` (height, width), and the iris centre ``offset`` px off its middle."""
+    half = _tight_half(r_i)
+    width, height = max(canvas[1], 2 * half), max(canvas[0], 2 * half)
+    return half, width, height, width / 2.0 + offset[0], height / 2.0 + offset[1]
+
+
+def _layout(width: int, height: int, cx: float, cy: float, r_i: float, blur_px: float,
+            astig_sigma: float, motion_px: float):
+    """Where a render's optics stage works, and the side of the largest array it builds.
+
+    Returns the stages that run (the disk's diameter, the astigmatic Gaussian's
+    row and column sigmas and the smear's length, each None when off), the
+    canvas rows and columns of the iris window, the (start, stop) rows and
+    columns the stages filter, and ``render_side``'s side.  Outside the iris
+    disk's box the eye is flat sclera, which every stage leaves flat, so the
+    stages run on that box grown by their summed reach (a kernel's half width,
+    or the Gaussian's ``gaussian_reach``).  The window also covers the
+    tight-crop box the exposure adds noise to.
+    """
+    disk = blur_px if blur_px > 0.05 else None
+    sigma = (astig_sigma, 0.3 * astig_sigma) if astig_sigma > 0.05 else None
+    smear = motion_px if motion_px > 0.5 else None
+    pads = [reach(p) for p, reach in ((disk, disk_reach), (smear, line_reach)) if p is not None]
+    oy, ox = (r_i + sum(pads) + gaussian_reach(s) for s in sigma or (0.0, 0.0))
+    half = _tight_half(r_i)
+    rows = slice(*_span(cy, max(half, oy), height))
+    cols = slice(*_span(cx, max(half, ox), width))
+    inner = _span(cy, oy, height), _span(cx, ox, width)
+    side = max(width, height)
+    if pads:  # _convolve_same edge-pads by a half width, fftconvolve adds the width less one
+        filtered = max(hi - lo for lo, hi in inner)
+        side = max(side, _pocketfft.good_size(filtered + 4 * max(pads), True))
+    return (disk, sigma, smear), rows, cols, inner, side
 
 
 def _span(c: float, r: float, n: int) -> tuple[int, int]:

@@ -1,9 +1,14 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, event, given, settings
+from hypothesis import strategies as st
 
 from irissim import cli, config, experiments, optics
 
@@ -558,6 +563,77 @@ def test_dof_extension_nearest_cell_wider_than_the_sensor_exits_2(tmp_path, caps
     _exits_2_naming(tmp_path, capsys, "dof-extension", cfg,
                     ("dof_extension base 1000 mm's nearest cell 300 mm",
                      "a 4086 px crop wider than the 4080 px sensor"))
+
+
+# the command line in a child whose address space is capped at 2 GiB, as is
+# every process of its pool: a render that outgrows the cap ends in a traceback
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from irissim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _capped_run(tmp_path, command, cfg, flags=(), timeout=120):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, "--config", str(path),
+                           "--out", str(out), *flags],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    return done, out
+
+
+# the lens cannot refocus and every gate is open, so the front walk gallops
+# out to cells whose defocus disk is thousands of pixels wide
+FAR_OUT_OF_FOCUS = {
+    "version": 1, "seed": 0,
+    "experiment": {"kind": "dof_extension", "base_distances_mm": [5000.0], "grid_mm": 100.0,
+                   "repeats": 1},
+    "train": {"n_stop": 0.5},
+    "lens": {"power_min_dpt": -0.01, "power_max_dpt": 0.01, "repeatability_dpt": 0.0},
+    "quality": {"sharpness_min": 1e-9, "min_px_across_iris": 1e-6,
+                "brightness_lo": 0.0, "brightness_hi": 255.0}}
+
+
+@pytest.mark.parametrize("flags", [(), ("--parallel",)], ids=["serial", "parallel"])
+def test_render_wider_than_the_sensor_exits_2_before_it_allocates(tmp_path, flags):
+    # validation passes it; the 3400 mm cell's 4555 px disk asked for a
+    # 9600 x 9600 transform and ended in a MemoryError
+    done, out = _capped_run(tmp_path, "dof-extension", FAR_OUT_OF_FOCUS, flags)
+    assert done.returncode == 2, done.stderr
+    for word in ("config error: dof_extension: line of sight 3400 mm",
+                 "train focused at 5000 mm", "px crop wider than the 4080 px sensor"):
+        assert word in done.stderr
+    assert not out.exists()
+
+
+_LENS_HALF_RANGE = st.sampled_from([0.01, 0.1, 1.0, 10.0])
+
+
+# no shrinking: each candidate is a child process, so shrinking a failure
+# takes minutes
+@settings(max_examples=6, phases=(Phase.explicit, Phase.generate))
+@given(base=st.floats(1000.0, 8000.0), grid=st.floats(100.0, 2000.0),
+       n_stop=st.floats(0.5, 8.0), lens=st.tuples(_LENS_HALF_RANGE, _LENS_HALF_RANGE),
+       sharpness=st.floats(1e-9, 0.01), min_px=st.floats(1e-6, 100.0),
+       brightness=st.tuples(st.floats(0.0, 50.0), st.floats(200.0, 255.0)))
+def test_small_dof_extension_runs_or_exits_2_under_a_memory_cap(tmp_path_factory, base, grid,
+                                                                 n_stop, lens, sharpness,
+                                                                 min_px, brightness):
+    cfg = {"version": 1, "seed": 0,
+           "experiment": {"kind": "dof_extension", "base_distances_mm": [base],
+                          "grid_mm": grid, "repeats": 1},
+           "train": {"n_stop": n_stop},
+           "lens": {"power_min_dpt": -lens[0], "power_max_dpt": lens[1],
+                    "repeatability_dpt": 0.0},
+           "quality": {"sharpness_min": sharpness, "min_px_across_iris": min_px,
+                       "brightness_lo": brightness[0], "brightness_hi": brightness[1]}}
+    # a narrow lens and open gates walk the search far out of focus
+    done, _ = _capped_run(tmp_path_factory.mktemp("run"), "dof-extension", cfg, timeout=60)
+    event(f"exit {done.returncode}")
+    assert done.returncode in (0, 2), done.stderr
 
 
 @pytest.mark.parametrize("experiment, words", [

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is read somewhere in that module,
 every function, class and module constant the package defines is used somewhere
-in the package, every package function reads each of its parameters, and
+in the package, every package function reads each of its parameters, only
+the renderer reads the sensor width and crop margin that size a render, and
 importing the command line leaves out every scipy package, jsonschema and the
 process pool, and builds no texture weight matrix."""
 
@@ -111,6 +112,13 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}: {name}" for path in MODULES
               for name in unread_parameters(path.read_text())]
     assert unread == []
+
+
+def test_only_the_renderer_sizes_a_render():
+    # renderer.render_side states the window rule once; validation calls it
+    readers = {name: [p.stem for p in MODULES if name in used_names(p.read_text())]
+               for name in ("SENSOR_PX_H", "_MARGIN")}
+    assert readers == {"SENSOR_PX_H": ["optics", "renderer"], "_MARGIN": ["renderer"]}
 
 
 SCIPY_PACKAGES = ("scipy", "scipy.fft", "scipy.ndimage", "scipy.special",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 from scipy import signal
 
-from irissim import config, experiments, optics, renderer, texture
+from irissim import calibration, config, experiments, optics, renderer, texture
 from irissim.optics import OpticalTrain, tunable_power_for_focus
 from irissim.quality import sharpness_score
 from irissim.renderer import (
@@ -21,6 +22,7 @@ from irissim.renderer import (
     REFLECTANCE_LID,
     REFLECTANCE_PUPIL,
     REFLECTANCE_SCLERA,
+    RenderTooWide,
     TargetMissed,
     _draw_eye,
     disk_kernel,
@@ -791,3 +793,53 @@ def test_full_frame_is_sclera_grey_outside_the_window_and_noise_free_outside_the
                                                           box.shape)
     assert np.array_equal(img[y0:y1, x0:x1], np.clip(box + noise, 0, 255).astype(np.uint8))
     assert np.mean(img[y0:y1, x0:x1] != clean[~margin].reshape(box.shape)) > 0.5
+
+
+@pytest.mark.parametrize("base_canvas", [(0, 0), None], ids=["tight", "640x480"])
+def test_render_side_is_the_largest_array_a_render_builds(monkeypatch, base_canvas):
+    # the side render_eye checks is the canvas or the largest transform
+    # fftconvolve makes of an edge-padded window, whichever is wider
+    sides, built = [], []
+    real_side, real_convolve = renderer.render_side, renderer.fftconvolve
+
+    def side(*args, **kwargs):
+        sides.append(real_side(*args, **kwargs))
+        return sides[-1]
+
+    def convolve(img, kernel):
+        n = kernel.shape[0]
+        built.extend(renderer._pocketfft.good_size(s + n - 1, True) for s in img.shape)
+        return real_convolve(img, kernel)
+
+    monkeypatch.setattr(renderer, "render_side", side)
+    monkeypatch.setattr(renderer, "fftconvolve", convolve)
+    stages = set()
+    for d, defocus, k_ast, speed in itertools.product(
+            (2000.0, 4000.0, 9000.0), (-0.5, 0.0, 1.0), (0.0, 0.2), (0.0, 800.0)):
+        renderer._clean_image.cache_clear()
+        built.clear()
+        frame = frame_at(d, power=tunable_power_for_focus(TRAIN, d) + defocus, k_ast=k_ast,
+                         eye_velocity_mmps=(speed, 0.0, 0.0), base_canvas=base_canvas)
+        assert max(built + list(frame.image.shape)) == sides[-1]
+        stages |= {name for name, on in (("disk", frame.blur_px > 0.05),
+                                         ("astig", frame.astig_sigma_px > 0.05),
+                                         ("smear", frame.motion_px > 0.5),
+                                         ("transform past the canvas",
+                                          max(built, default=0) > max(frame.image.shape)))
+                   if on}
+    assert stages == {"disk", "astig", "smear", "transform past the canvas"}
+
+
+def test_a_render_wider_than_the_sensor_raises_before_it_allocates(monkeypatch):
+    def allocates(*args):
+        raise AssertionError("the render built a kernel or a window")
+
+    monkeypatch.setattr(renderer, "disk_kernel", allocates)
+    monkeypatch.setattr(renderer, "_draw_eye", allocates)
+    renderer._clean_image.cache_clear()
+    cfg = {"version": 1, "experiment": {"kind": "dof_extension"}, "train": {"n_stop": 0.5}}
+    train = config.rig_from_config(config.validate_config(cfg), 5000.0).train
+    with pytest.raises(RenderTooWide) as err:
+        calibration.probe_frame(train, 3400.0, 0.0)
+    assert str(err.value).startswith("line of sight 3400 mm with the train focused at 5000 mm ")
+    assert str(err.value).endswith(", a 9600 px crop wider than the 4080 px sensor")
