@@ -31,7 +31,7 @@ durations (``*_ms``)       (0, 1e6] ms         1000 s
 ``max_speed_dps``          [0.36, 1e6] deg/s   a full-turn slew within them
 ``resolution_deg``         [1e-6, 360] deg     at most a full turn
 ``n_stop``                 [0.5, 1000]         f/0.5 is a lens in air's limit
-``pixel_scale_cal``        (0, 1e6]            ``renderer.render_side`` bounds it
+``pixel_scale_cal``        (0, 1e6]            the renderer's window rule bounds it
 ``repeatability_dpt``      [0, 20] dpt         the +-10 dpt envelope's span
 ``sharpness_min``          (0, 1]              canonical frames score below 0.06
 ``min_px_across_iris``     (0, 1e6] px         245x the sensor's 4080 px
@@ -60,8 +60,8 @@ the multiperson cast and the iom enrolment and walkers (``multiperson_cast``,
 ``iom_cast``; a walker walks at constant velocity from t = 0).  Every sight
 passes one predicate, ``_check_sight``, and every subject's sights and aims
 one box check over all its motion can reach, ``_check_reach``; a rendered sight's
-crop fits the sensor (``renderer.render_side`` with no optics: each render checks
-again with its own).  Subject ids must be unique.
+crop fits the sensor (``renderer.render_side``, the tight crop's side: each
+render checks its own side again).  Subject ids must be unique.
 """
 
 from __future__ import annotations

@@ -20,15 +20,15 @@ padding at a canvas side is the canvas's own.  The stage is a pure function
 of the frame geometry, so a one-entry cache (``_clean_image``) serves every
 repeat exposure of one geometry from a single render of that window.
 
-How big a render is is decided once, by ``render_side``: the side of the
-largest array a render builds, the canvas or the transform ``fftconvolve``
-makes of the window edge-padded by the widest kernel.  ``_clean_image`` cuts
-its window by the same arithmetic (``_layout``), and ``render_eye`` checks
-the side before it builds any kernel or window, raising RenderTooWide when
-it is wider than the sensor (``optics.SENSOR_PX_H``).  Validation calls
-``render_side`` with no optics for every sight it plans, which is the tight
-crop's side; only a render knows its defocus disk, so a sweep cell far out
-of focus meets the rule at run time.
+Which stages a render runs and how big it is are decided once, by
+``_layout``: the side of the largest array a render builds is the canvas or
+the transform ``fftconvolve`` makes of the window edge-padded by the widest
+kernel.  ``render_eye`` reads the stages and the side from it and checks the
+side before it builds any kernel or window, raising RenderTooWide when it is
+wider than the sensor (``optics.SENSOR_PX_H``); ``_clean_image`` cuts its
+window by the same call.  Validation checks every sight it plans with
+``render_side``, the tight crop's side; only a render knows its defocus
+disk, so a sweep cell far out of focus meets the rule at run time.
 
 The exposure stage adds Gaussian read noise from the frame's noise seed to
 the tight-crop box, clips and quantizes, once per call, in one box-sized
@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optics
+from .devices import SensorParams
 from .optics import OpticalTrain
 from .scene import RigGeometry, line_of_sight_mm, reflected_view_dir
 from .texture import SHEET_ANGULAR, SHEET_RADIAL, iris_texture
@@ -265,15 +266,17 @@ def _image_offset_px(train: OpticalTrain, power_dpt: float, pan_deg: float,
 
 def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
                tilt_deg: float, eye_pos_mm, identity_seed: int, noise_seed: int,
-               eye_velocity_mmps=(0.0, 0.0, 0.0), exposure_ms: float = 3.0,
+               eye_velocity_mmps=(0.0, 0.0, 0.0),
+               exposure_ms: float = SensorParams.exposure_ms,
                rig: RigGeometry = RigGeometry(), k_ast: float = DEFAULT_K_AST,
-               base_canvas: tuple[int, int] | None = None) -> Frame:
+               base_canvas: tuple[int, int] = (BASE_HEIGHT, BASE_WIDTH)) -> Frame:
     """Render the eye crop for one exposure.
 
     Raises TargetMissed when the folded axis is so far off the eye that the
     iris would not fit on the crop (typically a mirror still in flight).
-    ``base_canvas`` sets the minimum crop size; pass (0, 0) for the tight
-    crop used in bulk sweeps.
+    ``base_canvas`` sets the minimum crop size, (height, width); pass (0, 0)
+    for the tight crop used in bulk sweeps.  Raises RenderTooWide before it
+    builds a kernel or a window when the render is wider than the sensor.
     """
     d = line_of_sight_mm(eye_pos_mm, rig)
     px = optics.pixels_across_iris(train, d)
@@ -284,8 +287,7 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     e_hat = e / np.linalg.norm(e)
     off_x, off_y = _image_offset_px(train, power_dpt, pan_deg, tilt_deg, e_hat)
 
-    canvas = base_canvas if base_canvas is not None else (BASE_HEIGHT, BASE_WIDTH)
-    half, width, height, cx, cy = _crop(r_i, canvas, (off_x, off_y))
+    half, width, height, cx, cy = _crop(r_i, base_canvas, (off_x, off_y))
     if (cx - 1.05 * r_i < 0 or cx + 1.05 * r_i >= width
             or cy - 1.05 * r_i < 0 or cy + 1.05 * r_i >= height):
         raise TargetMissed(
@@ -300,11 +302,12 @@ def render_eye(train: OpticalTrain, *, power_dpt: float, pan_deg: float,
     motion_px = (float(np.linalg.norm(v_perp)) * (exposure_ms / 1000.0)
                  * (px / optics.IRIS_DIAMETER_MM))
 
-    render_side(r_i, blur_px, astig_sigma, motion_px, canvas=canvas, offset=(off_x, off_y),
-                where=f"line of sight {d:.6g} mm with the train focused at "
-                      f"{train.d_ref_mm:.6g} mm")
+    (disk, _, smear), *_, side = _layout(width, height, cx, cy, r_i, blur_px, astig_sigma,
+                                         motion_px)
+    _check_side(side, r_i, disk, f"line of sight {d:.6g} mm with the train focused at "
+                                 f"{train.d_ref_mm:.6g} mm")
     mdir = (1.0, 0.0)  # without a smear the cache key holds a fixed direction
-    if motion_px > 0.5:
+    if smear is not None:
         u, w = _image_basis(e_hat)
         mdir = (float(np.dot(v_perp, u)), float(np.dot(v_perp, w)))
     window, rows, cols = _clean_image(identity_seed, width, height, cx, cy, r_p, r_i,
@@ -363,33 +366,25 @@ def _clean_image(identity_seed: int, width: int, height: int, cx: float, cy: flo
 
 
 class RenderTooWide(ValueError):
-    """A render would build an array wider than the sensor (``render_side``)."""
+    """A render would build an array wider than the sensor (``_check_side``)."""
 
 
-def render_side(r_i: float, blur_px: float = 0.0, astig_sigma: float = 0.0,
-                motion_px: float = 0.0, *, where: str, canvas: tuple[int, int] = (0, 0),
-                offset: tuple[float, float] = (0.0, 0.0)) -> int:
-    """The side of the largest array a render of an iris ``r_i`` px in radius builds.
+def render_side(r_i: float, *, where: str) -> None:
+    """Raise RenderTooWide, naming ``where``, when the tight crop about an iris ``r_i``
+    px in radius, the least a render of it builds, is wider than the sensor: how
+    validation checks a sight it plans before any optics are known."""
+    _check_side(2 * _tight_half(r_i), r_i, None, where)
 
-    The render is ``render_eye``'s: on ``canvas``, the (height, width) the
-    canvas is at least, with the iris ``offset`` px off its centre, through
-    the optics stages the blur, astigmatism and smear turn on.  With no stage
-    the largest array is the canvas, on the tight crop (canvas (0, 0)) its
-    ``2 * ceil(_MARGIN * r_i)`` px side.  A disk or smear transforms the
-    filtered window edge-padded by its kernel's half width and zero-padded by
-    ``fftconvolve`` to ``good_size`` of that side plus the kernel width.
-    Raises RenderTooWide, naming ``where``, when the side is wider than the
-    sensor: the camera holds no frame that wide, and the arrays grow with the
-    side's square.
-    """
-    _, width, height, cx, cy = _crop(r_i, canvas, offset)
-    (disk, _, _), *_, side = _layout(width, height, cx, cy, r_i, blur_px, astig_sigma,
-                                     motion_px)
+
+def _check_side(side: int, r_i: float, disk: float | None, where: str) -> None:
+    """Raise RenderTooWide, naming ``where``, when a render of an iris ``r_i`` px in
+    radius, through a defocus disk of diameter ``disk`` (None when off), builds an
+    array ``side`` px wide that is wider than the sensor: the camera holds no frame
+    that wide, and the arrays grow with the side's square."""
     if side > optics.SENSOR_PX_H:
         through = f" through a {disk:.0f} px defocus disk" if disk is not None else ""
         raise RenderTooWide(f"{where} images {2 * r_i:.6g} px across the iris{through}, "
                             f"a {side} px crop wider than the {optics.SENSOR_PX_H} px sensor")
-    return side
 
 
 def _tight_half(r_i: float) -> int:
@@ -413,7 +408,8 @@ def _layout(width: int, height: int, cx: float, cy: float, r_i: float, blur_px: 
     Returns the stages that run (the disk's diameter, the astigmatic Gaussian's
     row and column sigmas and the smear's length, each None when off), the
     canvas rows and columns of the iris window, the (start, stop) rows and
-    columns the stages filter, and ``render_side``'s side.  Outside the iris
+    columns the stages filter, and the side of the largest array the render
+    builds, which ``render_eye`` checks against the sensor.  Outside the iris
     disk's box the eye is flat sclera, which every stage leaves flat, so the
     stages run on that box grown by their summed reach (a kernel's half width,
     or the Gaussian's ``gaussian_reach``).  The window also covers the
@@ -488,7 +484,9 @@ def _polar_map(width: int, height: int, cx: float, cy: float, r_p: float, r_i: f
 
 
 # streams held: every sweep cell of repeat r exposes with that repeat's noise
-# seed, so the canonical 5 repeats of a cell all find their stream
+# seed, so the canonical 5 repeats of a cell all find their stream; a sweep
+# with more repeats cycles more seeds than the cache holds and misses on
+# almost every exposure
 _NOISE_STREAMS = 5
 
 

@@ -121,6 +121,15 @@ def test_only_the_renderer_sizes_a_render():
     assert readers == {"SENSOR_PX_H": ["optics", "renderer"], "_MARGIN": ["renderer"]}
 
 
+def test_one_site_raises_render_too_wide():
+    # validation and rendering share one message format only if one line writes it
+    sites = [f"{path.stem}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "RenderTooWide"]
+    assert len(sites) == 1, sites
+
+
 SCIPY_PACKAGES = ("scipy", "scipy.fft", "scipy.ndimage", "scipy.special",
                   "scipy.signal", "scipy.stats")
 

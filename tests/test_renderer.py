@@ -678,6 +678,23 @@ def test_tight_crop_exposure_equals_the_whole_canvas_reference(d, off_x, off_y, 
     assert np.array_equal(frame.image, _parent_exposure(*args, nseed))
 
 
+def test_the_smear_direction_is_keyed_only_when_the_layout_smears(monkeypatch):
+    # render_eye keys the clean image on the eye's smear direction only when
+    # _layout runs the smear; with it off the key holds the fixed direction
+    eye = (0.0, 3800.0, 0.0)
+    pan, tilt = aim_angles(eye)
+    kwargs = dict(train=TRAIN, power_dpt=tunable_power_for_focus(TRAIN, 4000.0), pan_deg=pan,
+                  tilt_deg=tilt, eye_pos_mm=eye, identity_seed=4000, noise_seed=3,
+                  eye_velocity_mmps=(300.0, 0.0, 200.0), base_canvas=(0, 0))
+    renderer._clean_image.cache_clear()
+    frame, args = _render_recording_geometry(**kwargs)
+    assert frame.motion_px > 1.0 and args[-1] != (1.0, 0.0)
+    real = renderer._layout
+    monkeypatch.setattr(renderer, "_layout", lambda *a: real(*a[:-1], 0.0))  # no smear
+    frame, args = _render_recording_geometry(**kwargs)
+    assert frame.motion_px > 1.0 and args[-1] == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("distances", [(6500.0, 3600.0), (3600.0, 6500.0)])
 def test_warm_stream_exposures_equal_the_whole_canvas_reference(distances):
     # one noise seed on a small and a large tight crop: the second exposure
@@ -795,23 +812,23 @@ def test_full_frame_is_sclera_grey_outside_the_window_and_noise_free_outside_the
     assert np.mean(img[y0:y1, x0:x1] != clean[~margin].reshape(box.shape)) > 0.5
 
 
-@pytest.mark.parametrize("base_canvas", [(0, 0), None], ids=["tight", "640x480"])
+@pytest.mark.parametrize("base_canvas", [(0, 0), (480, 640)], ids=["tight", "640x480"])
 def test_render_side_is_the_largest_array_a_render_builds(monkeypatch, base_canvas):
     # the side render_eye checks is the canvas or the largest transform
     # fftconvolve makes of an edge-padded window, whichever is wider
     sides, built = [], []
-    real_side, real_convolve = renderer.render_side, renderer.fftconvolve
+    real_check, real_convolve = renderer._check_side, renderer.fftconvolve
 
-    def side(*args, **kwargs):
-        sides.append(real_side(*args, **kwargs))
-        return sides[-1]
+    def check(side, *args):
+        sides.append(side)
+        return real_check(side, *args)
 
     def convolve(img, kernel):
         n = kernel.shape[0]
         built.extend(renderer._pocketfft.good_size(s + n - 1, True) for s in img.shape)
         return real_convolve(img, kernel)
 
-    monkeypatch.setattr(renderer, "render_side", side)
+    monkeypatch.setattr(renderer, "_check_side", check)
     monkeypatch.setattr(renderer, "fftconvolve", convolve)
     stages = set()
     for d, defocus, k_ast, speed in itertools.product(
