@@ -430,10 +430,9 @@ def _hd_steps(exp: dict) -> list[int]:
 def queued_renders(exp: dict) -> int:
     """Worst-case renders a config queues.
 
-    dof_extension: every repeat searches both side walks of every base, each
-    for at most ``walk_renders`` cells, and renders the base cell, which both
-    walks count, once.  hd_curve: every position and repeat, the template
-    and two eyes per impostor pair.
+    dof_extension: every repeat renders each base cell once, then searches
+    each side walk for at most ``walk_renders(n) - 1`` more cells.  hd_curve:
+    every position and repeat, the template and two eyes per impostor pair.
     multiperson: one enrolment and the whole dwell budget per subject.  iom:
     both variants' frames and one enrolment.  dof_table renders nothing.
     """

@@ -8,12 +8,12 @@ back whether its ``map_units`` is the builtin ``map`` or, for ``--parallel``,
 the map of the one process pool ``run_experiment`` opens for the run.
 
 Each unit holds every repeat of one clean image, so the renderer's
-one-entry clean-image cache serves the repeats after the first.  A
-dof_extension unit is one (base, side): all repeats search its walk outward
-from the base cell, cell 0, in lockstep, each for its own gate's edge (a
-gallop, then a bisection).  Only the front walk renders the base cell, so a
-(base, repeat)'s rows in position order are the front walk's probed cells
-reversed and then the rear walk's.  An hd_curve unit is one position's repeats.
+one-entry clean-image cache serves the repeats after the first.  An
+hd_curve unit is one position's repeats.  A dof_extension unit is one
+(base, side): the repeats that passed the base cell, cell 0, which the
+runner renders first, search its walk outward in lockstep, each for its own
+gate's edge (a gallop, then a bisection).  A (base, repeat)'s rows in position
+order are its front walk's cells reversed, its base cell and its rear walk's.
 """
 
 from __future__ import annotations
@@ -125,31 +125,27 @@ def _extension_cell(cfg, rig, d, repeat):
 
 
 def _extension_side(args):
-    """Search one (base, side) walk outward from focus, all repeats in lockstep.
+    """Search one (base, side) walk outward from focus, the given repeats in lockstep.
 
-    The cells are ``config.side_walk``'s, cell 0 the base cell itself.  Each
-    repeat brackets its gate's edge between ``lo``, the last cell that passed,
-    and ``hi``, the first that failed (n before any): it gallops through
-    cells 0, 1, 2, 4, ... up to cell n - 1 and, once a cell fails, bisects
-    down to adjacent cells (``config.walk_probe``).  Only the front walk
-    probes the base cell (``lo`` starts at -1); the rear walk starts at
-    ``lo`` 0, as if it had passed, and ``run_dof_extension`` drops the rear
-    walk of a repeat whose base cell failed at the front.
+    The cells are ``config.side_walk``'s, cell 0 the base cell itself, which
+    every given repeat passed.  Each repeat brackets its gate's edge between
+    ``lo``, the last cell that passed, and ``hi``, the first that failed (n
+    before any): it gallops through cells 1, 2, 4, ... up to cell n - 1 and,
+    once a cell fails, bisects down to adjacent cells (``config.walk_probe``).
     Where the gate passes and then fails along the walk, ``lo`` is the last
     cell a cell-by-cell scan would pass.  In each round every open repeat
     picks its next cell, the round visits those cells in walk order, and the
     repeats that picked one cell are evaluated back to back, so they share one
     clean image.  A repeat still passing at cell n - 1 found no limit: its
-    extent is only a lower bound.  Returns each repeat's rows (the cells it
-    probed, in walk order), each repeat's ``lo`` and n.
+    extent is only a lower bound.  Returns the given repeats' rows (the cells
+    each probed, in walk order), their ``lo`` and n.
     """
-    cfg, base, sign = args
+    cfg, base, sign, repeats = args
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg, base)
     n, position = config.side_walk(base, exp["grid_mm"], sign)
-    repeats = range(exp["repeats"])
-    lo, hi = [-1 if sign < 0 else 0 for _ in repeats], [n for _ in repeats]
-    rows = [{} for _ in repeats]
+    lo, hi = dict.fromkeys(repeats, 0), dict.fromkeys(repeats, n)
+    rows = {r: {} for r in repeats}
     while picks := {r: config.walk_probe(lo[r], hi[r], n)
                     for r in repeats if hi[r] - lo[r] > 1}:
         for r in sorted(picks, key=lambda r: (picks[r], r)):
@@ -159,26 +155,30 @@ def _extension_side(args):
                 lo[r] = k
             else:
                 hi[r] = k
-    return [[cells[k] for k in sorted(cells)] for cells in rows], lo, n
+    return [[cells[k] for k in sorted(cells)] for cells in rows.values()], list(lo.values()), n
 
 
 def run_dof_extension(cfg: dict, map_units=map) -> ExperimentResult:
     exp = cfg["experiment"]
     bases = exp["base_distances_mm"]
-    units = [(cfg, b, sign) for b in bases for sign in (-1.0, 1.0)]
+    rigs = [config.rig_from_config(cfg, base) for base in bases]
+    base_cells = [[_extension_cell(cfg, rig, base, r) for r in range(exp["repeats"])]
+                  for base, rig in zip(bases, rigs)]
+    units = [(cfg, base, sign, [r for r, (ok, _) in enumerate(cells) if ok])
+             for base, cells in zip(bases, base_cells) for sign in (-1.0, 1.0)]
     results = list(map_units(_extension_side, units))
 
     rows = []
     summary = []
     stats = {"guard_cut": []}
-    for base, (front_rows, front_lo, front_n), (rear_rows, rear_lo, rear_n) in zip(
-            bases, results[0::2], results[1::2]):
-        # a repeat whose base cell failed has no rear walk: its rows go, its extent is 0
-        rear_lo = [r if f >= 0 else -1 for f, r in zip(front_lo, rear_lo)]
-        for f_rows, r_rows, r in zip(front_rows, rear_rows, rear_lo):
-            rows += f_rows[::-1] + (r_rows if r >= 0 else [])
-        front, rear = (float(np.mean([max(k, 0) * exp["grid_mm"] for k in lo]))
-                       for lo in (front_lo, rear_lo))
+    for base, cells, (front_rows, front_lo, front_n), (rear_rows, rear_lo, rear_n) in zip(
+            bases, base_cells, results[0::2], results[1::2]):
+        # a repeat whose base cell failed searched neither walk: its extent is 0
+        passed = iter(zip(front_rows, rear_rows, front_lo, rear_lo))
+        walks = [next(passed) if ok else ([], [], 0, 0) for ok, _ in cells]
+        for (_, row), (f_rows, r_rows, _, _) in zip(cells, walks):
+            rows += f_rows[::-1] + [row] + r_rows
+        front, rear = (float(np.mean([w[i] * exp["grid_mm"] for w in walks])) for i in (2, 3))
         total = front + rear
         stats[base] = {"front_mm": front, "rear_mm": rear, "total_mm": total}
         # a repeat still passing at a walk's last cell found no limit on that side

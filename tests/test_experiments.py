@@ -58,8 +58,9 @@ def test_hd_curve_drive_stays_inside_the_lens_range(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, experiment, units", [
+    # the runner's base-cell pass and the front and rear units
     ("dof_extension", {"base_distances_mm": [3000.0, 5000.0], "grid_mm": 400.0,
-                       "repeats": 2}, [3000.0, 3000.0, 5000.0, 5000.0]),
+                       "repeats": 2}, 3 * [3000.0] + 3 * [5000.0]),
     # the template, three positions and two impostor pairs
     ("hd_curve", {"grid_mm": 1000.0, "span_near_mm": 1000.0, "span_far_mm": 1000.0,
                   "repeats": 2, "impostor_pairs": 2}, 6 * [5000.0]),
@@ -177,6 +178,18 @@ def test_search_past_the_edge_or_from_a_failing_base_equals_the_linear_scan(
     _assert_search_equals_linear_scan(config.validate_config(cfg))
 
 
+def test_a_failing_base_cell_is_the_only_render_of_its_repeat(monkeypatch):
+    # neither side walk renders a cell for a repeat whose base cell failed
+    cfg = config.default_config("dof_extension")
+    cfg["experiment"].update(base_distances_mm=[5000.0], grid_mm=200.0, repeats=2)
+    cfg["quality"] = {"min_px_across_iris": 1000.0}
+    cfg = config.validate_config(cfg)
+    calls = _count_renders(monkeypatch)
+    res = experiments.run_dof_extension(cfg)
+    assert [row[2] for row in res.rows] == [5000.0, 5000.0]
+    assert len(calls) == len(res.rows) == 2
+
+
 def _linear_edge(n, edge, start):
     """Reference: scan cells start .. n - 1 until one fails (cell k passes iff k < edge).
 
@@ -192,8 +205,8 @@ def _linear_edge(n, edge, start):
 
 def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
     # No rendering: cell k of every walk passes iff k is below its repeat's edge.
-    # The front walk probes the base cell, cell 0; the rear walk takes it as
-    # passed and scans from cell 1.
+    # The runner renders the base cell, cell 0, and gives each walk the repeats
+    # that passed it, so both walks take it as passed and scan from cell 1.
     edges = {}
     calls = []
 
@@ -204,20 +217,21 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
 
     monkeypatch.setattr(experiments, "_extension_cell", fake_cell)
     cfg = {"seed": 0, "experiment": {"grid_mm": 10.0, "repeats": 3}}
-    for n, (sign, start) in itertools.product(range(1, 72), [(-1.0, 0), (1.0, 1)]):
+    start = 1
+    for n, sign in itertools.product(range(1, 72), (-1.0, 1.0)):
         monkeypatch.setattr(config, "side_walk", lambda base, grid, s, n=n: (n, float))
         bound = config.walk_renders(n)
         assert bound == min(n, 2 * math.ceil(math.log2(n)) + 2)
         for edge in range(n + 1):
             edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1)})
             calls.clear()
-            rows, lo, walk_n = experiments._extension_side((cfg, 5000.0, sign))
+            rows, lo, walk_n = experiments._extension_side((cfg, 5000.0, sign, [0, 1, 2]))
             assert walk_n == n
             assert lo == [_linear_edge(n, edges[r], start) for r in range(3)]
             for r in range(3):
                 probed = [k for rr, k in calls if rr == r]
                 assert len(probed) <= bound - start
-                assert (0 in probed) == (start == 0)
+                assert 0 not in probed
                 assert rows[r] == [(r, k) for k in sorted(set(probed))]
                 assert len(set(probed)) == len(probed)
 
@@ -248,7 +262,7 @@ def test_dof_extension_renders_no_more_than_it_queues(monkeypatch):
     res = experiments.run_dof_extension(cfg)
     distances = [c["eye_pos_mm"][1] + PROBE_RIG.lens_height_mm for c in calls]
     assert res.stats["guard_cut"] == [(1000.0, "front"), (1000.0, "rear")]
-    # only the front walk renders the base cell of each repeat, as its step 0
+    # the runner renders the base cell of each repeat once, before either walk
     assert distances.count(1000.0) == 2
     assert sorted(distances) == sorted(2 * [500.0, 750.0, 1000.0, 1250.0,
                                             1500.0, 2000.0, 3000.0])
@@ -350,6 +364,7 @@ def test_config_runs_or_fails_validation(experiment, sections):
         result = experiments.run_experiment(cfg)
     assert len(calls) <= queued
     if experiment["kind"] == "dof_extension":
+        assert len(calls) == len(result.rows)
         walks = {base: [_brute_force_walk(base, experiment["grid_mm"], sign)
                         for sign in (-1.0, 1.0)]
                  for base in experiment["base_distances_mm"]}
