@@ -36,7 +36,8 @@ durations (``*_ms``)       (0, 1e6] ms         1000 s
 ``sharpness_min``          (0, 1]              canonical frames score below 0.06
 ``min_px_across_iris``     (0, 1e6] px         245x the sensor's 4080 px
 ``brightness_lo``, ``hi``  [0, 255]            8-bit grey
-counts, ``impostor_pairs`` [1 or 0, 1e5]       ``MAX_RENDERS``: each queues as many
+counts                     [1, 1e5]            ``MAX_RENDERS``: each queues as many
+``impostor_pairs``         [0, 1e5]            as many HDs, but only 448 renders
 ``start_frame``            [2, 1e7]            91 h at 30.5 fps
 =========================  ==================  =====================================
 
@@ -427,12 +428,20 @@ def _hd_steps(exp: dict) -> list[int]:
     return [round(exp[key] / exp["grid_mm"]) for key in ("span_near_mm", "span_far_mm")]
 
 
+def impostor_identities(pairs: int) -> int:
+    """The fewest identities n whose n(n - 1) / 2 pairs number at least ``pairs``."""
+    # n - 1 is one more than the greatest m with m(m + 1) / 2 <= pairs - 1,
+    # and that m is (isqrt(8 pairs - 7) - 1) // 2
+    return (math.isqrt(8 * pairs - 7) + 3) // 2 if pairs else 0
+
+
 def queued_renders(exp: dict) -> int:
     """Worst-case renders a config queues.
 
     dof_extension: every repeat renders each base cell once, then searches
     each side walk for at most ``walk_renders(n) - 1`` more cells.  hd_curve:
-    every position and repeat, the template and two eyes per impostor pair.
+    every position and repeat, the template and one eye per impostor identity
+    (``impostor_identities``).
     multiperson: one enrolment and the whole dwell budget per subject.  iom:
     both variants' frames and one enrolment.  dof_table renders nothing.
     """
@@ -443,7 +452,8 @@ def queued_renders(exp: dict) -> int:
             for base in exp["base_distances_mm"])
     if kind == "hd_curve":
         n_near, n_far = _hd_steps(exp)
-        return (n_near + n_far + 1) * exp["repeats"] + 1 + 2 * exp["impostor_pairs"]
+        return ((n_near + n_far + 1) * exp["repeats"] + 1
+                + impostor_identities(exp["impostor_pairs"]))
     if kind == "multiperson":
         return len(exp["subjects"]) * (exp["dwell_budget"] + 1)
     if kind == "iom":

@@ -9,8 +9,9 @@ the map of the one process pool ``run_experiment`` opens for the run.
 
 Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  An
-hd_curve unit is one position's repeats.  A dof_extension unit is one
-(base, side): the repeats that passed the base cell, cell 0, which the
+hd_curve unit is one position's repeats, or one impostor identity's eye,
+whose code the runner compares with every other's.  A dof_extension unit is
+one (base, side): the repeats that passed the base cell, cell 0, which the
 runner renders first, search its walk outward in lockstep, each for its own
 gate's edge (a gallop, then a bisection).  A (base, repeat)'s rows in position
 order are its front walk's cells reversed, its base cell and its rear walk's.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -262,15 +264,13 @@ def _hd_unit(args):
     return cells
 
 
-def _impostor_unit(args):
-    """HD between two in-focus eyes with unrelated identity seeds."""
-    cfg, k = args
+def _impostor_code(args):
+    """Impostor identity i's in-focus eye at the base, as ``iriscode.to_bytes``."""
+    cfg, i = args
     base = cfg["experiment"]["base_mm"]
     rig = config.rig_from_config(cfg, base)
-    codes = [iriscode.encode_frame(_probe(cfg, rig, base, identity, 2 * k + side),
-                                   circles="truth")
-             for side, identity in enumerate((1000 + k, 2000 + k))]
-    return iriscode.hamming_distance(codes[0], codes[1])
+    return iriscode.to_bytes(iriscode.encode_frame(_probe(cfg, rig, base, 1000 + i, i),
+                                                   circles="truth"))
 
 
 def run_hd_curve(cfg: dict, map_units=map) -> ExperimentResult:
@@ -285,7 +285,11 @@ def run_hd_curve(cfg: dict, map_units=map) -> ExperimentResult:
     units = list(map_units(_hd_unit, [(cfg, p, template) for p in positions]))
     rows = [cell for unit in units for cell in unit]
     mean_hd = {p: float(np.mean([hd for *_, hd in unit])) for p, unit in zip(positions, units)}
-    impostors = list(map_units(_impostor_unit, [(cfg, k) for k in range(exp["impostor_pairs"])]))
+    # every pair of a few identities, each encoded once; pairs share identities
+    n_ids = config.impostor_identities(exp["impostor_pairs"])
+    codes = [iriscode.from_bytes(blob)
+             for blob in map_units(_impostor_code, [(cfg, i) for i in range(n_ids)])]
+    impostors = [iriscode.hamming_distance(a, b) for a, b in itertools.combinations(codes, 2)]
 
     # contiguous sub-threshold interval through the focal plane
     lo = hi = positions.index(base)
@@ -306,6 +310,7 @@ def run_hd_curve(cfg: dict, map_units=map) -> ExperimentResult:
         "impostor_mean": float(np.mean(impostors)) if impostors else math.nan,
         "impostor_min": float(np.min(impostors)) if impostors else math.nan,
         "impostor_n": len(impostors),
+        "impostor_identities": n_ids,
     }
     summary = [
         f"hd_curve: base {base / 1000.0:.6g} m, {len(positions)} positions x {repeats} repeats",
@@ -314,7 +319,7 @@ def run_hd_curve(cfg: dict, map_units=map) -> ExperimentResult:
          f"{interval[0] / 1000.0:.6g} .. {interval[1] / 1000.0:.6g} m "
          f"({stats['span_mm'] / 1000.0:.6g} m)"),
         (f"hd_curve: impostor mean {stats['impostor_mean']:.6g} min "
-         f"{stats['impostor_min']:.6g} over {len(impostors)} pairs"),
+         f"{stats['impostor_min']:.6g} over {len(impostors)} pairs of {n_ids} identities"),
     ]
     return ExperimentResult(
         name="hd_curve",

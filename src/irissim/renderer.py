@@ -449,7 +449,7 @@ def _draw_eye(identity_seed: int, width: int, height: int,
 
 
 # one entry: the identity-free half of a draw, which the hd-curve template and
-# both eyes of every impostor pair share at the base geometry
+# every impostor identity's eye share at the base geometry
 @functools.lru_cache(maxsize=1)
 def _polar_map(width: int, height: int, cx: float, cy: float, r_p: float, r_i: float
                ) -> tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

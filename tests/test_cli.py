@@ -425,8 +425,7 @@ def test_dof_table_check_at_another_zoom_keeps_only_the_ordering(tmp_path, capsy
     ("dof-extension", {"kind": "dof_extension", "grid_mm": 0.01, "repeats": 1000},
      "233000"),
     ("dof-extension", {"kind": "dof_extension", "repeats": 100_000}, "11300000"),
-    ("hd-curve", {"kind": "hd_curve", "grid_mm": 0.01}, "3200106"),
-    ("hd-curve", {"kind": "hd_curve", "impostor_pairs": 100_000}, "200326"),
+    ("hd-curve", {"kind": "hd_curve", "grid_mm": 0.01}, "3200017"),
     # two walker variants and one enrolment
     ("iom", {"kind": "iom", "n_frames": 100_000}, "200001"),
     # one enrolment and the whole dwell budget per subject
@@ -437,6 +436,13 @@ def test_sweep_queuing_too_many_renders_exits_2(tmp_path, capsys, command,
     cfg = {"version": 1, "experiment": experiment}
     _exits_2_naming(tmp_path, capsys, command, cfg,
                     (f"queues up to {count} renders", str(config.MAX_RENDERS)))
+
+
+def test_hd_curve_with_the_most_impostor_pairs_validates():
+    # 100,000 pairs are drawn from 448 identities, one render each
+    cfg = config.validate_config({"version": 1, "experiment": {
+        "kind": "hd_curve", "impostor_pairs": 100_000}})
+    assert config.queued_renders(cfg["experiment"]) == 326 + 448
 
 
 def test_canonical_and_benchmark_configs_stay_under_the_render_bound(monkeypatch):

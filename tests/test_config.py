@@ -486,6 +486,15 @@ def test_side_walk_counts_a_fine_grid_without_listing_it():
     assert config.walk_renders(n) == 2 * 34 + 2
 
 
+def test_impostor_identities_are_the_fewest_that_give_the_pairs():
+    n = np.array([config.impostor_identities(p) for p in range(config.MAX_RENDERS + 1)])
+    pairs = np.arange(n.size)
+    # n identities give at least the pairs, and one fewer gives too few
+    assert np.all(n * (n - 1) // 2 >= pairs)
+    assert np.all((n == 0) | ((n - 1) * (n - 2) // 2 < pairs))
+    assert n[-1] == 448
+
+
 def _replay_walkers(cfg: dict) -> None:
     """The frame-by-frame check of both iom walkers: every aim the tracker
     commands in the mirror's range, every sight through ``_check_sight``."""

@@ -61,9 +61,9 @@ def test_hd_curve_drive_stays_inside_the_lens_range(monkeypatch):
     # the runner's base-cell pass and the front and rear units
     ("dof_extension", {"base_distances_mm": [3000.0, 5000.0], "grid_mm": 400.0,
                        "repeats": 2}, 3 * [3000.0] + 3 * [5000.0]),
-    # the template, three positions and two impostor pairs
+    # the template, three positions and the three identities of two impostor pairs
     ("hd_curve", {"grid_mm": 1000.0, "span_near_mm": 1000.0, "span_far_mm": 1000.0,
-                  "repeats": 2, "impostor_pairs": 2}, 6 * [5000.0]),
+                  "repeats": 2, "impostor_pairs": 2}, 7 * [5000.0]),
 ])
 def test_each_sweep_unit_builds_its_base_rig_once(monkeypatch, kind, experiment, units):
     cfg = config.default_config(kind)
@@ -305,7 +305,7 @@ _EXPERIMENTS = st.one_of(
         "kind": st.just("hd_curve"), "base_mm": st.floats(1000.0, 6000.0),
         "grid_mm": st.floats(500.0, 2000.0), "span_near_mm": st.floats(1.0, 2000.0),
         "span_far_mm": st.floats(1.0, 3000.0), "repeats": _counts(1, 2),
-        "impostor_pairs": _counts(0, 1)}),
+        "impostor_pairs": _counts(0, 4)}),
     st.fixed_dictionaries({
         "kind": st.just("multiperson"),
         "subjects": st.tuples(st.floats(500.0, 12000.0), st.floats(500.0, 12000.0),
@@ -363,6 +363,8 @@ def test_config_runs_or_fails_validation(experiment, sections):
         calls = _count_renders(mp)
         result = experiments.run_experiment(cfg)
     assert len(calls) <= queued
+    if experiment["kind"] == "hd_curve":
+        assert len(calls) == queued
     if experiment["kind"] == "dof_extension":
         assert len(calls) == len(result.rows)
         walks = {base: [_brute_force_walk(base, experiment["grid_mm"], sign)

@@ -513,13 +513,15 @@ def test_polar_map_is_a_read_only_one_entry_cache():
     assert renderer._polar_map.cache_info().currsize == 1
 
 
-def test_both_eyes_of_an_impostor_pair_share_one_polar_map():
+def test_every_impostor_identity_shares_one_polar_map():
     cfg = config.default_config("hd_curve")
+    n = config.impostor_identities(cfg["experiment"]["impostor_pairs"])
     renderer._clean_image.cache_clear()
     renderer._polar_map.cache_clear()
-    experiments._impostor_unit((cfg, 0))
+    for i in range(n):
+        experiments._impostor_code((cfg, i))
     info = renderer._polar_map.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, n - 1)
 
 
 def test_identities_drawn_at_one_geometry_differ_only_inside_the_iris_disk():
