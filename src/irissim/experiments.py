@@ -11,16 +11,16 @@ Each unit holds every repeat of one clean image, so the renderer's
 one-entry clean-image cache serves the repeats after the first.  An
 hd_curve unit is one position's repeats, or one impostor identity's eye,
 whose code the runner compares with every other's.  A dof_extension unit is
-one (base, side): the repeats that passed the base cell, cell 0, which the
-runner renders first, search its walk outward in lockstep, each for its own
-gate's edge (a gallop, then a bisection).  A (base, repeat)'s rows in position
-order are its front walk's cells reversed, its base cell and its rear walk's.
+one (base, side) with every repeat's verdict on the base cell, cell 0, which
+the runner renders first: the repeats that passed it search the walk outward
+in lockstep, each for its own gate's edge (a gallop, then a bisection).  A
+(base, repeat)'s rows in position order are its front walk's cells reversed,
+its base cell and its rear walk's.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass, field
@@ -127,29 +127,32 @@ def _extension_cell(cfg, rig, d, repeat):
 
 
 def _extension_side(args):
-    """Search one (base, side) walk outward from focus, the given repeats in lockstep.
+    """Search one (base, side) walk outward from focus, every repeat in lockstep.
 
-    The cells are ``config.side_walk``'s, cell 0 the base cell itself, which
-    every given repeat passed.  Each repeat brackets its gate's edge between
-    ``lo``, the last cell that passed, and ``hi``, the first that failed (n
-    before any): it gallops through cells 1, 2, 4, ... up to cell n - 1 and,
-    once a cell fails, bisects down to adjacent cells (``config.walk_probe``).
-    Where the gate passes and then fails along the walk, ``lo`` is the last
-    cell a cell-by-cell scan would pass.  In each round every open repeat
-    picks its next cell, the round visits those cells in walk order, and the
-    repeats that picked one cell are evaluated back to back, so they share one
-    clean image.  A repeat still passing at cell n - 1 found no limit: its
-    extent is only a lower bound.  Returns the given repeats' rows (the cells
-    each probed, in walk order), their ``lo`` and n.
+    The cells are ``config.side_walk``'s, cell 0 the base cell itself, whose
+    verdict for repeat r is ``passed[r]``.  Each repeat brackets its gate's
+    edge between ``lo``, the last cell that passed, and ``hi``, the first that
+    failed (n before any): it gallops through cells 1, 2, 4, ... up to cell
+    n - 1 and, once a cell fails, bisects down to adjacent cells
+    (``config.walk_probe``).  A repeat whose base cell failed starts closed,
+    ``lo = hi = 0``, so it probes nothing and its extent is 0.  Where the gate
+    passes and then fails along the walk, ``lo`` is the last cell a
+    cell-by-cell scan would pass.  In each round every open repeat picks its
+    next cell, the round visits those cells in walk order, and the repeats
+    that picked one cell are evaluated back to back, so they share one clean
+    image.  A repeat whose ``hi`` is still n passed cell n - 1 and found no
+    limit: the guard cut the side, and its extent is only a lower bound.
+    Returns every repeat's rows (the cells it probed, in walk order), every
+    repeat's ``lo`` and whether the guard cut the side.
     """
-    cfg, base, sign, repeats = args
+    cfg, base, sign, passed = args
     exp = cfg["experiment"]
     rig = config.rig_from_config(cfg, base)
     n, position = config.side_walk(base, exp["grid_mm"], sign)
-    lo, hi = dict.fromkeys(repeats, 0), dict.fromkeys(repeats, n)
-    rows = {r: {} for r in repeats}
+    lo, hi = [0] * len(passed), [n if ok else 0 for ok in passed]
+    rows = [{} for _ in passed]
     while picks := {r: config.walk_probe(lo[r], hi[r], n)
-                    for r in repeats if hi[r] - lo[r] > 1}:
+                    for r in range(len(passed)) if hi[r] - lo[r] > 1}:
         for r in sorted(picks, key=lambda r: (picks[r], r)):
             k = picks[r]
             ok, rows[r][k] = _extension_cell(cfg, rig, position(k), r)
@@ -157,7 +160,7 @@ def _extension_side(args):
                 lo[r] = k
             else:
                 hi[r] = k
-    return [[cells[k] for k in sorted(cells)] for cells in rows.values()], list(lo.values()), n
+    return [[cells[k] for k in sorted(cells)] for cells in rows], lo, n in hi
 
 
 def run_dof_extension(cfg: dict, map_units=map) -> ExperimentResult:
@@ -166,26 +169,22 @@ def run_dof_extension(cfg: dict, map_units=map) -> ExperimentResult:
     rigs = [config.rig_from_config(cfg, base) for base in bases]
     base_cells = [[_extension_cell(cfg, rig, base, r) for r in range(exp["repeats"])]
                   for base, rig in zip(bases, rigs)]
-    units = [(cfg, base, sign, [r for r, (ok, _) in enumerate(cells) if ok])
+    units = [(cfg, base, sign, [ok for ok, _ in cells])
              for base, cells in zip(bases, base_cells) for sign in (-1.0, 1.0)]
     results = list(map_units(_extension_side, units))
 
     rows = []
     summary = []
     stats = {"guard_cut": []}
-    for base, cells, (front_rows, front_lo, front_n), (rear_rows, rear_lo, rear_n) in zip(
+    for base, cells, (front_rows, front_lo, front_cut), (rear_rows, rear_lo, rear_cut) in zip(
             bases, base_cells, results[0::2], results[1::2]):
-        # a repeat whose base cell failed searched neither walk: its extent is 0
-        passed = iter(zip(front_rows, rear_rows, front_lo, rear_lo))
-        walks = [next(passed) if ok else ([], [], 0, 0) for ok, _ in cells]
-        for (_, row), (f_rows, r_rows, _, _) in zip(cells, walks):
+        for (_, row), f_rows, r_rows in zip(cells, front_rows, rear_rows):
             rows += f_rows[::-1] + [row] + r_rows
-        front, rear = (float(np.mean([w[i] * exp["grid_mm"] for w in walks])) for i in (2, 3))
+        front, rear = (float(np.mean([lo * exp["grid_mm"] for lo in side]))
+                       for side in (front_lo, rear_lo))
         total = front + rear
         stats[base] = {"front_mm": front, "rear_mm": rear, "total_mm": total}
-        # a repeat still passing at a walk's last cell found no limit on that side
-        cut = [side for side, lo, n in (("front", front_lo, front_n), ("rear", rear_lo, rear_n))
-               if n - 1 in lo]
+        cut = [side for side, hit in (("front", front_cut), ("rear", rear_cut)) if hit]
         stats["guard_cut"] += [(base, side) for side in cut]
         # a side the guard cut, and a total over it, is only a lower bound
         ge = {side: "≥ " if side in cut else "" for side in ("front", "rear")}
@@ -462,4 +461,4 @@ def run_experiment(cfg: dict, parallel: bool = False) -> ExperimentResult:
     # imported here: the pool machinery would add about 14 ms to a serial run's start
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor() as pool:
-        return SWEEPS[kind](cfg, functools.partial(pool.map, chunksize=1))
+        return SWEEPS[kind](cfg, pool.map)

@@ -58,33 +58,6 @@ def thin_lens_image_distance(f: float, d: float) -> float:
     return 1.0 / (1.0 / f - 1.0 / d)
 
 
-def blur_circle_diameter(f: float, n_stop: float, d_focus: float, d_subject: float) -> float:
-    """Geometric blur-circle diameter on the sensor for a single lens.
-
-    The lens is focused at d_focus; the subject sits at d_subject.  With
-    aperture diameter A = f / n_stop the similar-triangle result is
-
-        b = f^2 * |d_focus - d_subject| / (n_stop * d_subject * (d_focus - f))
-
-    which is zero exactly at d_subject == d_focus and strictly increasing
-    in |1/d_subject - 1/d_focus|.
-    """
-    if d_focus <= f:
-        raise ValueError(f"focus distance {d_focus} mm must exceed focal length {f} mm")
-    if d_subject <= 0.0:
-        raise ValueError(f"subject distance must be positive, got {d_subject}")
-    if math.isinf(d_subject):
-        return f * f / (n_stop * (d_focus - f))
-    return f * f * abs(d_focus - d_subject) / (n_stop * d_subject * (d_focus - f))
-
-
-def hyperfocal_distance(f: float, n_stop: float, coc: float) -> float:
-    """Focus distance beyond which the far limit runs to infinity."""
-    if coc <= 0.0:
-        return math.inf
-    return f * f / (n_stop * coc) + f
-
-
 @dataclass(frozen=True)
 class DofResult:
     near_mm: float
@@ -95,11 +68,12 @@ class DofResult:
 def depth_of_field(f: float, n_stop: float, d: float, coc: float) -> DofResult:
     """Depth of field of a bare lens focused at d, for blur tolerance coc.
 
-    Near and far limits are the exact conjugate distances where
-    blur_circle_diameter equals coc, and the total is their difference; it
+    Near and far limits are the exact conjugate distances where the lens's
+    geometric blur circle is coc wide, and the total is their difference; it
     equals the pupil-diameter form 2*C*d / (f*P/(d-f) - C^2*(d-f)/(f*P)),
-    P = f / n_stop, which the tests hold it to.  Focusing at or past the
-    hyperfocal distance makes far and total inf rather than a negative depth.
+    P = f / n_stop.  The tests hold it to both closed forms.  Focusing at or
+    past the hyperfocal distance makes far and total inf rather than a
+    negative depth.
     """
     if d <= f:
         raise ValueError(f"focus distance {d} mm must exceed focal length {f} mm")

@@ -109,19 +109,19 @@ def plan_order(rig: CaptureRig, targets: list[Subject], order: str) -> list[Subj
 
     pose = rig.mirror.pose_at(0.0)
     power = rig.lens.power_at(0.0)
-    remaining = list(targets)
+    # every target is read at t = 0, so its setpoints are computed once
+    remaining = [(tgt, setpoints_for(rig, eye_position(tgt, 0.0))) for tgt in targets]
     out: list[Subject] = []
     while remaining:
         costed = []
-        for tgt in remaining:
-            pan, tilt, p = setpoints_for(rig, eye_position(tgt, 0.0))
+        for i, (tgt, (pan, tilt, p)) in enumerate(remaining):
             slew = rig.mirror.slew_time_ms(pan, tilt, from_pose=pose)
             refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
                        else rig.lens.params.settle_time)
-            costed.append((max(slew, refocus), tgt.subject_id, tgt, (pan, tilt), p))
-        _, _, best, pose, power = min(costed, key=lambda item: item[:2])
+            costed.append((max(slew, refocus), tgt.subject_id, i))
+        best, (pan, tilt, power) = remaining.pop(min(costed)[2])
+        pose = (pan, tilt)
         out.append(best)
-        remaining.remove(best)
     return out
 
 

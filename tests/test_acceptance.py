@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from irissim import cli, config, devices, experiments, optics
+from oracles import blur_circle_diameter, hyperfocal_distance
 
 _T0 = time.monotonic()
 
@@ -87,11 +88,11 @@ def test_c03_blur_equals_tolerance_at_dof_limits():
         n = rng.uniform(2.0, 8.0)
         coc = rng.uniform(0.01, 0.1)
         # keep the focus short of hyperfocal so the far limit stays finite
-        hyper = optics.hyperfocal_distance(f, n, coc)
+        hyper = hyperfocal_distance(f, n, coc)
         d = f + rng.uniform(0.05, 0.85) * (hyper - f)
         res = optics.depth_of_field(f, n, d, coc)
         for limit in (res.near_mm, res.far_mm):
-            blur = optics.blur_circle_diameter(f, n, d, limit)
+            blur = blur_circle_diameter(f, n, d, limit)
             if not math.isclose(blur, coc, rel_tol=1e-6):
                 failures.append(f"f={f:.1f} N={n:.2f} d={d:.0f}: blur {blur:.6g} "
                                 f"at {limit:.1f} mm, want {coc:.6g}")

@@ -55,11 +55,6 @@ def used_names(source: str) -> set[str]:
     return used
 
 
-# Used by tests alone: acceptance criterion 3 checks depth_of_field's limits
-# against these two closed forms as independent oracles.
-TEST_ORACLES = ("optics.blur_circle_diameter", "optics.hyperfocal_distance")
-
-
 @pytest.fixture(scope="module")
 def names_in_use() -> set[str]:
     return set().union(*(used_names(p.read_text()) for p in MODULES))
@@ -69,8 +64,7 @@ def names_in_use() -> set[str]:
 def test_every_function_and_class_is_used(path, names_in_use):
     defined = [node.name for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [name for name in defined
-              if name not in names_in_use and f"{path.stem}.{name}" not in TEST_ORACLES]
+    unused = [name for name in defined if name not in names_in_use]
     assert unused == []
 
 

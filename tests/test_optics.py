@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from irissim import optics
+from oracles import blur_circle_diameter, hyperfocal_distance
 
 
 # ---------------------------------------------------------------- thin lens
@@ -77,8 +78,8 @@ def test_blur_equals_coc_at_both_limits():
         res = optics.depth_of_field(f, n, d, coc)
         if math.isinf(res.far_mm):
             continue
-        b_near = optics.blur_circle_diameter(f, n, d, res.near_mm)
-        b_far = optics.blur_circle_diameter(f, n, d, res.far_mm)
+        b_near = blur_circle_diameter(f, n, d, res.near_mm)
+        b_far = blur_circle_diameter(f, n, d, res.far_mm)
         assert b_near == pytest.approx(coc, rel=1e-6)
         assert b_far == pytest.approx(coc, rel=1e-6)
         checked += 1
@@ -100,7 +101,7 @@ def test_dof_zero_coc_collapses():
 
 
 def test_dof_beyond_hyperfocal_signals_infinite_far_limit():
-    h = optics.hyperfocal_distance(70.0, 4.8, 0.0499)
+    h = hyperfocal_distance(70.0, 4.8, 0.0499)
     res = optics.depth_of_field(70.0, 4.8, h * 1.5, 0.0499)
     assert math.isinf(res.far_mm)
     assert math.isinf(res.total_mm)
@@ -111,9 +112,9 @@ def test_dof_beyond_hyperfocal_signals_infinite_far_limit():
 
 
 def test_blur_circle_zero_in_focus_and_monotone():
-    assert optics.blur_circle_diameter(350.0, 4.8, 5000.0, 5000.0) == 0.0
+    assert blur_circle_diameter(350.0, 4.8, 5000.0, 5000.0) == 0.0
     # strictly increasing in |1/d_subject - 1/d_focus|
-    deltas = [optics.blur_circle_diameter(350.0, 4.8, 5000.0, s) for s in (5200, 5500, 6000, 8000)]
+    deltas = [blur_circle_diameter(350.0, 4.8, 5000.0, s) for s in (5200, 5500, 6000, 8000)]
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
 

@@ -95,6 +95,52 @@ def test_nearest_transition_breaks_a_cost_tie_by_subject_id(given):
     assert [t.subject_id for t in ordered] == ["a", "b", "c"]
 
 
+def _greedy_order(rig, targets):
+    """nearest_transition as a loop that re-costs every remaining target each step.
+
+    Also returns how many steps had more than one target at the least cost.
+    """
+    pose, power = rig.mirror.pose_at(0.0), rig.lens.power_at(0.0)
+    remaining, out, ties = list(targets), [], 0
+    while remaining:
+        costed = []
+        for tgt in remaining:
+            pan, tilt, p = setpoints_for(rig, eye_position(tgt, 0.0))
+            slew = rig.mirror.slew_time_ms(pan, tilt, from_pose=pose)
+            refocus = (0.0 if rig.lens.quantize(p) == rig.lens.quantize(power)
+                       else rig.lens.params.settle_time)
+            costed.append((max(slew, refocus), tgt.subject_id, tgt, (pan, tilt), p))
+        _, _, best, pose, power = min(costed, key=lambda item: item[:2])
+        ties += sum(item[0] == min(costed)[0] for item in costed) > 1
+        out.append(best)
+        remaining.remove(best)
+    return out, ties
+
+
+def test_nearest_transition_computes_each_targets_setpoints_once(monkeypatch):
+    rig = make_rig()
+    # 40 still subjects: mirrored azimuths at shared distances tie on cost,
+    # and shuffled ids decide each tie
+    spots = list(itertools.product((-30.0, -10.0, 10.0, 30.0), (4000.0, 4800.0, 5600.0,
+                                                                 6400.0, 7200.0)))
+    spots += [(az, d + 100.0) for az, d in spots]
+    ids = np.random.default_rng(5).permutation(len(spots))
+    targets = [still_subject(f"s{i:02d}", 1, d, azimuth_deg=az)
+               for i, (az, d) in zip(ids, spots)]
+    want, ties = _greedy_order(rig, targets)
+    assert ties > 0
+    calls = []
+
+    def counting(rig, eye):
+        calls.append(eye)
+        return setpoints_for(rig, eye)
+
+    monkeypatch.setattr(scheduler, "setpoints_for", counting)
+    got = plan_order(rig, targets, order="nearest_transition")
+    assert len(calls) == len(targets)
+    assert [t.subject_id for t in got] == [t.subject_id for t in want]
+
+
 def test_unknown_order_rejected():
     rig = make_rig()
     with pytest.raises(ValueError):
