@@ -206,8 +206,9 @@ def _linear_edge(n, edge, start):
 def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
     # No rendering: cell k of every walk passes iff k is below its repeat's edge.
     # The runner renders the base cell, cell 0, and gives each walk every
-    # repeat's verdict on it.  A repeat that passed scans from cell 1; one that
-    # failed (repeat 3 always, and each of repeats 0-2 in turn) probes nothing.
+    # repeat's verdict on it.  A repeat that passed (0-2 always, 4 at even
+    # edges) scans from cell 1; one that failed (3 always, 4 at odd edges)
+    # probes nothing.
     edges = {}
     calls = []
 
@@ -217,7 +218,7 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
         return k < edges[repeat], (repeat, k)
 
     monkeypatch.setattr(experiments, "_extension_cell", fake_cell)
-    cfg = {"seed": 0, "experiment": {"grid_mm": 10.0, "repeats": 4}}
+    cfg = {"seed": 0, "experiment": {"grid_mm": 10.0, "repeats": 5}}
     start = 1
     for n, sign in itertools.product(range(1, 72), (-1.0, 1.0)):
         monkeypatch.setattr(config, "side_walk", lambda base, grid, s, n=n: (n, float))
@@ -225,20 +226,21 @@ def test_search_finds_the_linear_scan_edge_on_every_walk(monkeypatch):
         assert bound == min(n, 2 * math.ceil(math.log2(n)) + 2)
         # every base cell failed: nothing is probed and, even at n = 1, nothing is cut
         calls.clear()
-        assert experiments._extension_side((cfg, 5000.0, sign, [False] * 4)) == (
-            [[]] * 4, [0] * 4, False)
+        assert experiments._extension_side((cfg, 5000.0, sign, [False] * 5)) == (
+            [[]] * 5, [0] * 5, False)
         assert calls == []
         for edge in range(n + 1):
             # repeat 3 would pass every cell of the walk, had it passed its base cell
-            edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1), 3: n})
-            passed = [r != edge % 4 for r in range(3)] + [False]
+            edges.update({0: edge, 1: n - edge, 2: 7 * edge % (n + 1), 3: n,
+                          4: 3 * edge % (n + 1)})
+            passed = [True] * 3 + [False, edge % 2 == 0]
             calls.clear()
             rows, lo, cut = experiments._extension_side((cfg, 5000.0, sign, passed))
-            want = [_linear_edge(n, edges[r], start) if passed[r] else 0 for r in range(4)]
+            want = [_linear_edge(n, edges[r], start) if passed[r] else 0 for r in range(5)]
             assert lo == want
             # the guard cut the side iff a repeat that passed its base cell passed cell n - 1
             assert cut == any(ok and k == n - 1 for ok, k in zip(passed, want))
-            for r in range(4):
+            for r in range(5):
                 probed = [k for rr, k in calls if rr == r]
                 assert len(probed) <= bound - start
                 assert 0 not in probed
